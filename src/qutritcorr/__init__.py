@@ -3,10 +3,10 @@ negativity, and geometric-discord bounds with an independent brute-force
 oracle, plus sweep presets and a CLI."""
 
 from ._version import __version__
-from .linalg import (DensityMatrix, GeneratorBasis, ValidationError,
-                     hermitian_eigenvalues, make_bell_state, partial_trace,
-                     partial_transpose, random_density_matrix, random_unitary,
-                     su_generators, tensor, trace_norm, validate_density_matrix)
+from .linalg import (DensityMatrix, ValidationError, hermitian_eigenvalues,
+                     make_bell_state, partial_trace, partial_transpose,
+                     random_density_matrix, random_unitary, su_generators, tensor,
+                     trace_norm, validate_density_matrix)
 from .channels import (CHANNEL_FAMILIES, IncompleteKrausError, KrausChannel,
                        KrausDiagnostics, apply_channel, apply_local_channels,
                        clock_matrix, dephasing_kraus, depolarizing_kraus, evolve,
@@ -29,7 +29,7 @@ from .validation import CheckResult, run_validation
 
 __all__ = [
     "__version__",
-    "DensityMatrix", "GeneratorBasis", "ValidationError", "hermitian_eigenvalues",
+    "DensityMatrix", "ValidationError", "hermitian_eigenvalues",
     "make_bell_state", "partial_trace", "partial_transpose", "random_density_matrix",
     "random_unitary", "su_generators", "tensor", "trace_norm", "validate_density_matrix",
     "CHANNEL_FAMILIES", "IncompleteKrausError", "KrausChannel", "KrausDiagnostics",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,11 +62,15 @@ def validate_kraus(channel: KrausChannel, tol: float = COMPLETENESS_TOL) -> Krau
     return KrausDiagnostics(ok=dev <= tol, max_deviation=dev)
 
 
-def gamma_of(q: float, t: float) -> float:
-    """Decay parameter 1 - exp(-q t), clamped to [0, 1]."""
-    if q < 0.0 or t < 0.0:
-        raise ValueError(f"decay rate and time must be non-negative, got q={q}, t={t}")
-    return min(1.0, max(0.0, 1.0 - float(np.exp(-q * t))))
+def gamma_of(q, t):
+    """Decay parameter 1 - exp(-q t), clamped to [0, 1]. Scalars give a
+    float; arrays broadcast and give an array. Negative, NaN and infinite
+    inputs are refused."""
+    q, t = np.asarray(q, dtype=float), np.asarray(t, dtype=float)
+    if not (np.all(np.isfinite(q) & (q >= 0.0)) and np.all(np.isfinite(t) & (t >= 0.0))):
+        raise ValueError(f"decay rate and time must be finite and non-negative, got q={q}, t={t}")
+    gamma = np.clip(1.0 - np.exp(-q * t), 0.0, 1.0)
+    return float(gamma) if gamma.ndim == 0 else gamma
 
 
 def _check_gamma(gamma: float) -> None:
@@ -191,50 +196,80 @@ def kraus_for_family(family: str, gamma: float) -> KrausChannel:
 def apply_channel(channel: KrausChannel, matrix: np.ndarray) -> np.ndarray:
     """Single-system Kraus action sum_i E_i M E_i^dag."""
     mat = np.asarray(matrix, dtype=complex)
-    out = np.zeros_like(mat)
-    for op in channel.operators:
-        out += op @ mat @ op.conj().T
-    return out
+    return (_liouville(np.stack(channel.operators)) @ mat.reshape(-1)).reshape(mat.shape)
 
 
-def _lifted(ops: tuple[np.ndarray, ...], other_dim: int, side: str) -> np.ndarray:
-    # stack of kron(E, I) (side A) or kron(I, E) (side B) without per-op kron calls
-    stack = np.stack(ops)
-    eye = np.eye(other_dim)
-    if side == "A":
-        big = np.einsum("kab,cd->kacbd", stack, eye)
-    else:
-        big = np.einsum("kab,cd->kcadb", stack, eye)
-    n = stack.shape[1] * other_dim
-    return big.reshape(len(ops), n, n)
+def _liouville(ops: np.ndarray) -> np.ndarray:
+    """S = sum_i E_i (x) E_i^* of a (k, d, d) operator stack, so that
+    vec(sum_i E_i X E_i^dag) = S vec(X) with row-major vec."""
+    d = ops.shape[-1]
+    return np.einsum("kab,kcd->acbd", ops, ops.conj()).reshape(d * d, d * d)
+
+
+def _checked_liouville(channel: KrausChannel, what: str) -> np.ndarray:
+    diag = validate_kraus(channel)
+    if not diag.ok:
+        raise IncompleteKrausError(f"{what} is not trace preserving "
+                                   f"(completeness deviation {diag.max_deviation:.3e})", diag)
+    return _liouville(np.stack(channel.operators))
+
+
+def _apply_superoperators(matrix: np.ndarray, dims: tuple[int, int],
+                          s_a: np.ndarray, s_b: np.ndarray) -> np.ndarray:
+    """Two-sided local action R -> S_A R S_B^T on the realigned state
+    R[(a a'), (b b')] = rho[(a b), (a' b')]. Leading axes broadcast, so any
+    of matrix, S_A and S_B may be a stack."""
+    d1, d2 = dims
+    for side, s, d in (("A", s_a, d1), ("B", s_b, d2)):
+        if s.shape[-1] != d * d:
+            raise ValueError(f"{side}-side channel does not act on a {d}-level subsystem")
+    lead = matrix.shape[:-2]
+    r = matrix.reshape(lead + (d1, d2, d1, d2)).swapaxes(-3, -2)
+    out = s_a @ r.reshape(lead + (d1 * d1, d2 * d2)) @ s_b.swapaxes(-1, -2)
+    out = out.reshape(out.shape[:-2] + (d1, d1, d2, d2)).swapaxes(-3, -2)
+    return out.reshape(out.shape[:-4] + (d1 * d2, d1 * d2))
 
 
 def apply_local_channels(rho: DensityMatrix, channel_a: KrausChannel,
                          channel_b: KrausChannel) -> DensityMatrix:
     """Apply channel_a to subsystem A and channel_b to subsystem B."""
-    d1, d2 = rho.dims
-    if channel_a.dim != d1:
-        raise ValueError(f"A-side channel dim {channel_a.dim} != subsystem dim {d1}")
-    if channel_b.dim != d2:
-        raise ValueError(f"B-side channel dim {channel_b.dim} != subsystem dim {d2}")
-    for side, ch in (("A", channel_a), ("B", channel_b)):
-        diag = validate_kraus(ch)
-        if not diag.ok:
-            raise IncompleteKrausError(
-                f"{side}-side Kraus set is not trace preserving "
-                f"(completeness deviation {diag.max_deviation:.3e})", diag)
-    mat = rho.matrix
-    for side, ch, other in (("A", channel_a, d2), ("B", channel_b, d1)):
-        big = _lifted(ch.operators, other, side)
-        tmp = big @ mat  # batched (k, n, n)
-        mat = np.tensordot(tmp, big.conj(), axes=([0, 2], [0, 2]))
-    return DensityMatrix(mat, rho.dims)
+    s_a = _checked_liouville(channel_a, "A-side Kraus set")
+    s_b = _checked_liouville(channel_b, "B-side Kraus set")
+    return DensityMatrix(_apply_superoperators(rho.matrix, rho.dims, s_a, s_b), rho.dims)
 
 
-def evolve(rho0: DensityMatrix, family_a: str, family_b: str,
-           q_a: float, q_b: float, t: float) -> DensityMatrix:
+@lru_cache(maxsize=None)
+def _family_superoperator_basis(family: str) -> np.ndarray:
+    """(C0, C1, C2) with S(gamma) = C0 + sqrt(1 - gamma) C1 + gamma C2, solved
+    from the Kraus sets at gamma = 0, 3/4, 1 (sqrt(1 - gamma) = 1, 1/2, 0).
+
+    Every family has this form: its Kraus weights are constants,
+    sqrt(1 - gamma) or roots of linear functions of gamma. Completeness is
+    linear in S, so checking the three sets proves it for every gamma.
+    """
+    s0, s34, s1 = (_checked_liouville(kraus_for_family(family, g),
+                                      f"{family} Kraus set at gamma={g}")
+                   for g in (0.0, 0.75, 1.0))
+    c0 = 2.0 * s0 + 3.0 * s1 - 4.0 * s34
+    basis = np.stack([c0, s0 - c0, s1 - c0])
+    basis.setflags(write=False)
+    return basis
+
+
+def _family_superoperator(family: str, gamma) -> np.ndarray:
+    """S(gamma) of a family; an array of gammas gives a stack."""
+    c0, c1, c2 = _family_superoperator_basis(family)
+    gamma = np.asarray(gamma)[..., None, None]
+    return c0 + np.sqrt(1.0 - gamma) * c1 + gamma * c2
+
+
+def evolve(rho0: DensityMatrix, family_a: str, family_b: str, q_a, q_b, t) -> DensityMatrix:
     """Two-sided noise at the decay parameters gamma = 1 - exp(-q t) reached
-    by time t."""
-    channel_a = kraus_for_family(family_a, gamma_of(q_a, t))
-    channel_b = kraus_for_family(family_b, gamma_of(q_b, t))
-    return apply_local_channels(rho0, channel_a, channel_b)
+    by time t.
+
+    Scalar rates and time give one state; arrays broadcast against each other
+    and give an (N, 9, 9) stack, one state per element.
+    """
+    s_a = _family_superoperator(family_a, gamma_of(q_a, t))
+    s_b = _family_superoperator(family_b, gamma_of(q_b, t))
+    return DensityMatrix(_apply_superoperators(rho0.matrix, rho0.dims, s_a, s_b), rho0.dims)

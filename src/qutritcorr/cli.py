@@ -5,8 +5,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from functools import partial
 
 from ._version import __version__
 from .channels import CHANNEL_FAMILIES, evolve
@@ -29,9 +31,9 @@ class OutputError(Exception):
     """File output failed or was refused."""
 
 
-def parse_axis(text: str):
-    """Scalar or min:max:steps range."""
-    if ":" in text:
+def parse_axis(text: str, range_ok: bool = True):
+    """Finite, non-negative scalar or, when range_ok, a min:max:steps range."""
+    if range_ok and ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise argparse.ArgumentTypeError(f"range must be min:max:steps, got {text!r}")
@@ -47,18 +49,8 @@ def parse_axis(text: str):
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if value < 0.0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
-    return value
-
-
-def parse_scalar(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if value < 0.0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text}")
     return value
 
 
@@ -112,9 +104,10 @@ def build_parser() -> argparse.ArgumentParser:
                               help="single-point report with the brute-force discord value")
     oracle_p.add_argument("--channel-a", required=True, choices=CHANNEL_FAMILIES)
     oracle_p.add_argument("--channel-b", required=True, choices=CHANNEL_FAMILIES)
-    oracle_p.add_argument("--qa", required=True, type=parse_scalar)
-    oracle_p.add_argument("--qb", required=True, type=parse_scalar)
-    oracle_p.add_argument("--t", required=True, type=parse_scalar)
+    scalar = partial(parse_axis, range_ok=False)
+    oracle_p.add_argument("--qa", required=True, type=scalar)
+    oracle_p.add_argument("--qb", required=True, type=scalar)
+    oracle_p.add_argument("--t", required=True, type=scalar)
     oracle_p.add_argument("--restarts", type=int, default=32)
     oracle_p.add_argument("--seed", type=int, default=0)
     oracle_p.add_argument("--output", default="-", help="output file, or - for stdout")
@@ -240,7 +233,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
+    except ValueError as exc:  # includes ConfigError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OutputError as exc:

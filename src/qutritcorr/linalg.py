@@ -30,19 +30,19 @@ class ValidationError(ValueError):
 
 def _density_violations(mat: np.ndarray, dim: int) -> dict[str, float]:
     out: dict[str, float] = {}
-    if mat.shape != (dim, dim):
-        raise ValueError(f"expected a {dim}x{dim} matrix, got shape {mat.shape}")
+    if mat.ndim not in (2, 3) or mat.shape[-2:] != (dim, dim):
+        raise ValueError(f"expected a {dim}x{dim} matrix or a stack of them, got shape {mat.shape}")
     if not np.all(np.isfinite(mat.view(float))):
         raise ValueError("matrix contains non-finite entries")
-    herm = float(np.abs(mat - mat.conj().T).max())
+    herm = float(np.abs(mat - mat.conj().swapaxes(-1, -2)).max())
     if herm > HERMITICITY_TOL:
         out["hermiticity"] = herm
-    trace = float(abs(mat.trace() - 1.0))
+    trace = float(np.abs(np.trace(mat, axis1=-2, axis2=-1) - 1.0).max())
     if trace > TRACE_TOL:
         out["trace"] = trace
     if "hermiticity" not in out:
         # eigvalsh is only meaningful once Hermiticity holds
-        low = float(np.linalg.eigvalsh(mat)[0])
+        low = float(np.linalg.eigvalsh(mat)[..., 0].min())
         if low < -PSD_TOL:
             out["psd"] = -low
     return out
@@ -50,11 +50,12 @@ def _density_violations(mat: np.ndarray, dim: int) -> dict[str, float]:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Certified quantum state on a d1 x d2 bipartite system.
+    """Certified quantum state on a d1 x d2 bipartite system, or an (N, d, d)
+    stack of such states.
 
     Construction validates Hermiticity (1e-12), unit trace (1e-12) and
-    positivity (smallest eigenvalue >= -1e-10) and freezes the array, so any
-    DensityMatrix in circulation is a valid state.
+    positivity (smallest eigenvalue >= -1e-10) of every state and freezes the
+    array, so any DensityMatrix in circulation holds only valid states.
     """
 
     matrix: np.ndarray
@@ -98,16 +99,18 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def partial_transpose(rho: DensityMatrix, subsystem: str = "A") -> np.ndarray:
-    """Transpose one subsystem in place; the result is generally not a state."""
+    """Transpose one subsystem in place; the result is generally not a state.
+    A stack of states gives a stack of partial transposes."""
     d1, d2 = rho.dims
-    r4 = rho.matrix.reshape(d1, d2, d1, d2)
+    lead = rho.matrix.shape[:-2]
+    r4 = rho.matrix.reshape(lead + (d1, d2, d1, d2))
     if subsystem == "A":
-        out = r4.transpose(2, 1, 0, 3)
+        out = r4.swapaxes(-4, -2)
     elif subsystem == "B":
-        out = r4.transpose(0, 3, 2, 1)
+        out = r4.swapaxes(-3, -1)
     else:
         raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    return out.reshape(d1 * d2, d1 * d2).copy()
+    return out.reshape(lead + (d1 * d2, d1 * d2)).copy()
 
 
 def partial_trace(rho: DensityMatrix, keep: str = "A") -> np.ndarray:
@@ -122,12 +125,13 @@ def partial_trace(rho: DensityMatrix, keep: str = "A") -> np.ndarray:
 
 
 def hermitian_eigenvalues(matrix: np.ndarray, hermiticity_tol: float = 1e-10) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, sorted non-increasing."""
+    """Real eigenvalues of a Hermitian matrix (or of each matrix in a stack),
+    sorted non-increasing."""
     mat = np.asarray(matrix)
-    dev = float(np.abs(mat - mat.conj().T).max())
+    dev = float(np.abs(mat - mat.conj().swapaxes(-1, -2)).max())
     if dev > hermiticity_tol:
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
-    return np.linalg.eigvalsh(mat)[::-1]
+    return np.linalg.eigvalsh(mat)[..., ::-1]
 
 
 def trace_norm(matrix: np.ndarray) -> float:
@@ -138,26 +142,10 @@ def trace_norm(matrix: np.ndarray) -> float:
     return float(np.linalg.svd(mat, compute_uv=False).sum())
 
 
-@dataclass(frozen=True)
-class GeneratorBasis:
-    """Traceless Hermitian su(d) generators with Tr(g_k g_l) = 2 delta_kl."""
-
-    dim: int
-    generators: tuple[np.ndarray, ...]
-
-    def __len__(self) -> int:
-        return len(self.generators)
-
-    def __iter__(self):
-        return iter(self.generators)
-
-    def __getitem__(self, k: int) -> np.ndarray:
-        return self.generators[k]
-
-
 @lru_cache(maxsize=None)
-def su_generators(d: int) -> GeneratorBasis:
-    """Generalized Gell-Mann basis of su(d).
+def su_generators(d: int) -> tuple[np.ndarray, ...]:
+    """Generalized Gell-Mann basis of su(d): traceless Hermitian generators
+    with Tr(g_k g_l) = 2 delta_kl.
 
     Ordering: symmetric off-diagonal pairs (j < k, lexicographic), the
     matching antisymmetric pairs, then the d - 1 diagonal generators. For
@@ -183,7 +171,7 @@ def su_generators(d: int) -> GeneratorBasis:
         gens.append(np.sqrt(2.0 / (l * (l + 1))) * g)
     for g in gens:
         g.setflags(write=False)
-    return GeneratorBasis(d, tuple(gens))
+    return tuple(gens)
 
 
 def random_density_matrix(d1: int, d2: int = 1, rank: int | None = None,

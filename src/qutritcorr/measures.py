@@ -44,7 +44,8 @@ RAW_CONVENTION = GdConvention("raw")
 
 @dataclass(frozen=True)
 class BlochDecomposition:
-    """Local Bloch vectors and the correlation matrix of a bipartite state."""
+    """Local Bloch vectors and the correlation matrix of a bipartite state;
+    for a stack of states each field gains a leading axis."""
 
     y_a: np.ndarray
     z_b: np.ndarray
@@ -53,8 +54,8 @@ class BlochDecomposition:
 
 @lru_cache(maxsize=None)
 def _generator_stacks(d1: int, d2: int):
-    gen_a = su_generators(d1).generators
-    gen_b = su_generators(d2).generators
+    gen_a = su_generators(d1)
+    gen_b = su_generators(d2)
     eye_a, eye_b = np.eye(d1), np.eye(d2)
     a_ops = np.stack([np.kron(g, eye_b) for g in gen_a])
     b_ops = np.stack([np.kron(eye_a, g) for g in gen_b])
@@ -69,9 +70,9 @@ def bloch_decomposition(rho: DensityMatrix) -> BlochDecomposition:
     z_l = (d2/2) Tr(rho I x g_l), v_kl = (d1 d2/4) Tr(rho g_k x g_l)."""
     d1, d2 = rho.dims
     a_ops, b_ops, ab_ops = _generator_stacks(d1, d2)
-    y = 0.5 * d1 * np.einsum("kij,ji->k", a_ops, rho.matrix)
-    z = 0.5 * d2 * np.einsum("kij,ji->k", b_ops, rho.matrix)
-    v = 0.25 * d1 * d2 * np.einsum("klij,ji->kl", ab_ops, rho.matrix)
+    y = 0.5 * d1 * np.einsum("kij,...ji->...k", a_ops, rho.matrix)
+    z = 0.5 * d2 * np.einsum("kij,...ji->...k", b_ops, rho.matrix)
+    v = 0.25 * d1 * d2 * np.einsum("klij,...ji->...kl", ab_ops, rho.matrix)
     resid = max(float(np.abs(y.imag).max()), float(np.abs(z.imag).max()),
                 float(np.abs(v.imag).max()))
     if resid > IMAG_TOL:
@@ -80,43 +81,46 @@ def bloch_decomposition(rho: DensityMatrix) -> BlochDecomposition:
 
 
 def bloch_synthesis(dec: BlochDecomposition, dims: tuple[int, int]) -> np.ndarray:
-    """Inverse of bloch_decomposition: rebuild the density matrix."""
+    """Inverse of bloch_decomposition: rebuild the density matrix (or stack)."""
     d1, d2 = dims
     a_ops, b_ops, ab_ops = _generator_stacks(d1, d2)
     mat = (np.eye(d1 * d2, dtype=complex)
-           + np.einsum("k,kij->ij", dec.y_a, a_ops)
-           + np.einsum("l,lij->ij", dec.z_b, b_ops)
-           + np.einsum("kl,klij->ij", dec.corr, ab_ops))
+           + np.einsum("...k,kij->...ij", dec.y_a, a_ops)
+           + np.einsum("...l,lij->...ij", dec.z_b, b_ops)
+           + np.einsum("...kl,klij->...ij", dec.corr, ab_ops))
     return mat / (d1 * d2)
 
 
-def negativity(rho: DensityMatrix) -> float:
+def negativity(rho: DensityMatrix) -> float | np.ndarray:
     """Sum of |negative eigenvalues| of the partial transpose over A.
 
     Equals (trace_norm(rho^T_A) - 1) / 2; eigenvalues within 1e-12 of zero
-    are not counted as negative.
+    are not counted as negative. A stack of states gives an array.
     """
     eigs = hermitian_eigenvalues(partial_transpose(rho, "A"))
-    neg = eigs[eigs < -NEGATIVITY_EIG_TOL]
-    return float(np.abs(neg).sum())
+    neg = np.where(eigs < -NEGATIVITY_EIG_TOL, -eigs, 0.0).sum(axis=-1)
+    return float(neg) if rho.matrix.ndim == 2 else neg
 
 
-def gd_lower_bound(rho: DensityMatrix, convention: GdConvention = PAPER_CONVENTION) -> float:
+def gd_lower_bound(rho: DensityMatrix,
+                   convention: GdConvention = PAPER_CONVENTION) -> float | np.ndarray:
     """Closed-form lower bound on the geometric discord, measurement on A.
 
     Builds G = y y^T + (2/d2) V V^T from the Bloch decomposition and subtracts
     the d1 - 1 largest eigenvalues of G from its trace (which equals
-    |y|^2 + (2/d2) |V|^2), then scales by the convention prefactor.
+    |y|^2 + (2/d2) |V|^2), then scales by the convention prefactor. A stack
+    of states gives an array.
     """
     d1, d2 = rho.dims
     dec = bloch_decomposition(rho)
-    g = np.outer(dec.y_a, dec.y_a) + (2.0 / d2) * (dec.corr @ dec.corr.T)
-    eigs = np.linalg.eigvalsh(g)[::-1]
-    bracket = float(np.trace(g) - eigs[: d1 - 1].sum())
+    y = dec.y_a[..., :, None]
+    g = y * y.swapaxes(-1, -2) + (2.0 / d2) * (dec.corr @ dec.corr.swapaxes(-1, -2))
+    eigs = np.linalg.eigvalsh(g)[..., ::-1]
+    bracket = np.trace(g, axis1=-2, axis2=-1) - eigs[..., : d1 - 1].sum(axis=-1)
     value = convention.prefactor(d1, d2) * bracket
     if convention.clamp_nonnegative:
-        value = max(0.0, value)
-    return float(value)
+        value = np.maximum(0.0, value)
+    return float(value) if rho.matrix.ndim == 2 else value
 
 
 def isotropic_family(p: float) -> DensityMatrix:

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channels import _apply_superoperators, _liouville
 from .linalg import DensityMatrix, su_generators
 from .measures import GdConvention, PAPER_CONVENTION
 
@@ -49,13 +50,11 @@ def project_measurement(rho: DensityMatrix, basis: np.ndarray, side: str = "A") 
     dev = float(np.abs(basis.conj().T @ basis - np.eye(d)).max())
     if dev > UNITARITY_TOL:
         raise ValueError(f"basis matrix is not unitary (deviation {dev:.3e})")
-    eye = np.eye(d2 if side == "A" else d1, dtype=complex)
-    out = np.zeros_like(rho.matrix)
-    for k in range(d):
-        proj = np.outer(basis[:, k], basis[:, k].conj())
-        lifted = np.kron(proj, eye) if side == "A" else np.kron(eye, proj)
-        out += lifted @ rho.matrix @ lifted
-    return DensityMatrix(out, rho.dims)
+    projectors = np.einsum("ik,jk->kij", basis, basis.conj())
+    measured = _liouville(projectors)
+    untouched = np.eye((d2 if side == "A" else d1) ** 2)
+    s_a, s_b = (measured, untouched) if side == "A" else (untouched, measured)
+    return DensityMatrix(_apply_superoperators(rho.matrix, rho.dims, s_a, s_b), rho.dims)
 
 
 def _objective(rho4: np.ndarray, norm_sq: float, basis: np.ndarray) -> float:
@@ -119,7 +118,7 @@ def gd_exact(rho: DensityMatrix, restarts: int = 32, seed: int = 0, side: str = 
         rho4 = rho4.transpose(1, 0, 3, 2)
     rho4 = np.ascontiguousarray(rho4)
     norm_sq = float(np.vdot(rho.matrix, rho.matrix).real)
-    gens = su_generators(d).generators
+    gens = su_generators(d)
     best_val, best_basis = np.inf, None
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])

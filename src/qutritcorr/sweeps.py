@@ -3,13 +3,14 @@ and the robustness comparison report."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._version import __version__
 from .channels import CHANNEL_FAMILIES, evolve
-from .linalg import make_bell_state
+from .linalg import DensityMatrix, make_bell_state
 from .measures import GdConvention, PAPER_CONVENTION, gd_lower_bound, negativity
 from .oracle import gd_exact
 
@@ -33,10 +34,9 @@ class SweepRange:
     def __post_init__(self):
         if self.steps < 2:
             raise ConfigError("steps", f"a range needs at least 2 steps, got {self.steps}")
-        if self.start > self.stop:
-            raise ConfigError("range", f"range start {self.start} exceeds stop {self.stop}")
-        if self.start < 0.0:
-            raise ConfigError("range", f"range start must be non-negative, got {self.start}")
+        if not 0.0 <= self.start <= self.stop < math.inf:
+            raise ConfigError("range", f"range needs finite 0 <= start <= stop, "
+                                       f"got {self.start}:{self.stop}")
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.steps)
@@ -67,30 +67,16 @@ class ExperimentConfig:
                 raise ConfigError(name, f"unknown channel family {fam!r}")
         if self.sweep_mode not in SWEEP_MODES:
             raise ConfigError("sweep_mode", f"must be one of {SWEEP_MODES}, got {self.sweep_mode!r}")
-        qa_range = isinstance(self.q_a, SweepRange)
-        qb_range = isinstance(self.q_b, SweepRange)
-        t_range = isinstance(self.t, SweepRange)
-        if self.sweep_mode == "time":
-            if not t_range:
-                raise ConfigError("t", "a time sweep needs a t range")
-            if qa_range:
-                raise ConfigError("q_a", "a time sweep needs a fixed q_a")
-            if qb_range:
-                raise ConfigError("q_b", "a time sweep needs a fixed q_b")
-        elif self.sweep_mode == "rate_time":
-            if qa_range == qb_range:
-                raise ConfigError("q_a", "a rate_time sweep needs exactly one of q_a, q_b "
-                                         "to be a range")
-        else:  # rate_grid
-            if not (qa_range and qb_range):
-                raise ConfigError("q_a", "a rate_grid sweep needs ranges for both q_a and q_b")
-            if t_range:
-                raise ConfigError("t", "a rate_grid sweep needs a fixed t")
+        implied = infer_sweep_mode(self.q_a, self.q_b, self.t)
+        if implied != self.sweep_mode:
+            field = "q_a" if self.sweep_mode != "time" or isinstance(self.t, SweepRange) else "t"
+            raise ConfigError(field, f"the ranges given make a {implied} sweep, "
+                                     f"not a {self.sweep_mode} sweep")
         if self.oracle_restarts < 1:
             raise ConfigError("oracle_restarts", f"need at least 1, got {self.oracle_restarts}")
         for name, value in (("q_a", self.q_a), ("q_b", self.q_b), ("t", self.t)):
-            if not isinstance(value, SweepRange) and value < 0.0:
-                raise ConfigError(name, f"must be non-negative, got {value}")
+            if not isinstance(value, SweepRange) and not 0.0 <= value < math.inf:
+                raise ConfigError(name, f"must be finite and non-negative, got {value}")
 
 
 def infer_sweep_mode(q_a: float | SweepRange, q_b: float | SweepRange,
@@ -153,46 +139,39 @@ def config_meta(cfg: ExperimentConfig) -> dict[str, object]:
     }
 
 
-def _sweep_points(cfg: ExperimentConfig):
-    if cfg.sweep_mode == "time":
-        for t in cfg.t.grid():
-            yield float(cfg.q_a), float(cfg.q_b), float(t)
-    elif cfg.sweep_mode == "rate_time":
-        t_values = cfg.t.grid() if isinstance(cfg.t, SweepRange) else [float(cfg.t)]
-        if isinstance(cfg.q_a, SweepRange):
-            for qa in cfg.q_a.grid():
-                for t in t_values:
-                    yield float(qa), float(cfg.q_b), float(t)
-        else:
-            for qb in cfg.q_b.grid():
-                for t in t_values:
-                    yield float(cfg.q_a), float(qb), float(t)
-    else:
-        for qa in cfg.q_a.grid():
-            for qb in cfg.q_b.grid():
-                yield float(qa), float(qb), float(cfg.t)
+# Rows are evaluated in batches of this many: enough to amortise numpy's
+# per-call overhead, few enough that a 10,000-row surface never holds all of
+# its intermediate (N, 9, 9) stacks at once.
+_BATCH_ROWS = 256
 
 
 def _run_sweep(cfg: ExperimentConfig) -> SweepDataset:
+    # q_a outer, q_b middle, t inner: with scalar axes of length 1 this is
+    # _ROW_ORDER for every sweep mode
+    axes = [np.atleast_1d(axis.grid() if isinstance(axis, SweepRange) else float(axis))
+            for axis in (cfg.q_a, cfg.q_b, cfg.t)]
+    qa, qb, t = (grid.ravel() for grid in np.meshgrid(*axes, indexing="ij"))
     bell = make_bell_state(3)
-    rows = []
-    for qa, qb, t in _sweep_points(cfg):
-        rho = evolve(bell, cfg.family_a, cfg.family_b, qa, qb, t)
-        row = [t, qa, qb, negativity(rho), gd_lower_bound(rho, cfg.gd_convention)]
-        if cfg.oracle_enabled:
-            row.append(gd_exact(rho, restarts=cfg.oracle_restarts, seed=cfg.seed).value)
-        rows.append(row)
-    data = np.asarray(rows, dtype=float)
-    names = ["t", "q1", "q2", "negativity", "gd_lower"]
+    columns = {"t": t, "q1": qa, "q2": qb,
+               "negativity": np.empty(len(t)), "gd_lower": np.empty(len(t))}
     if cfg.oracle_enabled:
-        names.append("gd_exact")
-    columns = {name: data[:, i].copy() for i, name in enumerate(names)}
+        columns["gd_exact"] = np.empty(len(t))
+    for start in range(0, len(t), _BATCH_ROWS):
+        rows = slice(start, start + _BATCH_ROWS)
+        rho = evolve(bell, cfg.family_a, cfg.family_b, qa[rows], qb[rows], t[rows])
+        columns["negativity"][rows] = negativity(rho)
+        columns["gd_lower"][rows] = gd_lower_bound(rho, cfg.gd_convention)
+        if cfg.oracle_enabled:
+            columns["gd_exact"][rows] = [
+                gd_exact(DensityMatrix(state, rho.dims), restarts=cfg.oracle_restarts,
+                         seed=cfg.seed).value
+                for state in rho.matrix]
     return SweepDataset(columns=columns, meta=config_meta(cfg))
 
 
 def time_sweep(cfg: ExperimentConfig) -> SweepDataset:
     """Evolve the Bell state across a time grid (optionally crossed with one
-    swept rate) and record the measures row by row."""
+    swept rate) and record the measures at every row."""
     if cfg.sweep_mode not in ("time", "rate_time"):
         raise ConfigError("sweep_mode", f"time_sweep handles 'time' and 'rate_time', "
                                         f"got {cfg.sweep_mode!r}")

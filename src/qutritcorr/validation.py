@@ -6,16 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (CHANNEL_FAMILIES, dephasing_kraus, depolarizing_kraus, evolve,
-                       trit_flip_kraus, trit_flip_kraus_unnormalized,
-                       trit_phase_flip_kraus, validate_kraus)
+from .channels import (CHANNEL_FAMILIES, COMPLETENESS_TOL, _FAMILY_BUILDERS, evolve,
+                       trit_flip_kraus_unnormalized, validate_kraus)
 from .linalg import ValidationError, make_bell_state, random_density_matrix
-from .measures import RAW_CONVENTION, gd_lower_bound, isotropic_family
+from .measures import RAW_CONVENTION, gd_lower_bound, isotropic_family, negativity
 from .oracle import (analytic_gd_isotropic, analytic_negativity_dephasing,
                      analytic_negativity_depolarizing, gd_exact)
-from .measures import negativity
 
-COMPLETENESS_TOL = 1e-12
 STATE_TOL = 1e-10
 CLOSED_FORM_TOL = 1e-10
 BOUND_TOL = 1e-4
@@ -38,14 +35,13 @@ class CheckResult:
 
 def run_validation(seed: int = 0, restarts: int = 32, oracle_states: int = 12,
                    unnormalized_trit_flip: bool = False) -> list[CheckResult]:
+    if oracle_states < 1:
+        raise ValueError(f"need at least 1 oracle state, got {oracle_states}")
     checks: list[CheckResult] = []
 
-    builders = {
-        "dephasing": dephasing_kraus,
-        "trit-flip": trit_flip_kraus_unnormalized if unnormalized_trit_flip else trit_flip_kraus,
-        "trit-phase-flip": trit_phase_flip_kraus,
-        "depolarizing": depolarizing_kraus,
-    }
+    builders = dict(_FAMILY_BUILDERS)
+    if unnormalized_trit_flip:
+        builders["trit-flip"] = trit_flip_kraus_unnormalized
     for family, builder in builders.items():
         dev = max(validate_kraus(builder(g)).max_deviation for g in GAMMA_GRID)
         label = family + (" (unnormalized weights)"

@@ -15,8 +15,9 @@ from qutritcorr import (CHANNEL_FAMILIES, DEFAULT_TIME_RANGE, ExperimentConfig,
                         PAPER_CONVENTION, PRESET_CHANNELS, RAW_CONVENTION,
                         SweepRange, analytic_gd_isotropic,
                         analytic_negativity_dephasing,
-                        analytic_negativity_depolarizing, bloch_decomposition,
-                        evolve, gd_exact, gd_lower_bound, isotropic_family,
+                        analytic_negativity_depolarizing, apply_local_channels,
+                        bloch_decomposition,
+                        evolve, gamma_of, gd_exact, gd_lower_bound, isotropic_family,
                         kraus_for_family, make_bell_state, negativity,
                         random_density_matrix, robustness_report, run_preset,
                         time_sweep, validate_density_matrix, validate_kraus)
@@ -156,6 +157,26 @@ def test_preset_negativity_monotone_in_time(preset_runs):
         assert np.all(increases <= 1e-12), name
     print(f"[acceptance] preset monotonicity pass: negativity non-increasing "
           f"in t for all {len(runs)} presets")
+
+
+def test_preset_columns_match_kraus_path(preset_runs):
+    # the batched superoperator sweep against per-row Kraus application
+    runs, _ = preset_runs
+    rng = np.random.default_rng(3)
+    bell = make_bell_state(3)
+    worst = 0.0
+    for name, out in runs.items():
+        fa, fb = PRESET_CHANNELS[name]
+        for ds in out.values():
+            for i in rng.choice(len(ds), size=16, replace=False):
+                t, q1, q2 = (ds.columns[c][i] for c in ("t", "q1", "q2"))
+                rho = apply_local_channels(bell, kraus_for_family(fa, gamma_of(q1, t)),
+                                           kraus_for_family(fb, gamma_of(q2, t)))
+                worst = max(worst, abs(ds.columns["negativity"][i] - negativity(rho)),
+                            abs(ds.columns["gd_lower"][i] - gd_lower_bound(rho)))
+    assert worst <= 1e-12
+    print(f"[acceptance] preset columns pass: worst deviation from the Kraus path "
+          f"{worst:.3e} over 16 rows of {2 * len(runs)} datasets")
 
 
 def test_legacy_formula_regressions():

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from qutritcorr import (CHANNEL_FAMILIES, DensityMatrix, IncompleteKrausError,
+from qutritcorr import channels
+from qutritcorr import (CHANNEL_FAMILIES, RAW_CONVENTION, DensityMatrix, IncompleteKrausError,
                         KrausChannel, apply_channel, apply_local_channels,
                         clock_matrix, dephasing_kraus, depolarizing_kraus, evolve,
-                        gamma_of, identity_kraus, isotropic_family,
+                        gamma_of, gd_lower_bound, identity_kraus, isotropic_family,
                         kraus_for_family, make_bell_state, negativity,
                         random_density_matrix, shift_matrix, tensor,
                         trit_flip_kraus, trit_flip_kraus_unnormalized,
@@ -27,7 +28,8 @@ def test_gamma_of_monotone_in_time():
     assert np.all(np.diff(gammas) >= 0.0)
 
 
-@pytest.mark.parametrize("q,t", [(-0.1, 1.0), (1.0, -0.5)])
+@pytest.mark.parametrize("q,t", [(-0.1, 1.0), (1.0, -0.5), (float("nan"), 1.0),
+                                 (1.0, float("inf"))])
 def test_gamma_of_rejects_negative(q, t):
     with pytest.raises(ValueError):
         gamma_of(q, t)
@@ -39,6 +41,16 @@ def test_completeness_across_gamma(family):
         diag = validate_kraus(kraus_for_family(family, g))
         assert diag.ok
         assert diag.max_deviation <= 1e-12
+
+
+@pytest.mark.parametrize("family", CHANNEL_FAMILIES)
+def test_three_term_superoperator_matches_kraus(family):
+    # S(gamma) = C0 + sqrt(1 - gamma) C1 + gamma C2, derived from three
+    # gammas, equals sum E (x) E^* of the builder at every gamma
+    for g in GAMMAS:
+        want = sum(np.kron(e, e.conj()) for e in kraus_for_family(family, g).operators)
+        got = channels._family_superoperator(family, g)
+        assert np.abs(got - want).max() <= 1e-14, g
 
 
 @pytest.mark.parametrize("family", CHANNEL_FAMILIES)
@@ -205,6 +217,25 @@ def test_evolve_matches_manual_channel_application():
     ref = apply_local_channels(bell, dephasing_kraus(gamma_of(qa, t)),
                                trit_flip_kraus(gamma_of(qb, t)))
     np.testing.assert_allclose(out.matrix, ref.matrix, atol=1e-14)
+
+
+def test_array_evolve_matches_scalar_calls():
+    # a pure initial state and mild noise keep the negativities nonzero
+    rng = np.random.default_rng(5)
+    rho = random_density_matrix(3, 3, rank=1, rng=rng)
+    qa, qb = rng.uniform(0.0, 1.0, size=(2, 7))
+    t = rng.uniform(0.0, 1.0, size=7)
+    for fa, fb in zip(CHANNEL_FAMILIES, CHANNEL_FAMILIES[::-1]):
+        stack = evolve(rho, fa, fb, qa, qb, t)
+        assert stack.matrix.shape == (7, 9, 9)
+        neg, gd = negativity(stack), gd_lower_bound(stack, RAW_CONVENTION)
+        assert neg.min() > 1e-3 and gd.min() > 1e-3
+        for i in range(7):
+            one = evolve(rho, fa, fb, qa[i], qb[i], t[i])
+            assert isinstance(negativity(one), float)
+            assert np.abs(stack.matrix[i] - one.matrix).max() <= 1e-14
+            assert abs(neg[i] - negativity(one)) <= 1e-14
+            assert abs(gd[i] - gd_lower_bound(one, RAW_CONVENTION)) <= 1e-14
 
 
 def test_evolve_at_t_zero_is_identity():

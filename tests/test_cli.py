@@ -19,7 +19,8 @@ def test_parse_axis_scalar_and_range():
     assert (r.start, r.stop, r.steps) == (0.0, 2.0, 5)
 
 
-@pytest.mark.parametrize("text", ["abc", "1:2", "0:2:1", "2:0:5", "-1", "0:2:5:9"])
+@pytest.mark.parametrize("text", ["abc", "1:2", "0:2:1", "2:0:5", "-1", "0:2:5:9",
+                                  "nan", "inf", "0:inf:3"])
 def test_parse_axis_rejects_garbage(text):
     with pytest.raises(Exception):
         cli.parse_axis(text)
@@ -172,6 +173,17 @@ def test_validate_flags_unnormalized_weights(capsys):
     assert rc == 1
     captured = capsys.readouterr()
     assert "unnormalized" in captured.err
+
+
+def test_library_value_errors_exit_2(capsys):
+    # zero oracle restarts and zero oracle states are usage errors, not a
+    # validation failure (exit 1) and not a vacuous pass
+    rc = run_cli(["oracle", "--channel-a", "depolarizing", "--channel-b",
+                  "depolarizing", "--qa", "0.5", "--qb", "0.5", "--t", "1.0",
+                  "--restarts", "0"])
+    assert rc == 2
+    assert run_cli(["validate", "--oracle-states", "0"]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_oracle_subcommand(capsys):

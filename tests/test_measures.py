@@ -79,8 +79,9 @@ def test_bloch_decomposition_of_product_state_factorizes():
 
 
 def test_bloch_roundtrip():
-    for _ in range(5):
-        rho = random_density_matrix(3, 3, rng=RNG)
+    states = [random_density_matrix(3, 3, rng=RNG).matrix for _ in range(5)]
+    for mat in states + [np.stack(states)]:
+        rho = DensityMatrix(mat, (3, 3))
         rebuilt = bloch_synthesis(bloch_decomposition(rho), (3, 3))
         np.testing.assert_allclose(rebuilt, rho.matrix, atol=1e-13)
 
