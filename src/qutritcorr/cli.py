@@ -4,6 +4,7 @@ suite, and single-point oracle reports."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -16,7 +17,8 @@ from .linalg import make_bell_state
 from .measures import GdConvention, RAW_CONVENTION, gd_lower_bound, negativity
 from .oracle import gd_exact
 from .sweeps import (ConfigError, ExperimentConfig, PRESET_NAMES, SweepDataset,
-                     SweepRange, infer_sweep_mode, rate_grid, run_preset, time_sweep)
+                     SweepRange, infer_sweep_mode, preset_configs, rate_grid, run_preset,
+                     time_sweep)
 from .validation import run_validation
 
 EXIT_OK = 0
@@ -137,16 +139,27 @@ def format_dataset_json(ds: SweepDataset) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _check_target(path: str, force: bool) -> None:
+    if os.path.exists(path) and not force:
+        raise OutputError(f"refusing to overwrite {path} (pass --force)")
+
+
 def write_text(text: str, path: str, force: bool = False) -> None:
     if path == "-":
         sys.stdout.write(text)
         return
-    if os.path.exists(path) and not force:
-        raise OutputError(f"refusing to overwrite {path} (pass --force)")
+    _check_target(path, force)
+    # Write beside the target and rename into place, so the target is either
+    # left as it was or replaced whole.
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
     try:
-        with open(path, "w") as fh:
+        with open(tmp, "x") as fh:
             fh.write(text)
+        os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
         raise OutputError(f"cannot write {path}: {exc}") from exc
 
 
@@ -173,12 +186,15 @@ def _cmd_preset(args) -> int:
         os.makedirs(outdir, exist_ok=True)
     except OSError as exc:
         raise OutputError(f"cannot create {outdir}: {exc}") from exc
+    paths = {key: os.path.join(outdir, f"{args.name}_{key}.{args.format}")
+             for key in preset_configs(args.name)}
+    for path in paths.values():
+        _check_target(path, args.force)
     datasets = run_preset(args.name, gd_convention=GdConvention(args.gd_convention),
                           seed=args.seed)
     for key, ds in datasets.items():
-        path = os.path.join(outdir, f"{args.name}_{key}.{args.format}")
-        write_dataset(ds, args.format, path, args.force)
-        print(path)
+        write_dataset(ds, args.format, paths[key], args.force)
+        print(paths[key])
     return EXIT_OK
 
 

@@ -60,19 +60,26 @@ def _generator_stacks(d1: int, d2: int):
     a_ops = np.stack([np.kron(g, eye_b) for g in gen_a])
     b_ops = np.stack([np.kron(eye_a, g) for g in gen_b])
     ab_ops = np.stack([np.stack([np.kron(ga, gb) for gb in gen_b]) for ga in gen_a])
-    for arr in (a_ops, b_ops, ab_ops):
+    # Tr(op rho) = vec(op^T) . vec(rho): one row per a, b and ab operator.
+    n = (d1 * d2) ** 2
+    traces = np.concatenate([ops.swapaxes(-1, -2).reshape(-1, n)
+                             for ops in (a_ops, b_ops, ab_ops)])
+    for arr in (a_ops, b_ops, ab_ops, traces):
         arr.setflags(write=False)
-    return a_ops, b_ops, ab_ops
+    return a_ops, b_ops, ab_ops, traces
 
 
 def bloch_decomposition(rho: DensityMatrix) -> BlochDecomposition:
     """Expansion coefficients y_k = (d1/2) Tr(rho g_k x I),
     z_l = (d2/2) Tr(rho I x g_l), v_kl = (d1 d2/4) Tr(rho g_k x g_l)."""
     d1, d2 = rho.dims
-    a_ops, b_ops, ab_ops = _generator_stacks(d1, d2)
-    y = 0.5 * d1 * np.einsum("kij,...ji->...k", a_ops, rho.matrix)
-    z = 0.5 * d2 * np.einsum("kij,...ji->...k", b_ops, rho.matrix)
-    v = 0.25 * d1 * d2 * np.einsum("klij,...ji->...kl", ab_ops, rho.matrix)
+    n1, n2 = d1 * d1 - 1, d2 * d2 - 1
+    traces = _generator_stacks(d1, d2)[3]
+    lead = rho.matrix.shape[:-2]
+    coeffs = rho.matrix.reshape(-1, traces.shape[1]) @ traces.T
+    y = 0.5 * d1 * coeffs[:, :n1].reshape(lead + (n1,))
+    z = 0.5 * d2 * coeffs[:, n1:n1 + n2].reshape(lead + (n2,))
+    v = 0.25 * d1 * d2 * coeffs[:, n1 + n2:].reshape(lead + (n1, n2))
     resid = max(float(np.abs(y.imag).max()), float(np.abs(z.imag).max()),
                 float(np.abs(v.imag).max()))
     if resid > IMAG_TOL:
@@ -83,7 +90,7 @@ def bloch_decomposition(rho: DensityMatrix) -> BlochDecomposition:
 def bloch_synthesis(dec: BlochDecomposition, dims: tuple[int, int]) -> np.ndarray:
     """Inverse of bloch_decomposition: rebuild the density matrix (or stack)."""
     d1, d2 = dims
-    a_ops, b_ops, ab_ops = _generator_stacks(d1, d2)
+    a_ops, b_ops, ab_ops, _ = _generator_stacks(d1, d2)
     mat = (np.eye(d1 * d2, dtype=complex)
            + np.einsum("...k,kij->...ij", dec.y_a, a_ops)
            + np.einsum("...l,lij->...ij", dec.z_b, b_ops)
@@ -111,12 +118,14 @@ def gd_lower_bound(rho: DensityMatrix,
     |y|^2 + (2/d2) |V|^2), then scales by the convention prefactor. A stack
     of states gives an array.
     """
+    # The bracket is summed over the d1 (d1 - 1) smallest eigenvalues rather
+    # than taken as a difference: no cancellation, and the exact zero rows of
+    # G on classical-quantum states give an exact 0.
     d1, d2 = rho.dims
     dec = bloch_decomposition(rho)
     y = dec.y_a[..., :, None]
     g = y * y.swapaxes(-1, -2) + (2.0 / d2) * (dec.corr @ dec.corr.swapaxes(-1, -2))
-    eigs = np.linalg.eigvalsh(g)[..., ::-1]
-    bracket = np.trace(g, axis1=-2, axis2=-1) - eigs[..., : d1 - 1].sum(axis=-1)
+    bracket = np.linalg.eigvalsh(g)[..., : d1 * (d1 - 1)].sum(axis=-1)
     value = convention.prefactor(d1, d2) * bracket
     if convention.clamp_nonnegative:
         value = np.maximum(0.0, value)

@@ -3,7 +3,9 @@ closed-form references for the channel dynamics."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,9 +34,9 @@ class OracleResult:
 
 
 def _expi(h: np.ndarray) -> np.ndarray:
-    """exp(i h) for Hermitian h."""
+    """exp(i h) for a Hermitian h, or for each matrix of a stack."""
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)) @ v.conj().T
+    return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def project_measurement(rho: DensityMatrix, basis: np.ndarray, side: str = "A") -> DensityMatrix:
@@ -57,42 +59,75 @@ def project_measurement(rho: DensityMatrix, basis: np.ndarray, side: str = "A") 
     return DensityMatrix(_apply_superoperators(rho.matrix, rho.dims, s_a, s_b), rho.dims)
 
 
-def _objective(rho4: np.ndarray, norm_sq: float, basis: np.ndarray) -> float:
+def _gram(rho4: np.ndarray) -> np.ndarray:
+    """K[(x,y), (x',y')] = Tr(rho_xy^H rho_x'y') over the conditional blocks
+    rho_xy = <x|rho|y> of the measured side."""
+    d, d2 = rho4.shape[:2]
+    blocks = rho4.transpose(0, 2, 1, 3).reshape(d * d, d2 * d2)
+    return blocks.conj() @ blocks.T
+
+
+def _objective(gram: np.ndarray, norm_sq: float, bases: np.ndarray) -> np.ndarray:
     # The measured state is an orthogonal projection of rho in
     # Hilbert-Schmidt space, so the squared distance splits as
-    # |rho|^2 - sum_k |<u_k|rho|u_k>|^2 over the conditional blocks.
-    cols = basis.T
-    blocks = np.einsum("kx,xbyd,ky->kbd", cols.conj(), rho4, cols)
-    return norm_sq - float(np.vdot(blocks, blocks).real)
+    # |rho|^2 - sum_k |<u_k|rho|u_k>|^2 over the conditional blocks, and
+    # |<u_k|rho|u_k>|^2 = c_k^H K c_k with c_k = vec(conj(u_k) u_k^T).
+    n, d = bases.shape[0], bases.shape[-1]
+    coef = (bases.conj()[:, :, None, :] * bases[:, None, :, :]).reshape(n, d * d, d)
+    overlap = coef.conj() * (gram @ coef)
+    return norm_sq - overlap.real.sum(axis=(1, 2))
 
 
-def _coordinate_descent(rho4, norm_sq, basis, gens, tol, min_step, max_sweeps=500):
-    val = _objective(rho4, norm_sq, basis)
+@lru_cache(maxsize=8)
+def _rotation_table(d: int, min_step: float) -> np.ndarray:
+    """exp(+-i s g_k) for s = 1/2, 1/4, ... down to min_step, shaped
+    (levels, probes, d, d) with probes ordered g_1+, g_1-, g_2+, ..."""
+    steps = []
     step = 0.5
-    sweeps = 0
-    while step >= min_step and sweeps < max_sweeps:
-        rotations = [_expi(sign * step * g) for g in gens for sign in (1.0, -1.0)]
-        while sweeps < max_sweeps:
-            sweeps += 1
-            before = val
-            for rot in rotations:
-                cand = rot @ basis
-                cand_val = _objective(rho4, norm_sq, cand)
-                if cand_val < val:
-                    val, basis = cand_val, cand
-            if before - val <= tol:
-                break
+    while step >= min_step:
+        steps.append(step)
         step *= 0.5
-    return val, basis
+    gens = su_generators(d)
+    table = _expi(np.array([[sign * s * g for g in gens for sign in (1.0, -1.0)]
+                            for s in steps]))
+    table.setflags(write=False)
+    return table
 
 
-def _stationarity_residual(rho4, norm_sq, basis, gens, delta=1e-4):
-    grads = []
-    for g in gens:
-        plus = _objective(rho4, norm_sq, _expi(delta * g) @ basis)
-        minus = _objective(rho4, norm_sq, _expi(-delta * g) @ basis)
-        grads.append(abs(plus - minus) / (2.0 * delta))
-    return float(max(grads))
+def _coordinate_descent(gram, norm_sq, bases, table, tol, max_sweeps=500):
+    """Descend every restart of the (R, d, d) stack in lockstep.
+
+    A sweep tries each probe rotation at the restart's own step level and
+    keeps it when it lowers that restart's objective. A restart moves to the
+    next, halved step once a sweep gains at most tol, and stops when it runs
+    out of levels or reaches max_sweeps sweeps.
+    """
+    n_levels, n_probes = table.shape[:2]
+    vals = _objective(gram, norm_sq, bases)
+    level = np.zeros(len(bases), dtype=int)
+    sweeps = np.zeros(len(bases), dtype=int)
+    live = np.arange(len(bases))
+    while live.size:
+        cur, cur_vals, cur_level = bases[live], vals[live], level[live]
+        before = cur_vals
+        for p in range(n_probes):
+            cand = table[cur_level, p] @ cur
+            cand_vals = _objective(gram, norm_sq, cand)
+            better = cand_vals < cur_vals
+            cur_vals = np.where(better, cand_vals, cur_vals)
+            cur = np.where(better[:, None, None], cand, cur)
+        bases[live], vals[live] = cur, cur_vals
+        sweeps[live] += 1
+        level[live] += before - cur_vals <= tol
+        live = live[(level[live] < n_levels) & (sweeps[live] < max_sweeps)]
+    return vals, bases
+
+
+def _stationarity_residual(gram, norm_sq, basis, gens, delta=1e-4):
+    steps = np.array([sign * delta * g for sign in (1.0, -1.0) for g in gens])
+    vals = _objective(gram, norm_sq, _expi(steps) @ basis)
+    plus, minus = np.split(vals, 2)
+    return float((np.abs(plus - minus) / (2.0 * delta)).max())
 
 
 def gd_exact(rho: DensityMatrix, restarts: int = 32, seed: int = 0, side: str = "A",
@@ -103,32 +138,39 @@ def gd_exact(rho: DensityMatrix, restarts: int = 32, seed: int = 0, side: str = 
     Derivative-free coordinate descent: each restart starts from exp(i H)
     with H a seeded Gaussian Hermitian matrix, then repeatedly probes
     rotations exp(+-i step g_k) along the su(d) generator directions, halving
-    the step whenever a sweep improves the objective by less than tol.
-    Restart r draws from default_rng([seed, r]), so results are deterministic
-    for a fixed (seed, restarts) pair.
+    the step whenever a sweep improves the objective by less than tol, down
+    to min_step. The restarts descend together as one stack, each on its own
+    schedule, and the rotations are cached per process. Restart r draws from
+    default_rng([seed, r]), so results are deterministic for a fixed
+    (seed, restarts) pair.
     """
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
     if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
+    if not (math.isfinite(min_step) and 0.0 < min_step <= 0.5):
+        raise ValueError(f"min_step must lie in (0, 0.5], got {min_step}")
     d1, d2 = rho.dims
     d = d1 if side == "A" else d2
     rho4 = rho.matrix.reshape(d1, d2, d1, d2)
     if side == "B":
         rho4 = rho4.transpose(1, 0, 3, 2)
-    rho4 = np.ascontiguousarray(rho4)
+    gram = _gram(rho4)
     norm_sq = float(np.vdot(rho.matrix, rho.matrix).real)
-    gens = su_generators(d)
-    best_val, best_basis = np.inf, None
+    starts = []
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
         raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        start = _expi((raw + raw.conj().T) / 2.0)
-        val, basis = _coordinate_descent(rho4, norm_sq, start, gens, tol, min_step)
-        if val < best_val:
-            best_val, best_basis = val, basis
-    residual = _stationarity_residual(rho4, norm_sq, best_basis, gens)
-    return OracleResult(value=float(max(best_val, 0.0)), basis=best_basis,
+        starts.append((raw + raw.conj().T) / 2.0)
+    vals, bases = _coordinate_descent(gram, norm_sq, _expi(np.array(starts)),
+                                      _rotation_table(d, float(min_step)), tol)
+    best = int(np.argmin(vals))
+    # A copy, so the result does not keep the whole stack alive.
+    basis = bases[best].copy()
+    residual = _stationarity_residual(gram, norm_sq, basis, su_generators(d))
+    return OracleResult(value=float(max(vals[best], 0.0)), basis=basis,
                         restarts_used=restarts, seed=seed, residual=residual)
 
 

@@ -98,6 +98,22 @@ def test_run_unwritable_path(tmp_path):
     assert rc == 3
 
 
+def test_failed_write_leaves_no_file(tmp_path, monkeypatch):
+    def broken_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.os, "replace", broken_replace)
+    out = tmp_path / "sweep.csv"
+    argv = ["run", "--channel-a", "dephasing", "--channel-b", "dephasing",
+            "--qa", "0.5", "--qb", "0.5", "--t", "0:1:3", "--output", str(out)]
+    assert run_cli(argv) == 3
+    assert os.listdir(tmp_path) == []
+    out.write_bytes(b"old bytes\n")
+    assert run_cli(argv + ["--force"]) == 3
+    assert out.read_bytes() == b"old bytes\n"
+    assert os.listdir(tmp_path) == ["sweep.csv"]
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["run", "--channel-a", "nosuch", "--channel-b", "dephasing",
@@ -133,6 +149,22 @@ def test_preset_writes_files(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "fig1_grid.csv").exists()
     printed = capsys.readouterr().out
     assert "fig1_time.csv" in printed and "fig1_grid.csv" in printed
+
+
+def test_preset_checks_every_target_before_computing(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_run_preset(name, **kw):
+        calls.append(name)
+        return fake_datasets()
+
+    monkeypatch.setattr(cli, "run_preset", fake_run_preset)
+    (tmp_path / "fig1_grid.csv").write_text("kept\n")
+    rc = run_cli(["preset", "--name", "fig1", "--outdir", str(tmp_path)])
+    assert rc == 3
+    assert calls == []
+    assert sorted(os.listdir(tmp_path)) == ["fig1_grid.csv"]
+    assert (tmp_path / "fig1_grid.csv").read_text() == "kept\n"
 
 
 def test_preset_honors_outdir_env(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qutritcorr import (DensityMatrix, RAW_CONVENTION, analytic_gd_isotropic,
                         analytic_negativity_dephasing,
@@ -126,6 +127,59 @@ def test_gd_exact_rejects_bad_arguments():
         gd_exact(bell, restarts=0)
     with pytest.raises(ValueError):
         gd_exact(bell, side="X")
+    # NaN or a min_step above 1/2 would skip the descent and return a start
+    # value; min_step 0 would never stop halving the step
+    rho = random_density_matrix(3, 3, rng=5)
+    for kwargs in ({"tol": np.nan}, {"tol": np.inf}, {"tol": -1e-9},
+                   {"min_step": np.nan}, {"min_step": np.inf}, {"min_step": 0.0},
+                   {"min_step": -1e-6}, {"min_step": 1.0}):
+        with pytest.raises(ValueError):
+            gd_exact(rho, restarts=8, **kwargs)
+
+
+def _depolarized_bell(t):
+    return evolve(make_bell_state(3), "depolarizing", "depolarizing", 0.5, 0.5, t)
+
+
+# gd_exact(..., restarts=32, seed=0).value as computed by the one-restart-at-a-
+# time descent; the batched descent must reproduce these.
+PINNED_VALUES = [
+    (lambda: random_density_matrix(3, 3, rng=1), 0.06205299376938736),
+    (lambda: random_density_matrix(3, 3, rng=2), 0.05287763225592404),
+    (lambda: random_density_matrix(3, 3, rng=3), 0.0675751095804615),
+    (lambda: isotropic_family(0.5), 0.1666666666666663),
+    (lambda: _depolarized_bell(1.0), 0.09022352215774149),
+    (lambda: _depolarized_bell(5.0), 3.0266619841262665e-05),
+]
+
+
+@pytest.mark.parametrize("make_state,expected", PINNED_VALUES)
+def test_gd_exact_pinned_values(make_state, expected):
+    assert abs(gd_exact(make_state(), restarts=32, seed=0).value - expected) <= 1e-12
+
+
+def test_gd_exact_restarts_are_independent():
+    # restart r only depends on its own seed, so adding restarts can only
+    # lower the minimum
+    rho = random_density_matrix(3, 3, rng=5)
+    values = [gd_exact(rho, restarts=r, seed=0).value for r in range(1, 9)]
+    assert all(b <= a for a, b in zip(values, values[1:]))
+
+
+def test_gd_exact_basis_owns_its_data():
+    result = gd_exact(random_density_matrix(3, 3, rng=4), restarts=4, seed=0)
+    assert result.basis.base is None
+    assert result.basis.shape == (3, 3)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(state_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 1000))
+def test_gd_exact_dominates_bound_and_is_reached(state_seed, seed):
+    rho = random_density_matrix(3, 3, rng=state_seed)
+    result = gd_exact(rho, restarts=8, seed=seed)
+    assert gd_lower_bound(rho, RAW_CONVENTION) <= result.value + 1e-4
+    reached = hs_distance_sq(rho.matrix, project_measurement(rho, result.basis).matrix)
+    assert abs(reached - result.value) <= 1e-12
 
 
 def test_bound_stays_below_oracle_on_random_states():
