@@ -24,7 +24,7 @@ from .sweeps import (ConfigError, DEFAULT_RATE_RANGE, DEFAULT_TIME_RANGE,
                      ExperimentConfig, PRESET_CHANNELS, PRESET_FIXED_RATE,
                      PRESET_FIXED_TIME, PRESET_NAMES, RobustnessReport,
                      SweepDataset, SweepRange, infer_sweep_mode, preset_configs,
-                     rate_grid, robustness_report, run_preset, time_sweep)
+                     rate_grid, robustness_report, run_preset, run_sweep, time_sweep)
 from .validation import CheckResult, run_validation
 
 __all__ = [
@@ -45,6 +45,6 @@ __all__ = [
     "ConfigError", "DEFAULT_RATE_RANGE", "DEFAULT_TIME_RANGE", "ExperimentConfig",
     "PRESET_CHANNELS", "PRESET_FIXED_RATE", "PRESET_FIXED_TIME", "PRESET_NAMES",
     "RobustnessReport", "SweepDataset", "SweepRange", "infer_sweep_mode",
-    "preset_configs", "rate_grid", "robustness_report", "run_preset", "time_sweep",
+    "preset_configs", "rate_grid", "robustness_report", "run_preset", "run_sweep", "time_sweep",
     "CheckResult", "run_validation",
 ]

@@ -107,14 +107,7 @@ def dephasing_kraus(gamma: float, d: int = 3) -> KrausChannel:
 def trit_flip_kraus(gamma: float) -> KrausChannel:
     """Cyclic level flips: identity with weight 1 - 2 gamma / 3, each
     nontrivial shift with weight gamma / 3."""
-    _check_gamma(gamma)
-    s = shift_matrix(3)
-    ops = (
-        np.sqrt(1.0 - 2.0 * gamma / 3.0) * np.eye(3, dtype=complex),
-        np.sqrt(gamma / 3.0) * s,
-        np.sqrt(gamma / 3.0) * (s @ s),
-    )
-    return KrausChannel(3, ops, family="trit-flip", gamma=float(gamma))
+    return _trit_flip(gamma, 3.0, "trit-flip")
 
 
 def trit_flip_kraus_unnormalized(gamma: float) -> KrausChannel:
@@ -124,14 +117,15 @@ def trit_flip_kraus_unnormalized(gamma: float) -> KrausChannel:
     preserving for gamma > 0. Kept only as a regression target for
     validate_kraus; nothing else may consume it.
     """
+    return _trit_flip(gamma, 1.0, "custom")
+
+
+def _trit_flip(gamma: float, shift_divisor: float, family: str) -> KrausChannel:
     _check_gamma(gamma)
     s = shift_matrix(3)
-    ops = (
-        np.sqrt(1.0 - 2.0 * gamma / 3.0) * np.eye(3, dtype=complex),
-        np.sqrt(gamma) * s,
-        np.sqrt(gamma) * (s @ s),
-    )
-    return KrausChannel(3, ops, family="custom", gamma=float(gamma))
+    ops = (np.sqrt(1.0 - 2.0 * gamma / 3.0) * np.eye(3, dtype=complex),
+           np.sqrt(gamma / shift_divisor) * s, np.sqrt(gamma / shift_divisor) * (s @ s))
+    return KrausChannel(3, ops, family=family, gamma=float(gamma))
 
 
 def trit_phase_flip_kraus(gamma: float) -> KrausChannel:

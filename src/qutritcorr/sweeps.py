@@ -145,9 +145,10 @@ def config_meta(cfg: ExperimentConfig) -> dict[str, object]:
 _BATCH_ROWS = 256
 
 
-def _run_sweep(cfg: ExperimentConfig) -> SweepDataset:
-    # q_a outer, q_b middle, t inner: with scalar axes of length 1 this is
-    # _ROW_ORDER for every sweep mode
+def run_sweep(cfg: ExperimentConfig) -> SweepDataset:
+    """Evolve the Bell state over the rows of any sweep mode and record the
+    measures at every row. Rows run q_a outer, q_b middle, t inner, which
+    with scalar axes of length 1 is _ROW_ORDER for every mode."""
     axes = [np.atleast_1d(axis.grid() if isinstance(axis, SweepRange) else float(axis))
             for axis in (cfg.q_a, cfg.q_b, cfg.t)]
     qa, qb, t = (grid.ravel() for grid in np.meshgrid(*axes, indexing="ij"))
@@ -175,14 +176,14 @@ def time_sweep(cfg: ExperimentConfig) -> SweepDataset:
     if cfg.sweep_mode not in ("time", "rate_time"):
         raise ConfigError("sweep_mode", f"time_sweep handles 'time' and 'rate_time', "
                                         f"got {cfg.sweep_mode!r}")
-    return _run_sweep(cfg)
+    return run_sweep(cfg)
 
 
 def rate_grid(cfg: ExperimentConfig) -> SweepDataset:
     """Measures over a (q_a, q_b) grid at fixed time."""
     if cfg.sweep_mode != "rate_grid":
         raise ConfigError("sweep_mode", f"rate_grid handles 'rate_grid', got {cfg.sweep_mode!r}")
-    return _run_sweep(cfg)
+    return run_sweep(cfg)
 
 
 # Presets pair every family with itself and every distinct pair once.
@@ -232,7 +233,7 @@ def run_preset(name: str, gd_convention: GdConvention = PAPER_CONVENTION,
     configs = preset_configs(name, gd_convention=gd_convention, seed=seed)
     out = {}
     for key, cfg in configs.items():
-        ds = time_sweep(cfg) if key == "time" else rate_grid(cfg)
+        ds = run_sweep(cfg)
         meta = {"preset": name, **ds.meta}
         if name == "fig1":
             meta["label_note"] = ("also appears under the label 'phase-flip'; "

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qutritcorr import channels
 from qutritcorr import (CHANNEL_FAMILIES, RAW_CONVENTION, DensityMatrix, IncompleteKrausError,
@@ -258,3 +259,21 @@ def test_semigroup_composition(family):
     stepwise = evolve(evolve(bell, family, family, q, q, t1), family, family, q, q, t2)
     direct = evolve(bell, family, family, q, q, t1 + t2)
     np.testing.assert_allclose(stepwise.matrix, direct.matrix, atol=1e-10)
+
+
+FAMILY = st.sampled_from(CHANNEL_FAMILIES)
+RATE = st.floats(0.0, 3.0)
+TIME = st.floats(0.0, 5.0)
+
+
+@settings(max_examples=60)
+@given(family_a=FAMILY, family_b=FAMILY, q_a=RATE, q_b=RATE, t=TIME,
+       state_seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 9))
+def test_local_noise_keeps_states_valid_and_never_raises_negativity(
+        family_a, family_b, q_a, q_b, t, state_seed, rank):
+    rho = random_density_matrix(3, 3, rank=rank, rng=state_seed)
+    out = evolve(rho, family_a, family_b, q_a, q_b, t)  # certified on construction
+    assert abs(np.trace(out.matrix) - 1.0) <= 1e-12
+    # negativity is an entanglement monotone under LOCC (Vidal & Werner,
+    # PRA 65 (2002) 032314), and local channels are LOCC
+    assert negativity(out) <= negativity(rho) + 1e-12

@@ -237,3 +237,23 @@ def test_csv_meta_formatting():
     text = cli.format_dataset_csv(ds)
     assert text.startswith("# preset: fig1\n")
     assert "1.33333333333" in text  # .12g
+
+
+def test_bulk_formatting_matches_per_cell_reference():
+    specials = [0.0, -0.0, 5e-324, 1.0 / 3.0, 0.1 + 0.2, 1e16 + 2, 1e-300]
+    rng = np.random.default_rng(8)
+    rows = 2 * cli._FORMAT_ROWS + 37
+    cols = {name: np.resize(np.r_[specials, rng.standard_normal(50) * 10.0 ** k], rows)
+            for k, name in enumerate(["t", "q1", "q2", "negativity", "gd_lower"])}
+    cols["gd_lower"] = cols["gd_lower"][::-1].copy()
+    ds = SweepDataset(columns=cols, meta={"preset": "fig1", "seed": 0})
+
+    lines = [f"# {key}: {cli._meta_value(val)}" for key, val in ds.meta.items()]
+    lines.append(",".join(cols))
+    for i in range(rows):
+        lines.append(",".join(format(col[i], ".12g") for col in cols.values()))
+    assert cli.format_dataset_csv(ds) == "\n".join(lines) + "\n"
+
+    payload = {"meta": dict(ds.meta),
+               "columns": {name: [float(x) for x in col] for name, col in cols.items()}}
+    assert cli.format_dataset_json(ds) == json.dumps(payload, indent=2) + "\n"

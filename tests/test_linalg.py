@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from qutritcorr import (DensityMatrix, ValidationError, hermitian_eigenvalues,
+from qutritcorr import (DensityMatrix, ValidationError, evolve, hermitian_eigenvalues,
                         make_bell_state, partial_trace, partial_transpose,
                         random_density_matrix, random_unitary, su_generators,
                         tensor, trace_norm, validate_density_matrix)
+from qutritcorr.linalg import PSD_TOL
 
 RNG = np.random.default_rng(2024)
 
@@ -201,3 +202,76 @@ def test_random_density_matrix_is_valid_and_seeded():
 def test_random_unitary_is_unitary():
     u = random_unitary(3, rng=3)
     np.testing.assert_allclose(u.conj().T @ u, np.eye(3), atol=1e-12)
+
+
+def eigvalsh_psd_rule(mat):
+    """The PSD decision as an exact smallest-eigenvalue test: the violation
+    DensityMatrix must report, or None for a pass."""
+    low = float(np.linalg.eigvalsh(mat)[..., 0].min())
+    return -low if low < -PSD_TOL else None
+
+
+def state_with_spectrum(low, rng):
+    """Unit-trace Hermitian matrix with smallest eigenvalue `low` in a Haar
+    random basis."""
+    rest = rng.uniform(0.5, 1.5, size=8)
+    eigs = np.r_[low, rest * (1.0 - low) / rest.sum()]
+    u = random_unitary(9, rng=rng)
+    mat = (u * eigs) @ u.conj().T
+    return 0.5 * (mat + mat.conj().T)
+
+
+# At offset 0 the rounding of eigvalsh itself decides, so only agreement with
+# the exact rule is required there.
+@pytest.mark.parametrize("offset,accepted", [(-1e-13, False), (-1e-14, False), (0.0, None),
+                                             (1e-14, True), (1e-13, True)])
+def test_psd_boundary_matches_exact_eigenvalue_rule(offset, accepted):
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        mat = state_with_spectrum(-PSD_TOL + offset, rng)
+        expected = eigvalsh_psd_rule(mat)
+        if expected is None:
+            DensityMatrix(mat, (3, 3))
+        else:
+            with pytest.raises(ValidationError) as exc:
+                DensityMatrix(mat, (3, 3))
+            assert exc.value.violations == {"psd": expected}
+        assert accepted is None or (expected is None) == accepted
+
+
+def test_valid_states_are_certified_without_eigvalsh(monkeypatch):
+    rank1 = random_density_matrix(3, 3, rank=1, rng=RNG).matrix
+    stack = np.stack([random_density_matrix(3, 3, rng=RNG).matrix for _ in range(5)])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("valid states should pass the Cholesky check")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for mat in (rank1, make_bell_state(3).matrix, stack):
+        DensityMatrix(mat, (3, 3))
+
+
+def test_stack_with_one_bad_member_names_its_violation():
+    rng = np.random.default_rng(5)
+    stack = np.stack([random_density_matrix(3, 3, rank=1 + k % 9, rng=rng).matrix
+                      for k in range(9)])
+    stack[6] = state_with_spectrum(-3e-9, rng)
+    with pytest.raises(ValidationError) as exc:
+        DensityMatrix(stack, (3, 3))
+    assert set(exc.value.violations) == {"psd"}
+    low = np.linalg.eigvalsh(stack[6])[0]
+    assert abs(exc.value.violations["psd"] + low) <= 1e-15
+
+
+def test_trace_and_psd_violations_reported_together():
+    mat = np.diag([0.6, 0.5, -0.2] + [0.0] * 6).astype(complex)
+    with pytest.raises(ValidationError) as exc:
+        DensityMatrix(mat, (3, 3))
+    assert exc.value.violations == pytest.approx({"trace": 0.1, "psd": 0.2}, abs=1e-15)
+
+
+def test_empty_stack_is_refused_by_shape():
+    with pytest.raises(ValueError, match=r"empty stack of shape \(0, 9, 9\)"):
+        DensityMatrix(np.zeros((0, 9, 9), dtype=complex), (3, 3))
+    with pytest.raises(ValueError, match=r"empty stack of shape \(0, 9, 9\)"):
+        evolve(make_bell_state(3), "dephasing", "dephasing", np.array([]), 0.5, 1.0)

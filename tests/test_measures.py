@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qutritcorr import (DensityMatrix, GdConvention, PAPER_CONVENTION,
                         RAW_CONVENTION, bloch_decomposition, bloch_synthesis,
@@ -148,3 +149,13 @@ def test_isotropic_family_endpoints_and_domain():
         isotropic_family(1.2)
     with pytest.raises(ValueError):
         isotropic_family(-0.1)
+
+
+@settings(max_examples=40)
+@given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=8),
+       rank=st.integers(1, 9))
+def test_bloch_roundtrip_on_random_stacks(seeds, rank):
+    stack = np.stack([random_density_matrix(3, 3, rank=rank, rng=s).matrix for s in seeds])
+    rho = DensityMatrix(stack, (3, 3))
+    rebuilt = bloch_synthesis(bloch_decomposition(rho), (3, 3))
+    np.testing.assert_allclose(rebuilt, stack, rtol=0, atol=1e-13)

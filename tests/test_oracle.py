@@ -172,7 +172,7 @@ def test_gd_exact_basis_owns_its_data():
     assert result.basis.shape == (3, 3)
 
 
-@settings(max_examples=15, deadline=None, derandomize=True)
+@settings(max_examples=15)
 @given(state_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 1000))
 def test_gd_exact_dominates_bound_and_is_reached(state_seed, seed):
     rho = random_density_matrix(3, 3, rng=state_seed)
