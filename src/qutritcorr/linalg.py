@@ -125,13 +125,14 @@ def partial_transpose(rho: DensityMatrix, subsystem: str = "A") -> np.ndarray:
 
 
 def partial_trace(rho: DensityMatrix, keep: str = "A") -> np.ndarray:
-    """Reduced state of one subsystem."""
+    """Reduced state of one subsystem. A stack of states gives a stack of
+    reduced states."""
     d1, d2 = rho.dims
-    r4 = rho.matrix.reshape(d1, d2, d1, d2)
+    r4 = rho.matrix.reshape(rho.matrix.shape[:-2] + (d1, d2, d1, d2))
     if keep == "A":
-        return np.einsum("abcb->ac", r4)
+        return np.einsum("...abcb->...ac", r4)
     if keep == "B":
-        return np.einsum("abad->bd", r4)
+        return np.einsum("...abad->...bd", r4)
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
@@ -140,7 +141,7 @@ def hermitian_eigenvalues(matrix: np.ndarray, hermiticity_tol: float = 1e-10) ->
     sorted non-increasing."""
     mat = np.asarray(matrix)
     dev = float(np.abs(mat - mat.conj().swapaxes(-1, -2)).max())
-    if dev > hermiticity_tol:
+    if not dev <= hermiticity_tol:  # NaN fails too
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     return np.linalg.eigvalsh(mat)[..., ::-1]
 

@@ -14,6 +14,10 @@ from .linalg import DensityMatrix, su_generators
 from .measures import GdConvention, PAPER_CONVENTION
 
 UNITARITY_TOL = 1e-10
+# A restart whose start basis has a Riemannian gradient norm at most this is
+# already stationary and is not descended: generic starts sit near 1e-2, the
+# flat landscapes of U x U*-invariant states near 1e-17.
+STATIONARY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -21,9 +25,9 @@ class OracleResult:
     """Outcome of the measurement-basis search.
 
     value is the minimal squared Hilbert-Schmidt distance found, basis the
-    unitary whose columns realize it, residual a finite-difference
-    stationarity estimate at that basis (large residual flags a search that
-    stopped short).
+    unitary whose columns realize it, residual the Frobenius norm of the
+    Riemannian gradient of the objective at that basis (a large residual
+    flags a search that stopped short).
     """
 
     value: float
@@ -50,7 +54,7 @@ def project_measurement(rho: DensityMatrix, basis: np.ndarray, side: str = "A") 
     if basis.shape != (d, d):
         raise ValueError(f"basis must be {d}x{d}, got shape {basis.shape}")
     dev = float(np.abs(basis.conj().T @ basis - np.eye(d)).max())
-    if dev > UNITARITY_TOL:
+    if not dev <= UNITARITY_TOL:  # NaN fails too
         raise ValueError(f"basis matrix is not unitary (deviation {dev:.3e})")
     projectors = np.einsum("ik,jk->kij", basis, basis.conj())
     measured = _liouville(projectors)
@@ -67,15 +71,53 @@ def _gram(rho4: np.ndarray) -> np.ndarray:
     return blocks.conj() @ blocks.T
 
 
-def _objective(gram: np.ndarray, norm_sq: float, bases: np.ndarray) -> np.ndarray:
+def _evaluate(gram: np.ndarray, norm_sq: float, bases: np.ndarray):
+    """Objective of each basis in the (n, d, d) stack, and the products
+    K c_k, shaped (n, d*d, d), that its gradient reuses."""
     # The measured state is an orthogonal projection of rho in
     # Hilbert-Schmidt space, so the squared distance splits as
     # |rho|^2 - sum_k |<u_k|rho|u_k>|^2 over the conditional blocks, and
     # |<u_k|rho|u_k>|^2 = c_k^H K c_k with c_k = vec(conj(u_k) u_k^T).
     n, d = bases.shape[0], bases.shape[-1]
     coef = (bases.conj()[:, :, None, :] * bases[:, None, :, :]).reshape(n, d * d, d)
-    overlap = coef.conj() * (gram @ coef)
-    return norm_sq - overlap.real.sum(axis=(1, 2))
+    kc = gram @ coef
+    return norm_sq - (coef.conj() * kc).real.sum(axis=(1, 2)), kc
+
+
+def _objective(gram: np.ndarray, norm_sq: float, bases: np.ndarray) -> np.ndarray:
+    return _evaluate(gram, norm_sq, bases)[0]
+
+
+def _gradient(kc: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """Riemannian gradient X of the objective at each basis U of the stack:
+    f(exp(i s H) U) = f(U) + s Tr(H X) + O(s^2) for Hermitian H.
+
+    X = -2i (U W^H - W U^H) with W[:, k] = Z_k u_k and
+    Z_k[x, y] = conj((K c_k)[x d + y]); X is traceless Hermitian, and its
+    Frobenius norm is the steepest slope over unit-norm directions H.
+    """
+    n, d = bases.shape[0], bases.shape[-1]
+    w = np.einsum("nxyk,nyk->nxk", kc.conj().reshape(n, d, d, d), bases)
+    uw = bases @ w.conj().swapaxes(-1, -2)
+    return -2j * (uw - uw.conj().swapaxes(-1, -2))
+
+
+def _gradient_norms(kc: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(_gradient(kc, bases), axis=(-2, -1))
+
+
+@lru_cache(maxsize=16)
+def _start_bases(d: int, seed: int, restarts: int) -> np.ndarray:
+    """The seeded starts exp(i H_r), H_r a Gaussian Hermitian matrix drawn
+    from default_rng([seed, r]), as a read-only (restarts, d, d) stack."""
+    starts = []
+    for r in range(restarts):
+        rng = np.random.default_rng([seed, r])
+        raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        starts.append((raw + raw.conj().T) / 2.0)
+    bases = _expi(np.array(starts))
+    bases.setflags(write=False)
+    return bases
 
 
 @lru_cache(maxsize=8)
@@ -94,19 +136,24 @@ def _rotation_table(d: int, min_step: float) -> np.ndarray:
     return table
 
 
-def _coordinate_descent(gram, norm_sq, bases, table, tol, max_sweeps=500):
+def _coordinate_descent(gram, norm_sq, bases, min_step, tol, max_sweeps=500):
     """Descend every restart of the (R, d, d) stack in lockstep.
 
-    A sweep tries each probe rotation at the restart's own step level and
-    keeps it when it lowers that restart's objective. A restart moves to the
-    next, halved step once a sweep gains at most tol, and stops when it runs
-    out of levels or reaches max_sweeps sweeps.
+    Restarts whose start is already stationary (gradient norm at most
+    STATIONARY_TOL) are left where they are. For the others, a sweep tries
+    each probe rotation at the restart's own step level and keeps it when it
+    lowers that restart's objective. A restart moves to the next, halved
+    step once a sweep gains at most tol, and stops when it runs out of
+    levels or reaches max_sweeps sweeps.
     """
+    vals, kc = _evaluate(gram, norm_sq, bases)
+    live = np.flatnonzero(_gradient_norms(kc, bases) > STATIONARY_TOL)
+    if not live.size:
+        return vals, bases
+    table = _rotation_table(bases.shape[-1], min_step)
     n_levels, n_probes = table.shape[:2]
-    vals = _objective(gram, norm_sq, bases)
     level = np.zeros(len(bases), dtype=int)
     sweeps = np.zeros(len(bases), dtype=int)
-    live = np.arange(len(bases))
     while live.size:
         cur, cur_vals, cur_level = bases[live], vals[live], level[live]
         before = cur_vals
@@ -123,13 +170,6 @@ def _coordinate_descent(gram, norm_sq, bases, table, tol, max_sweeps=500):
     return vals, bases
 
 
-def _stationarity_residual(gram, norm_sq, basis, gens, delta=1e-4):
-    steps = np.array([sign * delta * g for sign in (1.0, -1.0) for g in gens])
-    vals = _objective(gram, norm_sq, _expi(steps) @ basis)
-    plus, minus = np.split(vals, 2)
-    return float((np.abs(plus - minus) / (2.0 * delta)).max())
-
-
 def gd_exact(rho: DensityMatrix, restarts: int = 32, seed: int = 0, side: str = "A",
              tol: float = 1e-9, min_step: float = 1e-6) -> OracleResult:
     """Minimize the squared Hilbert-Schmidt distance between rho and its
@@ -140,9 +180,12 @@ def gd_exact(rho: DensityMatrix, restarts: int = 32, seed: int = 0, side: str = 
     rotations exp(+-i step g_k) along the su(d) generator directions, halving
     the step whenever a sweep improves the objective by less than tol, down
     to min_step. The restarts descend together as one stack, each on its own
-    schedule, and the rotations are cached per process. Restart r draws from
-    default_rng([seed, r]), so results are deterministic for a fixed
-    (seed, restarts) pair.
+    schedule; a restart whose start already has a vanishing Riemannian
+    gradient (flat landscapes, such as isotropic states) is not descended.
+    Restart r draws from default_rng([seed, r]), so results are
+    deterministic for a fixed (seed, restarts) pair; the start bases and the
+    rotations are cached per process. residual is the Riemannian gradient
+    norm at the returned basis.
     """
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
@@ -159,25 +202,21 @@ def gd_exact(rho: DensityMatrix, restarts: int = 32, seed: int = 0, side: str = 
         rho4 = rho4.transpose(1, 0, 3, 2)
     gram = _gram(rho4)
     norm_sq = float(np.vdot(rho.matrix, rho.matrix).real)
-    starts = []
-    for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        starts.append((raw + raw.conj().T) / 2.0)
-    vals, bases = _coordinate_descent(gram, norm_sq, _expi(np.array(starts)),
-                                      _rotation_table(d, float(min_step)), tol)
+    vals, bases = _coordinate_descent(gram, norm_sq, _start_bases(d, seed, restarts).copy(),
+                                      float(min_step), tol)
     best = int(np.argmin(vals))
     # A copy, so the result does not keep the whole stack alive.
     basis = bases[best].copy()
-    residual = _stationarity_residual(gram, norm_sq, basis, su_generators(d))
+    _, kc = _evaluate(gram, norm_sq, basis[None])
+    residual = float(_gradient_norms(kc, basis[None])[0])
     return OracleResult(value=float(max(vals[best], 0.0)), basis=basis,
                         restarts_used=restarts, seed=seed, residual=residual)
 
 
 def _check_nonnegative(**kwargs: float) -> None:
     for name, value in kwargs.items():
-        if value < 0.0:
-            raise ValueError(f"{name} must be non-negative, got {value}")
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
 def analytic_negativity_dephasing(q_a: float, q_b: float, t: float) -> float:

@@ -111,11 +111,25 @@ def test_partial_trace_of_random_pure_state_is_valid():
         validate_density_matrix(partial_trace(rho, keep), (3, 1))
 
 
+def test_partial_trace_of_stack_matches_per_state_calls():
+    stack = DensityMatrix(np.array([random_density_matrix(3, 3, rng=RNG).matrix
+                                    for _ in range(5)]), (3, 3))
+    for keep in ("A", "B"):
+        reduced = partial_trace(stack, keep)
+        assert reduced.shape == (5, 3, 3)
+        for rho, red in zip(stack.matrix, reduced):
+            np.testing.assert_allclose(red, partial_trace(DensityMatrix(rho, (3, 3)), keep),
+                                       rtol=0, atol=1e-15)
+
+
 def test_hermitian_eigenvalues_sorted_and_checked():
     eigs = hermitian_eigenvalues(np.diag([0.1, 0.9, -0.3]))
     np.testing.assert_allclose(eigs, [0.9, 0.1, -0.3], atol=1e-15)
     with pytest.raises(ValueError):
         hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # the deviation of a NaN matrix is NaN, which must not pass the check
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_eigenvalues(np.full((3, 3), np.nan))
 
 
 def test_trace_norm_values():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qutritcorr import oracle
 from qutritcorr import (DensityMatrix, RAW_CONVENTION, analytic_gd_isotropic,
                         analytic_negativity_dephasing,
                         analytic_negativity_depolarizing, evolve, gd_exact,
@@ -61,6 +62,9 @@ def test_project_measurement_rejects_non_unitary():
         project_measurement(rho, np.ones((3, 3)))
     with pytest.raises(ValueError):
         project_measurement(rho, np.eye(3), side="C")
+    # the unitarity deviation of a NaN basis is NaN, which must not pass
+    with pytest.raises(ValueError, match="not unitary"):
+        project_measurement(rho, np.full((3, 3), np.nan))
 
 
 def test_gd_exact_bell_value():
@@ -137,6 +141,34 @@ def test_gd_exact_rejects_bad_arguments():
             gd_exact(rho, restarts=8, **kwargs)
 
 
+def _landscape(rho):
+    gram = oracle._gram(rho.matrix.reshape(3, 3, 3, 3))
+    return gram, float(np.vdot(rho.matrix, rho.matrix).real)
+
+
+def _gradient_at(rho, basis):
+    gram, norm_sq = _landscape(rho)
+    bases = np.asarray(basis)[None]
+    return oracle._gradient(oracle._evaluate(gram, norm_sq, bases)[1], bases)[0]
+
+
+def test_riemannian_gradient_matches_central_differences():
+    rng = np.random.default_rng(11)
+    h = 1e-5
+    for _ in range(4):
+        rho = random_density_matrix(3, 3, rng=rng)
+        gram, norm_sq = _landscape(rho)
+        basis = random_unitary(3, rng=rng)
+        grad = _gradient_at(rho, basis)
+        np.testing.assert_allclose(grad, grad.conj().T, atol=1e-15)
+        for _ in range(3):
+            g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            direction = (g + g.conj().T) / 2.0
+            steps = oracle._expi(np.array([h * direction, -h * direction]))
+            plus, minus = oracle._objective(gram, norm_sq, steps @ basis)
+            assert abs(np.trace(direction @ grad).real - (plus - minus) / (2.0 * h)) < 1e-9
+
+
 def _depolarized_bell(t):
     return evolve(make_bell_state(3), "depolarizing", "depolarizing", 0.5, 0.5, t)
 
@@ -164,6 +196,46 @@ def test_gd_exact_restarts_are_independent():
     rho = random_density_matrix(3, 3, rng=5)
     values = [gd_exact(rho, restarts=r, seed=0).value for r in range(1, 9)]
     assert all(b <= a for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("make_state,p", [
+    (lambda: isotropic_family(0.2), 0.2),
+    (lambda: isotropic_family(0.8), 0.8),
+    (lambda: make_bell_state(3), 1.0),
+    (lambda: _depolarized_bell(1.0), np.exp(-1.0)),
+    (lambda: _depolarized_bell(3.0), np.exp(-3.0)),
+])
+def test_gd_exact_stops_at_stationary_starts_on_flat_landscapes(make_state, p):
+    # U x U*-invariant states have the same discord in every basis, so every
+    # start is stationary and none is descended
+    result = gd_exact(make_state(), restarts=32, seed=0)
+    starts = oracle._start_bases(3, 0, 32)
+    assert any(np.array_equal(result.basis, start) for start in starts)
+    assert abs(result.value - analytic_gd_isotropic(p, RAW_CONVENTION)) <= 1e-14
+    assert result.residual <= oracle.STATIONARY_TOL
+
+
+def test_start_bases_cache_is_read_only_and_unchanged():
+    starts = oracle._start_bases(3, 5, 8)
+    before = starts.copy()
+    assert not starts.flags.writeable
+    gd_exact(random_density_matrix(3, 3, rng=6), restarts=8, seed=5)
+    assert oracle._start_bases(3, 5, 8) is starts
+    np.testing.assert_array_equal(starts, before)
+    with pytest.raises(ValueError):
+        starts[0, 0, 0] = 0.0
+
+
+def test_residual_is_gradient_norm_at_returned_basis():
+    for seed in range(6):
+        rho = random_density_matrix(3, 3, rng=100 + seed)
+        result = gd_exact(rho, restarts=16, seed=seed)
+        grad_norm = float(np.linalg.norm(_gradient_at(rho, result.basis)))
+        assert abs(result.residual - grad_norm) <= 1e-12 * grad_norm
+        # A step level ends once a sweep gains at most tol, so the descent
+        # does not drive the gradient to zero: state 101 stops at 2.8e-6,
+        # the others below 2e-7.
+        assert result.residual < 1e-5
 
 
 def test_gd_exact_basis_owns_its_data():
@@ -228,6 +300,15 @@ def test_closed_forms_match_simulation_on_grid(family, closed_form):
         for t in (0.0, 0.5, 1.0, 2.0, 5.0):
             sim = negativity(evolve(bell, family, family, qa, qb, t))
             assert abs(sim - closed_form(qa, qb, t)) < 1e-10
+
+
+@pytest.mark.parametrize("closed_form", [analytic_negativity_dephasing,
+                                         analytic_negativity_depolarizing])
+@pytest.mark.parametrize("args", [(np.nan, 0.1, 1.0), (0.1, np.nan, 1.0), (0.1, 0.1, np.nan),
+                                  (np.inf, 0.1, 1.0), (0.1, 0.1, np.inf)])
+def test_closed_forms_refuse_non_finite_input(closed_form, args):
+    with pytest.raises(ValueError, match="finite"):
+        closed_form(*args)
 
 
 def test_analytic_gd_isotropic_conventions():
