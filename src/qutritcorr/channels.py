@@ -55,9 +55,7 @@ class KrausDiagnostics:
 
 def validate_kraus(channel: KrausChannel, tol: float = COMPLETENESS_TOL) -> KrausDiagnostics:
     """Check trace preservation: max entry of |sum E^dag E - I|."""
-    total = np.zeros((channel.dim, channel.dim), dtype=complex)
-    for op in channel.operators:
-        total += op.conj().T @ op
+    total = sum(op.conj().T @ op for op in channel.operators)
     dev = float(np.abs(total - np.eye(channel.dim)).max())
     return KrausDiagnostics(ok=dev <= tol, max_deviation=dev)
 
@@ -96,11 +94,7 @@ def dephasing_kraus(gamma: float, d: int = 3) -> KrausChannel:
     _check_gamma(gamma)
     keep = np.eye(d, dtype=complex)
     keep[1:, 1:] *= np.sqrt(1.0 - gamma)
-    ops = [keep]
-    for k in range(1, d):
-        e = np.zeros((d, d), dtype=complex)
-        e[k, k] = np.sqrt(gamma)
-        ops.append(e)
+    ops = [keep] + [np.sqrt(gamma) * np.diag(np.eye(d, dtype=complex)[k]) for k in range(1, d)]
     return KrausChannel(d, tuple(ops), family="dephasing", gamma=float(gamma))
 
 
@@ -136,13 +130,8 @@ def trit_phase_flip_kraus(gamma: float) -> KrausChannel:
     up = np.array([[0, 0, w], [1, 0, 0], [0, np.conj(w), 0]], dtype=complex)
     down = np.array([[0, np.conj(w), 0], [0, 0, w], [1, 0, 0]], dtype=complex)
     amp = np.sqrt(gamma / 6.0)
-    ops = (
-        np.sqrt(1.0 - 2.0 * gamma / 3.0) * np.eye(3, dtype=complex),
-        amp * up,
-        amp * up.conj(),
-        amp * down,
-        amp * down.conj(),
-    )
+    ops = (np.sqrt(1.0 - 2.0 * gamma / 3.0) * np.eye(3, dtype=complex),
+           amp * up, amp * up.conj(), amp * down, amp * down.conj())
     return KrausChannel(3, ops, family="trit-phase-flip", gamma=float(gamma))
 
 
@@ -155,12 +144,8 @@ def depolarizing_kraus(gamma: float) -> KrausChannel:
     clock = clock_matrix(3)
     scale = np.sqrt(gamma) / 3.0
     ops = [np.sqrt(1.0 - 8.0 * gamma / 9.0) * np.eye(3, dtype=complex)]
-    for a in range(3):
-        for b in range(3):
-            if a == 0 and b == 0:
-                continue
-            ops.append(scale * (np.linalg.matrix_power(down, a)
-                                @ np.linalg.matrix_power(clock, b)))
+    ops += [scale * (np.linalg.matrix_power(down, a) @ np.linalg.matrix_power(clock, b))
+            for a in range(3) for b in range(3) if (a, b) != (0, 0)]
     return KrausChannel(3, tuple(ops), family="depolarizing", gamma=float(gamma))
 
 
@@ -179,12 +164,10 @@ CHANNEL_FAMILIES = tuple(_FAMILY_BUILDERS)
 
 
 def kraus_for_family(family: str, gamma: float) -> KrausChannel:
-    try:
-        builder = _FAMILY_BUILDERS[family]
-    except KeyError:
+    if family not in _FAMILY_BUILDERS:
         known = ", ".join(CHANNEL_FAMILIES)
-        raise ValueError(f"unknown channel family {family!r}; known families: {known}") from None
-    return builder(gamma)
+        raise ValueError(f"unknown channel family {family!r}; known families: {known}")
+    return _FAMILY_BUILDERS[family](gamma)
 
 
 def apply_channel(channel: KrausChannel, matrix: np.ndarray) -> np.ndarray:

@@ -37,11 +37,9 @@ class OutputError(Exception):
 def parse_axis(text: str, range_ok: bool = True):
     """Finite, non-negative scalar or, when range_ok, a min:max:steps range."""
     if range_ok and ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise argparse.ArgumentTypeError(f"range must be min:max:steps, got {text!r}")
         try:
-            start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
+            start, stop, steps = text.split(":")  # a count other than 3 fails too
+            start, stop, steps = float(start), float(stop), int(steps)
         except ValueError:
             raise argparse.ArgumentTypeError(f"range must be min:max:steps, got {text!r}") from None
         try:
@@ -57,6 +55,13 @@ def parse_axis(text: str, range_ok: bool = True):
     return value
 
 
+def _shared(*flags: str, **kwargs) -> argparse.ArgumentParser:
+    """A help-less parser holding one option that several commands take."""
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument(*flags, **kwargs)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qutritcorr",
@@ -64,57 +69,46 @@ def build_parser() -> argparse.ArgumentParser:
                     "under local noise channels.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    seed = _shared("--seed", type=int, default=0)
+    restarts = _shared("--restarts", type=int, default=32)
+    force = _shared("--force", action="store_true", help="overwrite an existing output file")
+    output = _shared("--output", default="-", help="output file, or - for stdout")
+    fmt = _shared("--format", choices=("csv", "json"), default="csv")
+    convention = _shared("--gd-convention", choices=("paper", "raw"), default="paper")
+    channels = [_shared(f"--channel-{side}", required=True, choices=CHANNEL_FAMILIES)
+                for side in "ab"]
 
-    run_p = sub.add_parser("run", help="custom sweep over time and decay rates")
-    run_p.add_argument("--channel-a", required=True, choices=CHANNEL_FAMILIES)
-    run_p.add_argument("--channel-b", required=True, choices=CHANNEL_FAMILIES)
-    run_p.add_argument("--qa", required=True, type=parse_axis, metavar="Q|MIN:MAX:STEPS",
-                       help="A-side decay rate, scalar or range")
-    run_p.add_argument("--qb", required=True, type=parse_axis, metavar="Q|MIN:MAX:STEPS",
-                       help="B-side decay rate, scalar or range")
-    run_p.add_argument("--t", required=True, type=parse_axis, metavar="T|MIN:MAX:STEPS",
-                       help="evolution time, scalar or range")
-    run_p.add_argument("--gd-convention", choices=("paper", "raw"), default="paper")
+    run_p = sub.add_parser("run", help="custom sweep over time and decay rates",
+                           parents=[*channels, convention, seed, fmt, output, force])
+    for name, what in (("qa", "A-side decay rate"), ("qb", "B-side decay rate"),
+                       ("t", "evolution time")):
+        run_p.add_argument(f"--{name}", required=True, type=parse_axis,
+                           metavar=f"{name[0].upper()}|MIN:MAX:STEPS",
+                           help=f"{what}, scalar or range")
     run_p.add_argument("--oracle", action="store_true",
                        help="add a gd_exact column (slow)")
     run_p.add_argument("--restarts", type=int, default=32,
                        help="oracle restarts when --oracle is set")
-    run_p.add_argument("--seed", type=int, default=0)
-    run_p.add_argument("--format", choices=("csv", "json"), default="csv")
-    run_p.add_argument("--output", default="-", help="output file, or - for stdout")
-    run_p.add_argument("--force", action="store_true",
-                       help="overwrite an existing output file")
 
-    preset_p = sub.add_parser("preset", help="run a bundled figure preset")
+    preset_p = sub.add_parser("preset", help="run a bundled figure preset",
+                              parents=[convention, seed, fmt, force])
     preset_p.add_argument("--name", required=True, choices=PRESET_NAMES)
     preset_p.add_argument("--outdir", default=None,
                           help=f"output directory (default ${OUTDIR_ENV} or the current dir)")
-    preset_p.add_argument("--gd-convention", choices=("paper", "raw"), default="paper")
-    preset_p.add_argument("--seed", type=int, default=0)
-    preset_p.add_argument("--format", choices=("csv", "json"), default="csv")
-    preset_p.add_argument("--force", action="store_true")
 
-    val_p = sub.add_parser("validate", help="run the cross-module consistency suite")
-    val_p.add_argument("--seed", type=int, default=0)
-    val_p.add_argument("--restarts", type=int, default=32)
+    val_p = sub.add_parser("validate", help="run the cross-module consistency suite",
+                           parents=[seed, restarts])
     val_p.add_argument("--oracle-states", type=int, default=12,
                        help="random states for the bound-vs-oracle check")
     val_p.add_argument("--unnormalized-trit-flip", action="store_true",
                        help="swap in the sqrt(gamma)-weighted trit-flip variant, which "
                             "fails the completeness check")
 
-    oracle_p = sub.add_parser("oracle",
+    oracle_p = sub.add_parser("oracle", parents=[*channels, restarts, seed, output, force],
                               help="single-point report with the brute-force discord value")
-    oracle_p.add_argument("--channel-a", required=True, choices=CHANNEL_FAMILIES)
-    oracle_p.add_argument("--channel-b", required=True, choices=CHANNEL_FAMILIES)
     scalar = partial(parse_axis, range_ok=False)
-    oracle_p.add_argument("--qa", required=True, type=scalar)
-    oracle_p.add_argument("--qb", required=True, type=scalar)
-    oracle_p.add_argument("--t", required=True, type=scalar)
-    oracle_p.add_argument("--restarts", type=int, default=32)
-    oracle_p.add_argument("--seed", type=int, default=0)
-    oracle_p.add_argument("--output", default="-", help="output file, or - for stdout")
-    oracle_p.add_argument("--force", action="store_true")
+    for name in ("qa", "qb", "t"):
+        oracle_p.add_argument(f"--{name}", required=True, type=scalar)
     return parser
 
 
@@ -139,12 +133,8 @@ def format_dataset_csv(ds: SweepDataset) -> str:
 
 
 def format_dataset_json(ds: SweepDataset) -> str:
-    payload = {
-        "meta": dict(ds.meta),
-        "columns": {name: np.asarray(col, dtype=float).tolist()
-                    for name, col in ds.columns.items()},
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    columns = {name: np.asarray(col, dtype=float).tolist() for name, col in ds.columns.items()}
+    return json.dumps({"meta": dict(ds.meta), "columns": columns}, indent=2) + "\n"
 
 
 def _check_target(path: str, force: bool) -> None:
@@ -226,29 +216,20 @@ def _cmd_oracle(args) -> int:
                  args.qa, args.qb, args.t)
     result = gd_exact(rho, restarts=args.restarts, seed=args.seed)
     payload = {
-        "channel_a": args.channel_a,
-        "channel_b": args.channel_b,
-        "q_a": args.qa,
-        "q_b": args.qb,
-        "t": args.t,
+        "channel_a": args.channel_a, "channel_b": args.channel_b,
+        "q_a": args.qa, "q_b": args.qb, "t": args.t,
         "negativity": negativity(rho),
         "gd_lower_paper": gd_lower_bound(rho),
         "gd_lower_raw": gd_lower_bound(rho, RAW_CONVENTION),
-        "gd_exact": result.value,
-        "residual": result.residual,
-        "restarts": result.restarts_used,
-        "seed": result.seed,
+        "gd_exact": result.value, "residual": result.residual,
+        "restarts": result.restarts_used, "seed": result.seed,
     }
     write_text(json.dumps(payload, indent=2) + "\n", args.output, args.force)
     return EXIT_OK
 
 
-_COMMANDS = {
-    "run": _cmd_run,
-    "preset": _cmd_preset,
-    "validate": _cmd_validate,
-    "oracle": _cmd_oracle,
-}
+_COMMANDS = {"run": _cmd_run, "preset": _cmd_preset, "validate": _cmd_validate,
+             "oracle": _cmd_oracle}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -256,12 +237,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ValueError as exc:  # includes ConfigError
+    except (ValueError, OutputError) as exc:  # ValueError includes ConfigError
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OutputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return EXIT_IO if isinstance(exc, OutputError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -140,8 +140,10 @@ def hermitian_eigenvalues(matrix: np.ndarray, hermiticity_tol: float = 1e-10) ->
     """Real eigenvalues of a Hermitian matrix (or of each matrix in a stack),
     sorted non-increasing."""
     mat = np.asarray(matrix)
+    if not np.isfinite(mat).all():  # before any arithmetic, which would warn on inf
+        raise ValueError("matrix is not Hermitian (non-finite entries)")
     dev = float(np.abs(mat - mat.conj().swapaxes(-1, -2)).max())
-    if not dev <= hermiticity_tol:  # NaN fails too
+    if not dev <= hermiticity_tol:
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     return np.linalg.eigvalsh(mat)[..., ::-1]
 
@@ -167,15 +169,11 @@ def su_generators(d: int) -> tuple[np.ndarray, ...]:
         raise ValueError(f"need dimension >= 2, got {d}")
     gens: list[np.ndarray] = []
     pairs = [(j, k) for j in range(d) for k in range(j + 1, d)]
-    for j, k in pairs:
-        g = np.zeros((d, d), dtype=complex)
-        g[j, k] = g[k, j] = 1.0
-        gens.append(g)
-    for j, k in pairs:
-        g = np.zeros((d, d), dtype=complex)
-        g[j, k] = -1.0j
-        g[k, j] = 1.0j
-        gens.append(g)
+    for upper in (1.0, -1.0j):  # the symmetric, then the antisymmetric pairs
+        for j, k in pairs:
+            g = np.zeros((d, d), dtype=complex)
+            g[j, k], g[k, j] = upper, np.conj(upper)
+            gens.append(g)
     for l in range(1, d):
         g = np.zeros((d, d), dtype=complex)
         g[np.arange(l), np.arange(l)] = 1.0

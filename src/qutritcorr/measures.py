@@ -54,8 +54,7 @@ class BlochDecomposition:
 
 @lru_cache(maxsize=None)
 def _generator_stacks(d1: int, d2: int):
-    gen_a = su_generators(d1)
-    gen_b = su_generators(d2)
+    gen_a, gen_b = su_generators(d1), su_generators(d2)
     eye_a, eye_b = np.eye(d1), np.eye(d2)
     a_ops = np.stack([np.kron(g, eye_b) for g in gen_a])
     b_ops = np.stack([np.kron(eye_a, g) for g in gen_b])
@@ -80,8 +79,7 @@ def bloch_decomposition(rho: DensityMatrix) -> BlochDecomposition:
     y = 0.5 * d1 * coeffs[:, :n1].reshape(lead + (n1,))
     z = 0.5 * d2 * coeffs[:, n1:n1 + n2].reshape(lead + (n2,))
     v = 0.25 * d1 * d2 * coeffs[:, n1 + n2:].reshape(lead + (n1, n2))
-    resid = max(float(np.abs(y.imag).max()), float(np.abs(z.imag).max()),
-                float(np.abs(v.imag).max()))
+    resid = max(float(np.abs(c.imag).max()) for c in (y, z, v))
     if resid > IMAG_TOL:
         raise ValueError(f"Bloch coefficients carry residual imaginary part {resid:.3e}")
     return BlochDecomposition(y.real.copy(), z.real.copy(), v.real.copy())

@@ -18,16 +18,24 @@ UNITARITY_TOL = 1e-10
 # already stationary and is not descended: generic starts sit near 1e-2, the
 # flat landscapes of U x U*-invariant states near 1e-17.
 STATIONARY_TOL = 1e-12
+# Newton: Hessian difference step, final gradient norm, step count, step-norm
+# cap, Armijo constant. Below ROUNDING_RESIDUAL a step lowers f by less than
+# its rounding (up to 0.9e-15 |rho|^2 on random states; a slack of 1e-15
+# strands restarts near 1e-9), so a full step that lowers the gradient norm
+# and raises f by at most ROUNDING_SLACK |rho|^2 is taken instead.
+HESSIAN_STEP, NEWTON_TOL, NEWTON_ITERATIONS, MAX_STEP, ARMIJO = 1e-4, 1e-13, 60, 0.5, 1e-4
+ROUNDING_RESIDUAL, ROUNDING_SLACK = 1e-8, 1e-14
 
 
-@dataclass(frozen=True)
+# Slots leave out the per-instance dict, which callers keeping many results pay.
+@dataclass(frozen=True, slots=True)
 class OracleResult:
     """Outcome of the measurement-basis search.
 
     value is the minimal squared Hilbert-Schmidt distance found, basis the
     unitary whose columns realize it, residual the Frobenius norm of the
-    Riemannian gradient of the objective at that basis (a large residual
-    flags a search that stopped short).
+    Riemannian gradient at that basis: about 1e-13 or less once Newton has
+    converged, so a larger one flags a search that stopped short.
     """
 
     value: float
@@ -53,8 +61,10 @@ def project_measurement(rho: DensityMatrix, basis: np.ndarray, side: str = "A") 
     basis = np.asarray(basis, dtype=complex)
     if basis.shape != (d, d):
         raise ValueError(f"basis must be {d}x{d}, got shape {basis.shape}")
+    if not np.isfinite(basis).all():  # before any arithmetic, which would warn on inf
+        raise ValueError("basis matrix is not unitary (non-finite entries)")
     dev = float(np.abs(basis.conj().T @ basis - np.eye(d)).max())
-    if not dev <= UNITARITY_TOL:  # NaN fails too
+    if not dev <= UNITARITY_TOL:
         raise ValueError(f"basis matrix is not unitary (deviation {dev:.3e})")
     projectors = np.einsum("ik,jk->kij", basis, basis.conj())
     measured = _liouville(projectors)
@@ -81,7 +91,8 @@ def _evaluate(gram: np.ndarray, norm_sq: float, bases: np.ndarray):
     n, d = bases.shape[0], bases.shape[-1]
     coef = (bases.conj()[:, :, None, :] * bases[:, None, :, :]).reshape(n, d * d, d)
     kc = gram @ coef
-    return norm_sq - (coef.conj() * kc).real.sum(axis=(1, 2)), kc
+    # Re(conj(c) Kc) summed over all entries, as one real dot product per basis
+    return norm_sq - np.einsum("nij,nij->n", coef.view(float), kc.view(float)), kc
 
 
 def _objective(gram: np.ndarray, norm_sq: float, bases: np.ndarray) -> np.ndarray:
@@ -97,77 +108,116 @@ def _gradient(kc: np.ndarray, bases: np.ndarray) -> np.ndarray:
     Frobenius norm is the steepest slope over unit-norm directions H.
     """
     n, d = bases.shape[0], bases.shape[-1]
-    w = np.einsum("nxyk,nyk->nxk", kc.conj().reshape(n, d, d, d), bases)
-    uw = bases @ w.conj().swapaxes(-1, -2)
+    w_conj = np.einsum("nxyk,nyk->nxk", kc.reshape(n, d, d, d), bases.conj())
+    uw = bases @ w_conj.swapaxes(-1, -2)
     return -2j * (uw - uw.conj().swapaxes(-1, -2))
-
-
-def _gradient_norms(kc: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(_gradient(kc, bases), axis=(-2, -1))
 
 
 @lru_cache(maxsize=16)
 def _start_bases(d: int, seed: int, restarts: int) -> np.ndarray:
     """The seeded starts exp(i H_r), H_r a Gaussian Hermitian matrix drawn
     from default_rng([seed, r]), as a read-only (restarts, d, d) stack."""
-    starts = []
-    for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        starts.append((raw + raw.conj().T) / 2.0)
-    bases = _expi(np.array(starts))
+    rngs = [np.random.default_rng([seed, r]) for r in range(restarts)]
+    raw = np.array([g.standard_normal((d, d)) + 1j * g.standard_normal((d, d)) for g in rngs])
+    bases = _expi((raw + raw.conj().swapaxes(-1, -2)) / 2.0)
     bases.setflags(write=False)
     return bases
 
 
-@lru_cache(maxsize=8)
-def _rotation_table(d: int, min_step: float) -> np.ndarray:
-    """exp(+-i s g_k) for s = 1/2, 1/4, ... down to min_step, shaped
-    (levels, probes, d, d) with probes ordered g_1+, g_1-, g_2+, ..."""
-    steps = []
-    step = 0.5
-    while step >= min_step:
-        steps.append(step)
-        step *= 0.5
-    gens = su_generators(d)
-    table = _expi(np.array([[sign * s * g for g in gens for sign in (1.0, -1.0)]
-                            for s in steps]))
-    table.setflags(write=False)
-    return table
+def _operator_blocks(rho4: np.ndarray) -> np.ndarray:
+    """The Hermitian A_mu of rho = sum_mu A_mu (x) B_mu, with B_mu = I/sqrt(d2)
+    and the Gell-Mann matrices over sqrt(2) of the unmeasured side."""
+    d2 = rho4.shape[1]
+    gens = su_generators(d2) if d2 > 1 else ()
+    basis = np.array([np.eye(d2) / math.sqrt(d2)] + [g / math.sqrt(2.0) for g in gens])
+    return np.einsum("xyzw,mwy->mxz", rho4, basis)
 
 
-def _coordinate_descent(gram, norm_sq, bases, min_step, tol, max_sweeps=500):
-    """Descend every restart of the (R, d, d) stack in lockstep.
+def _turn(a: np.ndarray, p: int, q: int, c: np.ndarray, s: np.ndarray) -> None:
+    """a[..., [p, q]] <- a[..., [p, q]] @ [[c, -s*], [s, c]], in place."""
+    ap, aq = a[..., p].copy(), a[..., q].copy()
+    a[..., p], a[..., q] = c * ap + s * aq, c * aq - s.conj() * ap
 
-    Restarts whose start is already stationary (gradient norm at most
-    STATIONARY_TOL) are left where they are. For the others, a sweep tries
-    each probe rotation at the restart's own step level and keeps it when it
-    lowers that restart's objective. A restart moves to the next, halved
-    step once a sweep gains at most tol, and stops when it runs out of
-    levels or reaches max_sweeps sweeps.
-    """
-    vals, kc = _evaluate(gram, norm_sq, bases)
-    live = np.flatnonzero(_gradient_norms(kc, bases) > STATIONARY_TOL)
-    if not live.size:
-        return vals, bases
-    table = _rotation_table(bases.shape[-1], min_step)
-    n_levels, n_probes = table.shape[:2]
-    level = np.zeros(len(bases), dtype=int)
-    sweeps = np.zeros(len(bases), dtype=int)
-    while live.size:
-        cur, cur_vals, cur_level = bases[live], vals[live], level[live]
-        before = cur_vals
-        for p in range(n_probes):
-            cand = table[cur_level, p] @ cur
-            cand_vals = _objective(gram, norm_sq, cand)
-            better = cand_vals < cur_vals
-            cur_vals = np.where(better, cand_vals, cur_vals)
-            cur = np.where(better[:, None, None], cand, cur)
-        bases[live], vals[live] = cur, cur_vals
-        sweeps[live] += 1
-        level[live] += before - cur_vals <= tol
-        live = live[(level[live] < n_levels) & (sweeps[live] < max_sweeps)]
-    return vals, bases
+
+def _jacobi_turn(m: np.ndarray, bases: np.ndarray, p: int, q: int) -> None:
+    """Turn each basis of the stack in the plane (p, q), U <- U V, to the
+    objective's minimum there, and keep m = U^H A_mu U in step, in place. After
+    the turn sum_mu (M_pp - M_qq)^2 = v^T G v with G = sum_mu g_mu g_mu^T and
+    v = [cos 2theta, ...], so the top eigenvector of G is the best turn
+    (Cardoso & Souloumiac, SIAM J. Matrix Anal. Appl. 17 (1996) 161)."""
+    mpq = m[..., p, q]
+    g = np.stack([(m[..., p, p] - m[..., q, q]).real, 2.0 * mpq.real, 2.0 * mpq.imag], axis=-1)
+    x, y, z = np.linalg.eigh(g.swapaxes(-1, -2) @ g)[1][..., -1].T
+    x, y, z = np.copysign(1.0, x) * np.array([x, y, z])
+    c = np.sqrt((1.0 + x) / 2.0)
+    s = (y - 1j * z) / (2.0 * c)
+    _turn(bases, p, q, c[:, None], s[:, None])
+    _turn(m, p, q, c[:, None, None], s[:, None, None])  # M V, then V^H (M V)
+    _turn(m.swapaxes(-1, -2), p, q, c[:, None, None], s.conj()[:, None, None])
+
+
+def _coordinates(gens: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Tr(g_j X) for each generator g_j and each X of the stack."""
+    return np.einsum("jab,nba->nj", gens, x).real
+
+
+def _hessian(gram, norm_sq, bases, gens, stencil):
+    """Hessian of h -> f(exp(i sum_j h_j g_j) U) at h = 0 for each basis: central
+    differences of the gradient coordinates over stencil = exp(+-i HESSIAN_STEP
+    g_j), symmetrised (the antisymmetric part is the frame's own turn). The
+    moved bases of 8 restarts share one evaluation, whose temporaries (about
+    150 KB; 600 KB for 32 restarts) the process keeps resident."""
+    moved = (stencil[None] @ bases[:, None]).reshape(-1, *bases.shape[1:])
+    rows = 8 * len(stencil)
+    grads = np.concatenate([_coordinates(gens, _gradient(_evaluate(gram, norm_sq, part)[1], part))
+                            for part in (moved[i:i + rows] for i in range(0, len(moved), rows))])
+    plus, minus = grads.reshape(len(bases), 2, len(gens), len(gens)).swapaxes(0, 1)
+    hess = (plus - minus) / (2.0 * HESSIAN_STEP)
+    return (hess + hess.swapaxes(-1, -2)) / 2.0
+
+
+def _newton(gram, norm_sq, bases, min_step):
+    """Damped Newton steps U -> exp(i sum_j h_j g_j) U for every restart of the
+    stack in lockstep; moves it in place, returns its values and gradient norms.
+    Hessian eigenvalues enter by modulus, so saddles are left downhill; those
+    at most 1e-4 of the largest, the gauge U -> U diag(phases), are dropped."""
+    gens = np.array(su_generators(bases.shape[-1]))
+    stencil = _expi(np.concatenate([HESSIAN_STEP * gens, -HESSIAN_STEP * gens]))
+
+    def evaluate(b):  # values, gradient coordinates and gradient norms |X|_F
+        vals, kc = _evaluate(gram, norm_sq, b)
+        x = _gradient(kc, b)
+        return vals, _coordinates(gens, x), np.linalg.norm(x, axis=(-2, -1))
+
+    vals, grads, norms = evaluate(bases)
+    live = np.flatnonzero(norms > NEWTON_TOL)
+    for _ in range(NEWTON_ITERATIONS):
+        if not live.size:
+            break
+        w, v = np.linalg.eigh(_hessian(gram, norm_sq, bases[live], gens, stencil))
+        w = np.abs(w)
+        inv_w = np.divide(1.0, w, out=np.zeros_like(w),
+                          where=w > 1e-4 * w.max(axis=-1, keepdims=True))
+        step = -np.einsum("nji,ni,nki,nk->nj", v, inv_w, v, grads[live])
+        step *= MAX_STEP / np.maximum(np.linalg.norm(step, axis=-1, keepdims=True), MAX_STEP)
+        near = norms[live] <= ROUNDING_RESIDUAL
+        stepped = np.zeros(len(live), dtype=bool)
+        pending, scale = np.arange(len(live)), 1.0
+        while pending.size and scale >= min_step:  # halve the step until it passes
+            idx = live[pending]
+            cand = _expi(np.einsum("nj,jab->nab", scale * step[pending], gens)) @ bases[idx]
+            c_vals, c_grads, c_norms = evaluate(cand)
+            slope = (step[pending] * grads[idx]).sum(axis=-1)
+            ok = c_vals <= vals[idx] + ARMIJO * scale * slope
+            ok |= near[pending] & (c_norms < norms[idx]) & (
+                c_vals <= vals[idx] + ROUNDING_SLACK * norm_sq)
+            bases[idx[ok]], vals[idx[ok]] = cand[ok], c_vals[ok]
+            grads[idx[ok]], norms[idx[ok]] = c_grads[ok], c_norms[ok]
+            stepped[pending[ok]] = True
+            pending = pending[~ok & ~near[pending]]  # near the floor only full steps
+            scale *= 0.5
+        live = live[stepped & (norms[live] > NEWTON_TOL)]
+    return vals, norms
 
 
 def gd_exact(rho: DensityMatrix, restarts: int = 32, seed: int = 0, side: str = "A",
@@ -175,17 +225,15 @@ def gd_exact(rho: DensityMatrix, restarts: int = 32, seed: int = 0, side: str = 
     """Minimize the squared Hilbert-Schmidt distance between rho and its
     measured version over von Neumann measurement bases on one side.
 
-    Derivative-free coordinate descent: each restart starts from exp(i H)
-    with H a seeded Gaussian Hermitian matrix, then repeatedly probes
-    rotations exp(+-i step g_k) along the su(d) generator directions, halving
-    the step whenever a sweep improves the objective by less than tol, down
-    to min_step. The restarts descend together as one stack, each on its own
-    schedule; a restart whose start already has a vanishing Riemannian
-    gradient (flat landscapes, such as isotropic states) is not descended.
-    Restart r draws from default_rng([seed, r]), so results are
-    deterministic for a fixed (seed, restarts) pair; the start bases and the
-    rotations are cached per process. residual is the Riemannian gradient
-    norm at the returned basis.
+    Restart r starts from exp(i H), H a Gaussian Hermitian matrix drawn from
+    default_rng([seed, r]) and cached per process, and all restarts descend
+    together as one stack. A restart whose start is already stationary (flat
+    landscapes, such as isotropic states) stays there. The others take two
+    Jacobi sweeps of closed-form plane turns (the objective is a joint
+    diagonalisation criterion), then damped Newton steps (`_newton`) until the
+    gradient norm is at most 1e-13 or a step fails. min_step is the smallest
+    step the Armijo backtracking tries; tol is validated but unused. residual
+    is the Riemannian gradient norm at the returned basis.
     """
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
@@ -195,22 +243,30 @@ def gd_exact(rho: DensityMatrix, restarts: int = 32, seed: int = 0, side: str = 
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
     if not (math.isfinite(min_step) and 0.0 < min_step <= 0.5):
         raise ValueError(f"min_step must lie in (0, 0.5], got {min_step}")
-    d1, d2 = rho.dims
-    d = d1 if side == "A" else d2
-    rho4 = rho.matrix.reshape(d1, d2, d1, d2)
-    if side == "B":
-        rho4 = rho4.transpose(1, 0, 3, 2)
+    rho4 = rho.matrix.reshape(rho.dims * 2)  # measured side first
+    rho4 = rho4 if side == "A" else rho4.transpose(1, 0, 3, 2)
+    d = rho4.shape[0]
     gram = _gram(rho4)
     norm_sq = float(np.vdot(rho.matrix, rho.matrix).real)
-    vals, bases = _coordinate_descent(gram, norm_sq, _start_bases(d, seed, restarts).copy(),
-                                      float(min_step), tol)
+    bases = _start_bases(d, seed, restarts).copy()
+    vals, kc = _evaluate(gram, norm_sq, bases)
+    # Stationary starts (flat landscapes) are left where they are, and checked
+    # before anything else is built.
+    norms = np.linalg.norm(_gradient(kc, bases), axis=(-2, -1))
+    live = np.flatnonzero(norms > STATIONARY_TOL)
+    if live.size:
+        cur = bases[live]
+        # One product per restart: a contraction over the whole stack (einsum
+        # with optimize=True) rounds by stack size and ties restarts together.
+        m = cur.conj().swapaxes(-1, -2)[:, None] @ _operator_blocks(rho4) @ cur[:, None]
+        for p, q in [(p, q) for p in range(d) for q in range(p + 1, d)] * 2:
+            _jacobi_turn(m, cur, p, q)  # two Jacobi sweeps
+        vals[live], norms[live] = _newton(gram, norm_sq, cur, float(min_step))
+        bases[live] = cur
     best = int(np.argmin(vals))
-    # A copy, so the result does not keep the whole stack alive.
-    basis = bases[best].copy()
-    _, kc = _evaluate(gram, norm_sq, basis[None])
-    residual = float(_gradient_norms(kc, basis[None])[0])
-    return OracleResult(value=float(max(vals[best], 0.0)), basis=basis,
-                        restarts_used=restarts, seed=seed, residual=residual)
+    # A copy of the basis, so the result does not keep the whole stack alive.
+    return OracleResult(value=float(max(vals[best], 0.0)), basis=bases[best].copy(),
+                        restarts_used=restarts, seed=seed, residual=float(norms[best]))
 
 
 def _check_nonnegative(**kwargs: float) -> None:

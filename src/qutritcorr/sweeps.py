@@ -82,9 +82,7 @@ class ExperimentConfig:
 def infer_sweep_mode(q_a: float | SweepRange, q_b: float | SweepRange,
                      t: float | SweepRange) -> str:
     """Pick the sweep mode implied by which axes are ranges."""
-    qa_range = isinstance(q_a, SweepRange)
-    qb_range = isinstance(q_b, SweepRange)
-    t_range = isinstance(t, SweepRange)
+    qa_range, qb_range, t_range = (isinstance(x, SweepRange) for x in (q_a, q_b, t))
     if qa_range and qb_range:
         if t_range:
             raise ConfigError("t", "cannot sweep q_a, q_b and t at once; fix t")
@@ -300,19 +298,12 @@ def robustness_report(cfg: ExperimentConfig, tie_tol: float = 1e-12) -> Robustne
             "tie" if abs(d) <= tie_tol else ("negativity" if d > 0 else "gd")
             for d in diff
         )
-        crossings = []
-        sign = np.where(np.abs(diff) <= tie_tol, 0, np.sign(diff))
-        last_sign, last_idx = 0, 0
-        for i, s in enumerate(sign):
-            if s == 0:
-                continue
-            if last_sign != 0 and s != last_sign:
-                # linear interpolation between the bracketing nonzero points
-                t0, t1 = times[last_idx], times[i]
-                d0, d1 = diff[last_idx], diff[i]
-                crossings.append(float(t0 - d0 * (t1 - t0) / (d1 - d0)))
-            last_sign, last_idx = s, i
-        crossovers = tuple(crossings)
+        # sign changes between consecutive untied points, linearly interpolated
+        untied = np.flatnonzero(np.abs(diff) > tie_tol)
+        flips = np.sign(diff[untied[:-1]]) != np.sign(diff[untied[1:]])
+        i0, i1 = untied[:-1][flips], untied[1:][flips]
+        t0, t1, d0, d1 = times[i0], times[i1], diff[i0], diff[i1]
+        crossovers = tuple(float(x) for x in t0 - d0 * (t1 - t0) / (d1 - d0))
     meta = config_meta(cfg)
     return RobustnessReport(times=times, initial=initial, normalized=normalized,
                             winner=winner, crossovers=crossovers,

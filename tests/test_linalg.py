@@ -130,6 +130,9 @@ def test_hermitian_eigenvalues_sorted_and_checked():
     # the deviation of a NaN matrix is NaN, which must not pass the check
     with pytest.raises(ValueError, match="not Hermitian"):
         hermitian_eigenvalues(np.full((3, 3), np.nan))
+    # inf is refused before inf - inf can raise a RuntimeWarning
+    with pytest.raises(ValueError, match="non-finite"):
+        hermitian_eigenvalues(np.full((3, 3), np.inf))
 
 
 def test_trace_norm_values():

@@ -8,7 +8,7 @@ from qutritcorr import (DensityMatrix, RAW_CONVENTION, analytic_gd_isotropic,
                         analytic_negativity_depolarizing, evolve, gd_exact,
                         gd_lower_bound, isotropic_family, make_bell_state,
                         negativity, project_measurement, random_density_matrix,
-                        random_unitary, tensor)
+                        random_unitary, su_generators, tensor)
 
 RNG = np.random.default_rng(77)
 
@@ -65,6 +65,9 @@ def test_project_measurement_rejects_non_unitary():
     # the unitarity deviation of a NaN basis is NaN, which must not pass
     with pytest.raises(ValueError, match="not unitary"):
         project_measurement(rho, np.full((3, 3), np.nan))
+    # inf is refused before inf * 0 can raise a RuntimeWarning
+    with pytest.raises(ValueError, match="non-finite"):
+        project_measurement(rho, np.full((3, 3), np.inf))
 
 
 def test_gd_exact_bell_value():
@@ -169,6 +172,103 @@ def test_riemannian_gradient_matches_central_differences():
             assert abs(np.trace(direction @ grad).real - (plus - minus) / (2.0 * h)) < 1e-9
 
 
+def _side_landscape(rho, side):
+    rho4 = rho.matrix.reshape(3, 3, 3, 3)
+    if side == "B":
+        rho4 = rho4.transpose(1, 0, 3, 2)
+    return rho4, oracle._gram(rho4), float(np.vdot(rho.matrix, rho.matrix).real)
+
+
+def _sandwich(bases, blocks):
+    """M_mu = U^H A_mu U for each basis U, shaped (n, mu, d, d)."""
+    return np.einsum("nxk,mxy,nyl->nmkl", bases.conj(), blocks, bases)
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_evaluate_is_the_joint_diagonalisation_criterion(side):
+    rng = np.random.default_rng(31)
+    unmeasured = [np.eye(3) / np.sqrt(3.0)] + [g / np.sqrt(2.0) for g in su_generators(3)]
+    for _ in range(4):
+        rho4, gram, norm_sq = _side_landscape(random_density_matrix(3, 3, rng=rng), side)
+        blocks = oracle._operator_blocks(rho4)
+        np.testing.assert_allclose(blocks, blocks.conj().swapaxes(-1, -2), atol=1e-16)
+        rebuilt = sum(np.kron(a, b) for a, b in zip(blocks, unmeasured))
+        np.testing.assert_allclose(rebuilt, rho4.reshape(9, 9), atol=1e-15)
+        bases = np.array([random_unitary(3, rng=rng) for _ in range(5)])
+        diagonals = np.einsum("nmkk->nmk", _sandwich(bases, blocks)).real
+        expected = norm_sq - (diagonals ** 2).sum(axis=(1, 2))
+        np.testing.assert_allclose(oracle._objective(gram, norm_sq, bases), expected,
+                                   rtol=0.0, atol=1e-14)
+
+
+def _plane_turns(p, q, n_theta=13, n_phi=24):
+    """Unitaries that turn columns p and q by [[c, -s*], [s, c]] over a grid of
+    c = cos(theta), s = sin(theta) exp(i phi)."""
+    theta, phi = np.meshgrid(np.linspace(0.0, np.pi / 2.0, n_theta),
+                             np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False))
+    c, s = np.cos(theta).ravel(), (np.sin(theta) * np.exp(1j * phi)).ravel()
+    turns = np.tile(np.eye(3, dtype=complex), (len(c), 1, 1))
+    turns[:, p, p], turns[:, p, q], turns[:, q, p], turns[:, q, q] = c, -s.conj(), s, c
+    return turns
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_jacobi_turn_lowers_objective_optimally_in_its_plane(side):
+    rng = np.random.default_rng(41)
+    for _ in range(3):
+        rho4, gram, norm_sq = _side_landscape(random_density_matrix(3, 3, rng=rng), side)
+        blocks = oracle._operator_blocks(rho4)
+        bases = np.array([random_unitary(3, rng=rng) for _ in range(8)])
+        m = _sandwich(bases, blocks)
+        for p, q in ((0, 1), (0, 2), (1, 2), (0, 1)):
+            before = oracle._objective(gram, norm_sq, bases)
+            grid = bases[:, None] @ _plane_turns(p, q)[None]
+            best_on_grid = oracle._objective(gram, norm_sq, grid.reshape(-1, 3, 3))
+            oracle._jacobi_turn(m, bases, p, q)
+            after = oracle._objective(gram, norm_sq, bases)
+            # no restart rises, and no turn of the same plane on the grid does better
+            assert np.all(after <= before + 1e-15)
+            assert np.all(after <= best_on_grid.reshape(len(bases), -1).min(axis=1) + 1e-15)
+            np.testing.assert_allclose(m, _sandwich(bases, blocks), atol=1e-14)
+            np.testing.assert_allclose(bases.conj().swapaxes(-1, -2) @ bases,
+                                       np.broadcast_to(np.eye(3), bases.shape), atol=1e-14)
+
+
+def test_difference_hessian_matches_second_differences_of_objective():
+    rng = np.random.default_rng(51)
+    gens = np.array(su_generators(3))
+    stencil = oracle._expi(np.concatenate([oracle.HESSIAN_STEP * gens,
+                                           -oracle.HESSIAN_STEP * gens]))
+    h = 1e-4
+    for _ in range(3):
+        rho = random_density_matrix(3, 3, rng=rng)
+        gram, norm_sq = _landscape(rho)
+        bases = np.array([random_unitary(3, rng=rng) for _ in range(2)])
+        hess = oracle._hessian(gram, norm_sq, bases, gens, stencil)
+        # f(exp(i h (a g_j + b g_k)) U) for (a, b) = (+,+), (+,-), (-,+), (-,-)
+        a, b = np.array([(1, 1), (1, -1), (-1, 1), (-1, -1)]).T.reshape(2, 4, 1, 1, 1, 1)
+        turns = oracle._expi(h * (a * gens[:, None] + b * gens[None, :])).reshape(-1, 3, 3)
+        for n, basis in enumerate(bases):
+            f = oracle._objective(gram, norm_sq, turns @ basis).reshape(4, 8, 8)
+            second = (f[0] - f[1] - f[2] + f[3]) / (4.0 * h * h)
+            np.testing.assert_allclose(hess[n], second, rtol=0.0,
+                                       atol=1e-6 * np.abs(second).max())
+
+
+def test_newton_restarts_do_not_depend_on_the_rest_of_the_stack():
+    # each restart's arithmetic is its own, so adding restarts can only lower
+    # the minimum
+    gram, norm_sq = _landscape(random_density_matrix(3, 3, rng=12))
+    full = oracle._start_bases(3, 0, 16).copy()
+    part = full[3:6].copy()
+    vals, norms = oracle._newton(gram, norm_sq, full, 1e-6)
+    part_vals, part_norms = oracle._newton(gram, norm_sq, part, 1e-6)
+    np.testing.assert_array_equal(part_vals, vals[3:6])
+    np.testing.assert_array_equal(part_norms, norms[3:6])
+    np.testing.assert_array_equal(part, full[3:6])
+    assert norms.max() <= oracle.NEWTON_TOL
+
+
 def _depolarized_bell(t):
     return evolve(make_bell_state(3), "depolarizing", "depolarizing", 0.5, 0.5, t)
 
@@ -232,10 +332,7 @@ def test_residual_is_gradient_norm_at_returned_basis():
         result = gd_exact(rho, restarts=16, seed=seed)
         grad_norm = float(np.linalg.norm(_gradient_at(rho, result.basis)))
         assert abs(result.residual - grad_norm) <= 1e-12 * grad_norm
-        # A step level ends once a sweep gains at most tol, so the descent
-        # does not drive the gradient to zero: state 101 stops at 2.8e-6,
-        # the others below 2e-7.
-        assert result.residual < 1e-5
+        assert result.residual <= 1e-10
 
 
 def test_gd_exact_basis_owns_its_data():
