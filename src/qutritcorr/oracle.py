@@ -95,10 +95,6 @@ def _evaluate(gram: np.ndarray, norm_sq: float, bases: np.ndarray):
     return norm_sq - np.einsum("nij,nij->n", coef.view(float), kc.view(float)), kc
 
 
-def _objective(gram: np.ndarray, norm_sq: float, bases: np.ndarray) -> np.ndarray:
-    return _evaluate(gram, norm_sq, bases)[0]
-
-
 def _gradient(kc: np.ndarray, bases: np.ndarray) -> np.ndarray:
     """Riemannian gradient X of the objective at each basis U of the stack:
     f(exp(i s H) U) = f(U) + s Tr(H X) + O(s^2) for Hermitian H.
@@ -124,36 +120,33 @@ def _start_bases(d: int, seed: int, restarts: int) -> np.ndarray:
     return bases
 
 
-def _operator_blocks(rho4: np.ndarray) -> np.ndarray:
-    """The Hermitian A_mu of rho = sum_mu A_mu (x) B_mu, with B_mu = I/sqrt(d2)
-    and the Gell-Mann matrices over sqrt(2) of the unmeasured side."""
-    d2 = rho4.shape[1]
-    gens = su_generators(d2) if d2 > 1 else ()
-    basis = np.array([np.eye(d2) / math.sqrt(d2)] + [g / math.sqrt(2.0) for g in gens])
-    return np.einsum("xyzw,mwy->mxz", rho4, basis)
+def _plane_matrix(gram: np.ndarray, bases: np.ndarray, p: int, q: int) -> np.ndarray:
+    """G = sum_mu g_mu g_mu^T of each basis in the plane (p, q), with
+    g_mu = [M_pp - M_qq, 2 Re M_pq, 2 Im M_pq] over M_mu = U^H A_mu U and
+    rho = sum_mu A_mu (x) B_mu (B_mu an orthonormal Hermitian basis of the
+    unmeasured side). As g_mu = vec(A_mu)^T E and K = sum_mu conj(vec A_mu)
+    vec(A_mu)^T, G = Re(E^H K E), where E's columns are vec(P_pp - P_qq),
+    vec(P_pq + P_qp) and -i vec(P_pq - P_qp) with P_kl = conj(u_k) u_l^T."""
+    n, d = bases.shape[0], bases.shape[-1]
+    up, uq = bases[..., p], bases[..., q]
+    pp, pq, qp, qq = ((a.conj()[:, :, None] * b[:, None, :]).reshape(n, d * d)
+                      for a, b in ((up, up), (up, uq), (uq, up), (uq, uq)))
+    e = np.stack([pp - qq, pq + qp, -1j * (pq - qp)], axis=-1)
+    return (e.conj().swapaxes(-1, -2) @ (gram @ e)).real
 
 
-def _turn(a: np.ndarray, p: int, q: int, c: np.ndarray, s: np.ndarray) -> None:
-    """a[..., [p, q]] <- a[..., [p, q]] @ [[c, -s*], [s, c]], in place."""
-    ap, aq = a[..., p].copy(), a[..., q].copy()
-    a[..., p], a[..., q] = c * ap + s * aq, c * aq - s.conj() * ap
-
-
-def _jacobi_turn(m: np.ndarray, bases: np.ndarray, p: int, q: int) -> None:
-    """Turn each basis of the stack in the plane (p, q), U <- U V, to the
-    objective's minimum there, and keep m = U^H A_mu U in step, in place. After
-    the turn sum_mu (M_pp - M_qq)^2 = v^T G v with G = sum_mu g_mu g_mu^T and
-    v = [cos 2theta, ...], so the top eigenvector of G is the best turn
-    (Cardoso & Souloumiac, SIAM J. Matrix Anal. Appl. 17 (1996) 161)."""
-    mpq = m[..., p, q]
-    g = np.stack([(m[..., p, p] - m[..., q, q]).real, 2.0 * mpq.real, 2.0 * mpq.imag], axis=-1)
-    x, y, z = np.linalg.eigh(g.swapaxes(-1, -2) @ g)[1][..., -1].T
+def _jacobi_turn(gram: np.ndarray, bases: np.ndarray, p: int, q: int) -> None:
+    """Turn each basis of the stack in the plane (p, q), U <- U V with
+    V = [[c, -s*], [s, c]], to the objective's minimum there, in place. After
+    the turn sum_mu (M_pp - M_qq)^2 = v^T G v with v = [cos 2theta, ...], so
+    the top eigenvector of G is the best turn (Cardoso & Souloumiac, SIAM J.
+    Matrix Anal. Appl. 17 (1996) 161)."""
+    x, y, z = np.linalg.eigh(_plane_matrix(gram, bases, p, q))[1][..., -1].T
     x, y, z = np.copysign(1.0, x) * np.array([x, y, z])
-    c = np.sqrt((1.0 + x) / 2.0)
-    s = (y - 1j * z) / (2.0 * c)
-    _turn(bases, p, q, c[:, None], s[:, None])
-    _turn(m, p, q, c[:, None, None], s[:, None, None])  # M V, then V^H (M V)
-    _turn(m.swapaxes(-1, -2), p, q, c[:, None, None], s.conj()[:, None, None])
+    c = np.sqrt((1.0 + x) / 2.0)[:, None]
+    s = (y - 1j * z)[:, None] / (2.0 * c)
+    up, uq = bases[..., p], bases[..., q]
+    bases[..., p], bases[..., q] = c * up + s * uq, c * uq - s.conj() * up
 
 
 def _coordinates(gens: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -256,11 +249,8 @@ def gd_exact(rho: DensityMatrix, restarts: int = 32, seed: int = 0, side: str = 
     live = np.flatnonzero(norms > STATIONARY_TOL)
     if live.size:
         cur = bases[live]
-        # One product per restart: a contraction over the whole stack (einsum
-        # with optimize=True) rounds by stack size and ties restarts together.
-        m = cur.conj().swapaxes(-1, -2)[:, None] @ _operator_blocks(rho4) @ cur[:, None]
         for p, q in [(p, q) for p in range(d) for q in range(p + 1, d)] * 2:
-            _jacobi_turn(m, cur, p, q)  # two Jacobi sweeps
+            _jacobi_turn(gram, cur, p, q)  # two Jacobi sweeps
         vals[live], norms[live] = _newton(gram, norm_sq, cur, float(min_step))
         bases[live] = cur
     best = int(np.argmin(vals))

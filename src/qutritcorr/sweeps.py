@@ -4,7 +4,7 @@ and the robustness comparison report."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,9 +45,6 @@ class SweepRange:
         return f"{self.start:g}:{self.stop:g}:{self.steps}"
 
 
-SWEEP_MODES = ("time", "rate_time", "rate_grid")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     family_a: str
@@ -55,7 +52,7 @@ class ExperimentConfig:
     q_a: float | SweepRange
     q_b: float | SweepRange
     t: float | SweepRange
-    sweep_mode: str
+    sweep_mode: str = field(init=False)  # derived from which axes are ranges
     gd_convention: GdConvention = PAPER_CONVENTION
     oracle_enabled: bool = False
     oracle_restarts: int = 32
@@ -65,13 +62,7 @@ class ExperimentConfig:
         for name, fam in (("family_a", self.family_a), ("family_b", self.family_b)):
             if fam not in CHANNEL_FAMILIES:
                 raise ConfigError(name, f"unknown channel family {fam!r}")
-        if self.sweep_mode not in SWEEP_MODES:
-            raise ConfigError("sweep_mode", f"must be one of {SWEEP_MODES}, got {self.sweep_mode!r}")
-        implied = infer_sweep_mode(self.q_a, self.q_b, self.t)
-        if implied != self.sweep_mode:
-            field = "q_a" if self.sweep_mode != "time" or isinstance(self.t, SweepRange) else "t"
-            raise ConfigError(field, f"the ranges given make a {implied} sweep, "
-                                     f"not a {self.sweep_mode} sweep")
+        object.__setattr__(self, "sweep_mode", infer_sweep_mode(self.q_a, self.q_b, self.t))
         if self.oracle_restarts < 1:
             raise ConfigError("oracle_restarts", f"need at least 1, got {self.oracle_restarts}")
         for name, value in (("q_a", self.q_a), ("q_b", self.q_b), ("t", self.t)):
@@ -219,9 +210,9 @@ def preset_configs(name: str, gd_convention: GdConvention = PAPER_CONVENTION,
                   gd_convention=gd_convention, seed=seed)
     return {
         "time": ExperimentConfig(q_a=DEFAULT_RATE_RANGE, q_b=PRESET_FIXED_RATE,
-                                 t=DEFAULT_TIME_RANGE, sweep_mode="rate_time", **common),
+                                 t=DEFAULT_TIME_RANGE, **common),
         "grid": ExperimentConfig(q_a=DEFAULT_RATE_RANGE, q_b=DEFAULT_RATE_RANGE,
-                                 t=PRESET_FIXED_TIME, sweep_mode="rate_grid", **common),
+                                 t=PRESET_FIXED_TIME, **common),
     }
 
 

@@ -202,7 +202,7 @@ def test_robustness_reports_archive(tmp_path):
     reports = {}
     for name, (fa, fb) in PRESET_CHANNELS.items():
         cfg = ExperimentConfig(family_a=fa, family_b=fb, q_a=0.5, q_b=0.5,
-                               t=DEFAULT_TIME_RANGE, sweep_mode="time")
+                               t=DEFAULT_TIME_RANGE)
         report = robustness_report(cfg)
         path = tmp_path / f"{name}_robustness.json"
         path.write_text(json.dumps(report.to_dict(), indent=2))

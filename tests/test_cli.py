@@ -57,8 +57,7 @@ def test_run_writes_json_roundtrip(tmp_path):
     # repr-level serialization keeps the floats exact
     from qutritcorr import ExperimentConfig, time_sweep
     cfg = ExperimentConfig(family_a="depolarizing", family_b="dephasing",
-                           q_a=0.3, q_b=0.7, t=SweepRange(0.0, 1.0, 4),
-                           sweep_mode="time")
+                           q_a=0.3, q_b=0.7, t=SweepRange(0.0, 1.0, 4))
     ds = time_sweep(cfg)
     assert cols["negativity"] == list(ds.columns["negativity"])
 
@@ -79,6 +78,18 @@ def test_run_oracle_column(tmp_path):
     assert rc == 0
     body = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     assert body[0] == "t,q1,q2,negativity,gd_lower,gd_exact"
+
+
+def test_cached_parser_keeps_no_options_between_calls(tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    base = ["run", "--channel-a", "depolarizing", "--channel-b", "depolarizing",
+            "--qa", "0.5", "--qb", "0.5", "--t", "0:1:2"]
+    with_oracle, plain = tmp_path / "o.csv", tmp_path / "p.csv"
+    assert run_cli(base + ["--oracle", "--restarts", "2", "--output", str(with_oracle)]) == 0
+    assert run_cli(base + ["--output", str(plain)]) == 0
+    header = [l for l in plain.read_text().splitlines() if not l.startswith("#")][0]
+    assert header == "t,q1,q2,negativity,gd_lower"
+    assert "# oracle_enabled: false" in plain.read_text()
 
 
 def test_run_refuses_overwrite_then_force(tmp_path):

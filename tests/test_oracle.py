@@ -168,7 +168,7 @@ def test_riemannian_gradient_matches_central_differences():
             g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             direction = (g + g.conj().T) / 2.0
             steps = oracle._expi(np.array([h * direction, -h * direction]))
-            plus, minus = oracle._objective(gram, norm_sq, steps @ basis)
+            plus, minus = oracle._evaluate(gram, norm_sq, steps @ basis)[0]
             assert abs(np.trace(direction @ grad).real - (plus - minus) / (2.0 * h)) < 1e-9
 
 
@@ -179,6 +179,15 @@ def _side_landscape(rho, side):
     return rho4, oracle._gram(rho4), float(np.vdot(rho.matrix, rho.matrix).real)
 
 
+UNMEASURED = np.array([np.eye(3) / np.sqrt(3.0)] + [g / np.sqrt(2.0) for g in su_generators(3)])
+
+
+def _operator_blocks(rho4):
+    """The Hermitian A_mu of rho = sum_mu A_mu (x) B_mu, with B_mu = I/sqrt3 and
+    the Gell-Mann matrices over sqrt2 of the unmeasured side."""
+    return np.einsum("xyzw,mwy->mxz", rho4, UNMEASURED)
+
+
 def _sandwich(bases, blocks):
     """M_mu = U^H A_mu U for each basis U, shaped (n, mu, d, d)."""
     return np.einsum("nxk,mxy,nyl->nmkl", bases.conj(), blocks, bases)
@@ -187,17 +196,16 @@ def _sandwich(bases, blocks):
 @pytest.mark.parametrize("side", ["A", "B"])
 def test_evaluate_is_the_joint_diagonalisation_criterion(side):
     rng = np.random.default_rng(31)
-    unmeasured = [np.eye(3) / np.sqrt(3.0)] + [g / np.sqrt(2.0) for g in su_generators(3)]
     for _ in range(4):
         rho4, gram, norm_sq = _side_landscape(random_density_matrix(3, 3, rng=rng), side)
-        blocks = oracle._operator_blocks(rho4)
+        blocks = _operator_blocks(rho4)
         np.testing.assert_allclose(blocks, blocks.conj().swapaxes(-1, -2), atol=1e-16)
-        rebuilt = sum(np.kron(a, b) for a, b in zip(blocks, unmeasured))
+        rebuilt = sum(np.kron(a, b) for a, b in zip(blocks, UNMEASURED))
         np.testing.assert_allclose(rebuilt, rho4.reshape(9, 9), atol=1e-15)
         bases = np.array([random_unitary(3, rng=rng) for _ in range(5)])
         diagonals = np.einsum("nmkk->nmk", _sandwich(bases, blocks)).real
         expected = norm_sq - (diagonals ** 2).sum(axis=(1, 2))
-        np.testing.assert_allclose(oracle._objective(gram, norm_sq, bases), expected,
+        np.testing.assert_allclose(oracle._evaluate(gram, norm_sq, bases)[0], expected,
                                    rtol=0.0, atol=1e-14)
 
 
@@ -217,19 +225,24 @@ def test_jacobi_turn_lowers_objective_optimally_in_its_plane(side):
     rng = np.random.default_rng(41)
     for _ in range(3):
         rho4, gram, norm_sq = _side_landscape(random_density_matrix(3, 3, rng=rng), side)
-        blocks = oracle._operator_blocks(rho4)
+        blocks = _operator_blocks(rho4)
         bases = np.array([random_unitary(3, rng=rng) for _ in range(8)])
-        m = _sandwich(bases, blocks)
         for p, q in ((0, 1), (0, 2), (1, 2), (0, 1)):
-            before = oracle._objective(gram, norm_sq, bases)
+            # the plane matrix read from the Gram matrix is sum_mu g_mu g_mu^T
+            # over the sandwiched operator blocks
+            m = _sandwich(bases, blocks)
+            g = np.stack([(m[..., p, p] - m[..., q, q]).real, 2.0 * m[..., p, q].real,
+                          2.0 * m[..., p, q].imag], axis=-1)
+            np.testing.assert_allclose(oracle._plane_matrix(gram, bases, p, q),
+                                       g.swapaxes(-1, -2) @ g, rtol=0.0, atol=1e-14)
+            before = oracle._evaluate(gram, norm_sq, bases)[0]
             grid = bases[:, None] @ _plane_turns(p, q)[None]
-            best_on_grid = oracle._objective(gram, norm_sq, grid.reshape(-1, 3, 3))
-            oracle._jacobi_turn(m, bases, p, q)
-            after = oracle._objective(gram, norm_sq, bases)
+            best_on_grid = oracle._evaluate(gram, norm_sq, grid.reshape(-1, 3, 3))[0]
+            oracle._jacobi_turn(gram, bases, p, q)
+            after = oracle._evaluate(gram, norm_sq, bases)[0]
             # no restart rises, and no turn of the same plane on the grid does better
             assert np.all(after <= before + 1e-15)
             assert np.all(after <= best_on_grid.reshape(len(bases), -1).min(axis=1) + 1e-15)
-            np.testing.assert_allclose(m, _sandwich(bases, blocks), atol=1e-14)
             np.testing.assert_allclose(bases.conj().swapaxes(-1, -2) @ bases,
                                        np.broadcast_to(np.eye(3), bases.shape), atol=1e-14)
 
@@ -249,7 +262,7 @@ def test_difference_hessian_matches_second_differences_of_objective():
         a, b = np.array([(1, 1), (1, -1), (-1, 1), (-1, -1)]).T.reshape(2, 4, 1, 1, 1, 1)
         turns = oracle._expi(h * (a * gens[:, None] + b * gens[None, :])).reshape(-1, 3, 3)
         for n, basis in enumerate(bases):
-            f = oracle._objective(gram, norm_sq, turns @ basis).reshape(4, 8, 8)
+            f = oracle._evaluate(gram, norm_sq, turns @ basis)[0].reshape(4, 8, 8)
             second = (f[0] - f[1] - f[2] + f[3]) / (4.0 * h * h)
             np.testing.assert_allclose(hess[n], second, rtol=0.0,
                                        atol=1e-6 * np.abs(second).max())

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from qutritcorr import (CHANNEL_FAMILIES, ConfigError, ExperimentConfig,
 
 def time_config(family_a, family_b, qa, qb, t_range, **kw):
     return ExperimentConfig(family_a=family_a, family_b=family_b, q_a=qa, q_b=qb,
-                            t=t_range, sweep_mode="time", **kw)
+                            t=t_range, **kw)
 
 
 def test_sweep_range_grid_and_validation():
@@ -29,25 +31,29 @@ def test_sweep_range_grid_and_validation():
 def test_config_validation_names_fields():
     with pytest.raises(ConfigError) as exc:
         ExperimentConfig(family_a="bogus", family_b="dephasing", q_a=0.5, q_b=0.5,
-                         t=SweepRange(0, 1, 5), sweep_mode="time")
+                         t=SweepRange(0, 1, 5))
     assert exc.value.field == "family_a"
 
     with pytest.raises(ConfigError) as exc:
         ExperimentConfig(family_a="dephasing", family_b="dephasing", q_a=0.5,
-                         q_b=0.5, t=1.0, sweep_mode="time")
+                         q_b=0.5, t=1.0)
     assert exc.value.field == "t"
 
     with pytest.raises(ConfigError) as exc:
         ExperimentConfig(family_a="dephasing", family_b="dephasing",
                          q_a=SweepRange(0, 1, 3), q_b=SweepRange(0, 1, 3),
-                         t=1.0, sweep_mode="rate_time")
-    assert exc.value.field == "q_a"
-
-    with pytest.raises(ConfigError) as exc:
-        ExperimentConfig(family_a="dephasing", family_b="dephasing",
-                         q_a=SweepRange(0, 1, 3), q_b=SweepRange(0, 1, 3),
-                         t=SweepRange(0, 1, 3), sweep_mode="rate_grid")
+                         t=SweepRange(0, 1, 3))
     assert exc.value.field == "t"
+
+
+def test_sweep_mode_is_derived_and_read_only():
+    cfg = time_config("dephasing", "dephasing", 0.5, 0.5, SweepRange(0, 1, 3))
+    assert cfg.sweep_mode == "time"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.sweep_mode = "rate_grid"
+    with pytest.raises(TypeError):
+        ExperimentConfig(family_a="dephasing", family_b="dephasing", q_a=0.5, q_b=0.5,
+                         t=SweepRange(0, 1, 3), sweep_mode="time")
 
 
 def test_infer_sweep_mode():
@@ -91,7 +97,7 @@ def test_time_sweep_is_deterministic():
 def test_rate_time_sweep_row_order():
     cfg = ExperimentConfig(family_a="dephasing", family_b="dephasing",
                            q_a=SweepRange(0.0, 1.0, 3), q_b=0.5,
-                           t=SweepRange(0.0, 2.0, 4), sweep_mode="rate_time")
+                           t=SweepRange(0.0, 2.0, 4))
     ds = time_sweep(cfg)
     assert len(ds) == 12
     # swept rate outer, t inner
@@ -104,7 +110,7 @@ def test_rate_time_sweep_row_order():
 def test_time_sweep_rejects_grid_config():
     cfg = ExperimentConfig(family_a="dephasing", family_b="dephasing",
                            q_a=SweepRange(0, 1, 3), q_b=SweepRange(0, 1, 3),
-                           t=1.0, sweep_mode="rate_grid")
+                           t=1.0)
     with pytest.raises(ConfigError):
         time_sweep(cfg)
     with pytest.raises(ConfigError):
@@ -114,7 +120,7 @@ def test_time_sweep_rejects_grid_config():
 def test_rate_grid_layout_and_depolarizing_values():
     cfg = ExperimentConfig(family_a="depolarizing", family_b="depolarizing",
                            q_a=SweepRange(0.0, 2.0, 5), q_b=SweepRange(0.0, 2.0, 5),
-                           t=1.0, sweep_mode="rate_grid")
+                           t=1.0)
     ds = rate_grid(cfg)
     assert len(ds) == 25
     # row-major: q1 outer, q2 inner
@@ -131,7 +137,7 @@ def test_rate_grid_monotone_along_both_axes(family):
     n = 6
     cfg = ExperimentConfig(family_a=family, family_b=family,
                            q_a=SweepRange(0.0, 2.0, n), q_b=SweepRange(0.0, 2.0, n),
-                           t=1.0, sweep_mode="rate_grid")
+                           t=1.0)
     ds = rate_grid(cfg)
     neg = ds.columns["negativity"].reshape(n, n)
     assert np.all(np.diff(neg, axis=0) <= 1e-12)
@@ -141,7 +147,7 @@ def test_rate_grid_monotone_along_both_axes(family):
 def test_oracle_column_when_enabled():
     cfg = ExperimentConfig(family_a="depolarizing", family_b="depolarizing",
                            q_a=0.5, q_b=0.5, t=SweepRange(0.0, 2.0, 3),
-                           sweep_mode="time", gd_convention=RAW_CONVENTION,
+                           gd_convention=RAW_CONVENTION,
                            oracle_enabled=True, oracle_restarts=4)
     ds = time_sweep(cfg)
     assert list(ds.columns)[-1] == "gd_exact"
@@ -199,7 +205,7 @@ def test_robustness_report_handles_vanished_initial_value():
 def test_robustness_report_requires_time_mode():
     cfg = ExperimentConfig(family_a="dephasing", family_b="dephasing",
                            q_a=SweepRange(0, 1, 3), q_b=0.5,
-                           t=SweepRange(0, 1, 3), sweep_mode="rate_time")
+                           t=SweepRange(0, 1, 3))
     with pytest.raises(ConfigError):
         robustness_report(cfg)
 
