@@ -31,8 +31,6 @@ class KrausChannel:
 
     dim: int
     operators: tuple[np.ndarray, ...]
-    family: str = "custom"
-    gamma: float = float("nan")
 
     def __post_init__(self):
         if not self.operators:
@@ -95,13 +93,13 @@ def dephasing_kraus(gamma: float, d: int = 3) -> KrausChannel:
     keep = np.eye(d, dtype=complex)
     keep[1:, 1:] *= np.sqrt(1.0 - gamma)
     ops = [keep] + [np.sqrt(gamma) * np.diag(np.eye(d, dtype=complex)[k]) for k in range(1, d)]
-    return KrausChannel(d, tuple(ops), family="dephasing", gamma=float(gamma))
+    return KrausChannel(d, tuple(ops))
 
 
 def trit_flip_kraus(gamma: float) -> KrausChannel:
     """Cyclic level flips: identity with weight 1 - 2 gamma / 3, each
     nontrivial shift with weight gamma / 3."""
-    return _trit_flip(gamma, 3.0, "trit-flip")
+    return _trit_flip(gamma, 3.0)
 
 
 def trit_flip_kraus_unnormalized(gamma: float) -> KrausChannel:
@@ -111,15 +109,15 @@ def trit_flip_kraus_unnormalized(gamma: float) -> KrausChannel:
     preserving for gamma > 0. Kept only as a regression target for
     validate_kraus; nothing else may consume it.
     """
-    return _trit_flip(gamma, 1.0, "custom")
+    return _trit_flip(gamma, 1.0)
 
 
-def _trit_flip(gamma: float, shift_divisor: float, family: str) -> KrausChannel:
+def _trit_flip(gamma: float, shift_divisor: float) -> KrausChannel:
     _check_gamma(gamma)
     s = shift_matrix(3)
     ops = (np.sqrt(1.0 - 2.0 * gamma / 3.0) * np.eye(3, dtype=complex),
            np.sqrt(gamma / shift_divisor) * s, np.sqrt(gamma / shift_divisor) * (s @ s))
-    return KrausChannel(3, ops, family=family, gamma=float(gamma))
+    return KrausChannel(3, ops)
 
 
 def trit_phase_flip_kraus(gamma: float) -> KrausChannel:
@@ -132,7 +130,7 @@ def trit_phase_flip_kraus(gamma: float) -> KrausChannel:
     amp = np.sqrt(gamma / 6.0)
     ops = (np.sqrt(1.0 - 2.0 * gamma / 3.0) * np.eye(3, dtype=complex),
            amp * up, amp * up.conj(), amp * down, amp * down.conj())
-    return KrausChannel(3, ops, family="trit-phase-flip", gamma=float(gamma))
+    return KrausChannel(3, ops)
 
 
 def depolarizing_kraus(gamma: float) -> KrausChannel:
@@ -146,11 +144,11 @@ def depolarizing_kraus(gamma: float) -> KrausChannel:
     ops = [np.sqrt(1.0 - 8.0 * gamma / 9.0) * np.eye(3, dtype=complex)]
     ops += [scale * (np.linalg.matrix_power(down, a) @ np.linalg.matrix_power(clock, b))
             for a in range(3) for b in range(3) if (a, b) != (0, 0)]
-    return KrausChannel(3, tuple(ops), family="depolarizing", gamma=float(gamma))
+    return KrausChannel(3, tuple(ops))
 
 
 def identity_kraus(d: int = 3) -> KrausChannel:
-    return KrausChannel(d, (np.eye(d, dtype=complex),), family="custom", gamma=0.0)
+    return KrausChannel(d, (np.eye(d, dtype=complex),))
 
 
 _FAMILY_BUILDERS = {

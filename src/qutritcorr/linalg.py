@@ -85,10 +85,6 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "dims", (d1, d2))
 
-    @property
-    def dim(self) -> int:
-        return self.dims[0] * self.dims[1]
-
 
 def validate_density_matrix(matrix: np.ndarray, dims: tuple[int, int]) -> DensityMatrix:
     """Certify a raw matrix as a density matrix or raise ValidationError."""

@@ -53,19 +53,16 @@ class BlochDecomposition:
 
 
 @lru_cache(maxsize=None)
-def _generator_stacks(d1: int, d2: int):
+def _generator_table(d1: int, d2: int) -> np.ndarray:
+    """Rows vec(op^T) of the operators g_k x I, then I x g_l, then g_k x g_l,
+    so that Tr(op rho) = row . vec(rho); read-only, (d1^2 d2^2 - 1, d1^2 d2^2)."""
     gen_a, gen_b = su_generators(d1), su_generators(d2)
     eye_a, eye_b = np.eye(d1), np.eye(d2)
-    a_ops = np.stack([np.kron(g, eye_b) for g in gen_a])
-    b_ops = np.stack([np.kron(eye_a, g) for g in gen_b])
-    ab_ops = np.stack([np.stack([np.kron(ga, gb) for gb in gen_b]) for ga in gen_a])
-    # Tr(op rho) = vec(op^T) . vec(rho): one row per a, b and ab operator.
-    n = (d1 * d2) ** 2
-    traces = np.concatenate([ops.swapaxes(-1, -2).reshape(-1, n)
-                             for ops in (a_ops, b_ops, ab_ops)])
-    for arr in (a_ops, b_ops, ab_ops, traces):
-        arr.setflags(write=False)
-    return a_ops, b_ops, ab_ops, traces
+    ops = ([np.kron(g, eye_b) for g in gen_a] + [np.kron(eye_a, g) for g in gen_b]
+           + [np.kron(ga, gb) for ga in gen_a for gb in gen_b])
+    table = np.stack(ops).swapaxes(-1, -2).reshape(len(ops), -1)
+    table.setflags(write=False)
+    return table
 
 
 def bloch_decomposition(rho: DensityMatrix) -> BlochDecomposition:
@@ -73,9 +70,9 @@ def bloch_decomposition(rho: DensityMatrix) -> BlochDecomposition:
     z_l = (d2/2) Tr(rho I x g_l), v_kl = (d1 d2/4) Tr(rho g_k x g_l)."""
     d1, d2 = rho.dims
     n1, n2 = d1 * d1 - 1, d2 * d2 - 1
-    traces = _generator_stacks(d1, d2)[3]
+    table = _generator_table(d1, d2)
     lead = rho.matrix.shape[:-2]
-    coeffs = rho.matrix.reshape(-1, traces.shape[1]) @ traces.T
+    coeffs = rho.matrix.reshape(-1, table.shape[1]) @ table.T
     y = 0.5 * d1 * coeffs[:, :n1].reshape(lead + (n1,))
     z = 0.5 * d2 * coeffs[:, n1:n1 + n2].reshape(lead + (n2,))
     v = 0.25 * d1 * d2 * coeffs[:, n1 + n2:].reshape(lead + (n1, n2))
@@ -87,13 +84,11 @@ def bloch_decomposition(rho: DensityMatrix) -> BlochDecomposition:
 
 def bloch_synthesis(dec: BlochDecomposition, dims: tuple[int, int]) -> np.ndarray:
     """Inverse of bloch_decomposition: rebuild the density matrix (or stack)."""
-    d1, d2 = dims
-    a_ops, b_ops, ab_ops, _ = _generator_stacks(d1, d2)
-    mat = (np.eye(d1 * d2, dtype=complex)
-           + np.einsum("...k,kij->...ij", dec.y_a, a_ops)
-           + np.einsum("...l,lij->...ij", dec.z_b, b_ops)
-           + np.einsum("...kl,klij->...ij", dec.corr, ab_ops))
-    return mat / (d1 * d2)
+    # The operators are Hermitian, so a conjugated table row is vec(op).
+    d = dims[0] * dims[1]
+    lead = dec.y_a.shape[:-1]
+    coeffs = np.concatenate([dec.y_a, dec.z_b, dec.corr.reshape(lead + (-1,))], axis=-1)
+    return (np.eye(d) + (coeffs @ _generator_table(*dims).conj()).reshape(lead + (d, d))) / d
 
 
 def negativity(rho: DensityMatrix) -> float | np.ndarray:

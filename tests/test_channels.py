@@ -145,6 +145,13 @@ def test_depolarizing_operator_basis_is_shift_clock():
         np.testing.assert_allclose(op, scale * ref, atol=1e-15)
 
 
+def test_kraus_channel_rejects_empty_and_misshapen_sets():
+    with pytest.raises(ValueError, match="at least one"):
+        KrausChannel(3, ())
+    with pytest.raises(ValueError, match="does not match dim 3"):
+        KrausChannel(3, (np.eye(3, dtype=complex), np.eye(2, dtype=complex)))
+
+
 def test_validate_kraus_flags_missing_operator():
     ch = KrausChannel(3, (np.eye(3, dtype=complex) * 0.5,))
     diag = validate_kraus(ch)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import qutritcorr.cli as cli
-from qutritcorr import SweepDataset, SweepRange
+import qutritcorr.validation as validation
+from qutritcorr import SweepDataset, SweepRange, ValidationError, make_bell_state
 
 
 def run_cli(argv):
@@ -195,6 +196,15 @@ def test_preset_explicit_outdir_beats_env(tmp_path, monkeypatch):
     assert not (tmp_path / "fromenv").exists()
 
 
+def test_preset_outdir_below_a_file_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_preset", lambda name, **kw: fake_datasets())
+    (tmp_path / "plain").write_text("kept\n")
+    rc = run_cli(["preset", "--name", "fig1", "--outdir", str(tmp_path / "plain" / "out")])
+    assert rc == 3
+    assert "cannot create" in capsys.readouterr().err
+    assert (tmp_path / "plain").read_text() == "kept\n"
+
+
 def test_preset_rejects_unknown_name(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["preset", "--name", "fig99"])
@@ -216,6 +226,26 @@ def test_validate_flags_unnormalized_weights(capsys):
     assert rc == 1
     captured = capsys.readouterr()
     assert "unnormalized" in captured.err
+
+
+def test_validate_fails_when_an_evolved_state_is_refused(monkeypatch, capsys):
+    # every random start's evolution is refused; the Bell closed-form checks
+    # still see the real evolve
+    real_evolve, bell = validation.evolve, make_bell_state(3).matrix
+
+    def evolve(rho, *args):
+        if not np.array_equal(rho.matrix, bell):
+            raise ValidationError("not a density matrix: psd off by 3.000e-09", {"psd": 3e-9})
+        return real_evolve(rho, *args)
+
+    monkeypatch.setattr(validation, "evolve", evolve)
+    checks = {c.name: c for c in validation.run_validation(restarts=2, oracle_states=1)}
+    evolved = checks.pop("evolved states valid")
+    assert not evolved.passed
+    assert evolved.max_deviation == 3e-9
+    assert all(c.passed for c in checks.values())
+    assert run_cli(["validate", "--oracle-states", "1", "--restarts", "2"]) == 1
+    assert "failed: evolved states valid" in capsys.readouterr().err
 
 
 def test_library_value_errors_exit_2(capsys):

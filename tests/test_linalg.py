@@ -95,6 +95,11 @@ def test_partial_transpose_rejects_unknown_subsystem():
         partial_transpose(make_bell_state(3), "C")
 
 
+def test_partial_trace_rejects_unknown_subsystem():
+    with pytest.raises(ValueError, match="keep must be"):
+        partial_trace(make_bell_state(3), keep="C")
+
+
 def test_partial_trace_of_product_state():
     rho_a = random_density_matrix(3, rng=RNG).matrix
     rho_b = random_density_matrix(3, rng=RNG).matrix
@@ -198,6 +203,14 @@ def test_validate_density_matrix_accepts_and_rejects():
         validate_density_matrix(bad_psd, (3, 3))
     assert abs(exc.value.violations["psd"] - 0.1) < 1e-12
 
+    for entry in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(np.full((9, 9), entry), (3, 3))
+    with pytest.raises(ValueError, match="expected a 9x9"):
+        DensityMatrix(np.eye(3) / 3.0, (3, 3))
+    with pytest.raises(ValueError, match="must be positive"):
+        DensityMatrix(np.eye(3) / 3.0, (0, 3))
+
 
 def test_density_matrix_is_frozen():
     rho = make_bell_state(3)
@@ -214,6 +227,12 @@ def test_random_density_matrix_is_valid_and_seeded():
     rank2 = random_density_matrix(3, 3, rank=2, rng=RNG)
     eigs = hermitian_eigenvalues(rank2.matrix)
     assert np.sum(eigs > 1e-10) == 2
+
+
+@pytest.mark.parametrize("rank", [0, 10])
+def test_random_density_matrix_rejects_rank_out_of_range(rank):
+    with pytest.raises(ValueError, match=r"rank must be in 1\.\.9"):
+        random_density_matrix(3, 3, rank=rank, rng=RNG)
 
 
 def test_random_unitary_is_unitary():

@@ -62,6 +62,8 @@ def test_project_measurement_rejects_non_unitary():
         project_measurement(rho, np.ones((3, 3)))
     with pytest.raises(ValueError):
         project_measurement(rho, np.eye(3), side="C")
+    with pytest.raises(ValueError, match=r"basis must be 3x3, got shape \(2, 2\)"):
+        project_measurement(rho, np.eye(2))
     # the unitarity deviation of a NaN basis is NaN, which must not pass
     with pytest.raises(ValueError, match="not unitary"):
         project_measurement(rho, np.full((3, 3), np.nan))
@@ -325,7 +327,7 @@ def test_gd_exact_stops_at_stationary_starts_on_flat_landscapes(make_state, p):
     starts = oracle._start_bases(3, 0, 32)
     assert any(np.array_equal(result.basis, start) for start in starts)
     assert abs(result.value - analytic_gd_isotropic(p, RAW_CONVENTION)) <= 1e-14
-    assert result.residual <= oracle.STATIONARY_TOL
+    assert result.residual <= oracle.NEWTON_TOL
 
 
 def test_start_bases_cache_is_read_only_and_unchanged():

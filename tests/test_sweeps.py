@@ -45,6 +45,14 @@ def test_config_validation_names_fields():
                          t=SweepRange(0, 1, 3))
     assert exc.value.field == "t"
 
+    with pytest.raises(ConfigError) as exc:
+        time_config("dephasing", "dephasing", 0.5, 0.5, SweepRange(0, 1, 3), oracle_restarts=0)
+    assert exc.value.field == "oracle_restarts"
+
+    with pytest.raises(ConfigError) as exc:
+        time_config("dephasing", "dephasing", 0.5, float("nan"), SweepRange(0, 1, 3))
+    assert exc.value.field == "q_b"
+
 
 def test_sweep_mode_is_derived_and_read_only():
     cfg = time_config("dephasing", "dephasing", 0.5, 0.5, SweepRange(0, 1, 3))
