@@ -4,6 +4,7 @@ closed-form references for the channel dynamics."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -14,13 +15,12 @@ from .linalg import DensityMatrix, su_generators
 from .measures import GdConvention, PAPER_CONVENTION
 
 UNITARITY_TOL = 1e-10
-# Newton: Hessian difference step, the gradient norm at which a restart is
-# stationary and no longer descended (generic starts sit at about 1e-2, flat
-# landscapes of U x U*-invariant states at about 1e-17), step count, step-norm
-# cap. A step is taken if it raises f by at most its rounding, ROUNDING_SLACK
-# |rho|^2 (up to 0.9e-15 |rho|^2 on random states; a slack of 1e-15 strands
-# restarts at about 1e-9), and lowers f or the gradient norm.
-HESSIAN_STEP, NEWTON_TOL, NEWTON_ITERATIONS, MAX_STEP, ROUNDING_SLACK = 1e-4, 1e-13, 60, 0.5, 1e-14
+# Newton: the gradient norm at which a restart is stationary (generic starts sit
+# at about 1e-2, flat landscapes of U x U*-invariant states at about 1e-17), step
+# count, step-norm cap. A step is taken if it lowers f or the gradient norm and
+# raises f by at most its rounding, ROUNDING_SLACK |rho|^2 (up to 0.9e-15 |rho|^2
+# on random states; a slack of 1e-15 strands restarts at about 1e-9).
+NEWTON_TOL, NEWTON_ITERATIONS, MAX_STEP, ROUNDING_SLACK = 1e-13, 60, 0.5, 1e-14
 
 
 # Slots leave out the per-instance dict, which callers keeping many results pay.
@@ -29,7 +29,7 @@ class OracleResult:
     """Outcome of the measurement-basis search.
 
     value is the minimal squared Hilbert-Schmidt distance found, basis the
-    unitary whose columns realize it, residual the Frobenius norm of the
+    read-only unitary whose columns realize it, residual the Frobenius norm of the
     Riemannian gradient at that basis: about 1e-13 or less once Newton has
     converged, so a larger one flags a search that stopped short.
     """
@@ -69,40 +69,78 @@ def project_measurement(rho: DensityMatrix, basis: np.ndarray, side: str = "A") 
     return DensityMatrix(_apply_superoperators(rho.matrix, rho.dims, s_a, s_b), rho.dims)
 
 
-def _gram(rho4: np.ndarray) -> np.ndarray:
-    """K[(x,y), (x',y')] = Tr(rho_xy^H rho_x'y') over the conditional blocks
-    rho_xy = <x|rho|y> of the measured side."""
+@lru_cache(maxsize=4)
+def _hermitian_parts(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The real coordinates of a Hermitian d x d matrix M, Re M_kk, then Re M_kl
+    and Im M_kl for k < l. Returns, read-only, their positions in the float view
+    of vec(M), the units H_a whose coordinates are e_a, and conj(vec(H_a)) / |H_a|."""
+    parts = [(k, k, 0) for k in range(d)] + [
+        (k, l, im) for im in (0, 1) for k in range(d) for l in range(k + 1, d)]
+    units = np.zeros((d * d, d, d), dtype=complex)
+    for unit, (k, l, im) in zip(units, parts):
+        unit[k, l], unit[l, k] = 1j ** im, (-1j) ** im
+    out = (np.array([2 * (k * d + l) + im for k, l, im in parts]), units,
+           units.reshape(d * d, -1).conj() / np.linalg.norm(units, axis=(1, 2))[:, None])
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _operator_rows(rho4: np.ndarray) -> np.ndarray:
+    """Rows vec(A_mu) of rho = sum_mu A_mu (x) B_mu, B_mu = H_mu / |H_mu| on the
+    unmeasured side (`_hermitian_parts`): (A_mu)_xy = Tr(<x|rho|y> B_mu)."""
     d, d2 = rho4.shape[:2]
-    blocks = rho4.transpose(0, 2, 1, 3).reshape(d * d, d2 * d2)
-    return blocks.conj() @ blocks.T
+    return _hermitian_parts(d2)[2] @ rho4.transpose(0, 2, 1, 3).reshape(d * d, d2 * d2).T
 
 
-def _evaluate(gram: np.ndarray, norm_sq: float, bases: np.ndarray):
-    """Objective of each basis in the (n, d, d) stack, and the products
-    K c_k, shaped (n, d*d, d), that its gradient reuses."""
-    # The measured state is an orthogonal projection of rho in
-    # Hilbert-Schmidt space, so the squared distance splits as
-    # |rho|^2 - sum_k |<u_k|rho|u_k>|^2 over the conditional blocks, and
-    # |<u_k|rho|u_k>|^2 = c_k^H K c_k with c_k = vec(conj(u_k) u_k^T).
+def _sandwiches(ops: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """Real coordinates (n, mu, d^2) of M_mu = U^H A_mu U for each basis U of
+    the stack: the rows of ops @ kron(conj(U), U) are the vec(M_mu)."""
     n, d = bases.shape[0], bases.shape[-1]
-    coef = (bases.conj()[:, :, None, :] * bases[:, None, :, :]).reshape(n, d * d, d)
-    kc = gram @ coef
-    # Re(conj(c) Kc) summed over all entries, as one real dot product per basis
-    return norm_sq - np.einsum("nij,nij->n", coef.view(float), kc.view(float)), kc
+    w = (bases.conj()[:, :, None, :, None] * bases[:, None, :, None, :]).reshape(n, d * d, d * d)
+    return (ops @ w).view(float)[..., _hermitian_parts(d)[0]]
 
 
-def _gradient(kc: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    """Riemannian gradient X of the objective at each basis U of the stack:
-    f(exp(i s H) U) = f(U) + s Tr(H X) + O(s^2) for Hermitian H.
+@lru_cache(maxsize=4)
+def _readout_table(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The fixed map from Q's upper triangle (`_readout`) to sum_k Q_kk, the
+    gradient and the Hessian of h -> f(U exp(i sum_j h_j g_j)) at h = 0: with
+    L_j the real matrix of M -> i[M, g_j], S_jl = (L_j L_l + L_l L_j) / 2 and
+    k over the diagonal coordinates, f = |rho|^2 - sum_k Q_kk, grad_j = -2 sum_k
+    (L_j Q)_kk, hess_jl = -2 sum_k (L_j Q L_l^T + S_jl Q)_kk. Returns, read-only,
+    the flat positions of the upper triangle, row by row, and the table."""
+    index, units, _ = _hermitian_parts(d)
+    gens, dd, m = np.array(su_generators(d)), d * d, d * d - 1
+    comm = 1j * (units[None] @ gens[:, None] - gens[:, None] @ units[None])
+    lifts = comm.reshape(m, dd, dd).view(float)[..., index].swapaxes(-1, -2)
+    turns, first, pick = lifts[:, None] @ lifts[None], lifts[:, :d], np.eye(dd)[:d]
+    hess = (first[:, None].swapaxes(-1, -2) @ first[None]
+            + ((turns + turns.swapaxes(0, 1)) / 2.0)[:, :, :d].swapaxes(-1, -2) @ pick)
+    coef = np.concatenate([(pick.T @ pick)[None], -2.0 * first.swapaxes(-1, -2) @ pick,
+                           -2.0 * hess.reshape(m * m, dd, dd)])
+    rows, cols = np.triu_indices(dd)  # Q is symmetric: fold each pair onto one entry
+    out = (rows * dd + cols, (coef[:, rows, cols] + (rows != cols) * coef[:, cols, rows]).T.copy())
+    for a in out:
+        a.setflags(write=False)
+    return out
 
-    X = -2i (U W^H - W U^H) with W[:, k] = Z_k u_k and
-    Z_k[x, y] = conj((K c_k)[x d + y]); X is traceless Hermitian, and its
-    Frobenius norm is the steepest slope over unit-norm directions H.
-    """
+
+def _readout(ops: np.ndarray, norm_sq: float, bases: np.ndarray, hessian: bool = True):
+    """Objective, gradient coordinates, gradient norm |X|_F and Hessian of each
+    basis U of the stack in the right frame U -> U exp(i sum_j h_j g_j), read by
+    one product with `_readout_table` from the rotated Gram matrix Q = sum_mu
+    m_mu m_mu^T, m_mu the real coordinates of M_mu = U^H A_mu U. As Tr(g_j g_l)
+    = 2 delta_jl, |X|_F^2 = sum_j grad_j^2 / 2. f and grad read only Q's first d
+    rows, which lead its upper triangle: with hessian=False only those are built."""
     n, d = bases.shape[0], bases.shape[-1]
-    w_conj = np.einsum("nxyk,nyk->nxk", kc.reshape(n, d, d, d), bases.conj())
-    uw = bases @ w_conj.swapaxes(-1, -2)
-    return -2j * (uw - uw.conj().swapaxes(-1, -2))
+    m, rows = d * d - 1, d * d if hessian else d
+    upper, table = _readout_table(d)
+    entries = upper[upper < rows * d * d]
+    coords = _sandwiches(ops, bases)
+    q = (coords[..., :rows].swapaxes(-1, -2) @ coords).reshape(n, 1, -1)[..., entries]
+    out = (q @ table[:len(entries), :None if hessian else 1 + m])[:, 0]
+    grads, hess = out[:, 1:1 + m], out[:, 1 + m:].reshape(n, m, m) if hessian else None
+    return norm_sq - out[:, 0], grads, np.sqrt((grads * grads).sum(axis=-1) / 2.0), hess
 
 
 @lru_cache(maxsize=16)
@@ -116,28 +154,22 @@ def _start_bases(d: int, seed: int, restarts: int) -> np.ndarray:
     return bases
 
 
-def _plane_matrix(gram: np.ndarray, bases: np.ndarray, p: int, q: int) -> np.ndarray:
-    """G = sum_mu g_mu g_mu^T of each basis in the plane (p, q), with
-    g_mu = [M_pp - M_qq, 2 Re M_pq, 2 Im M_pq] over M_mu = U^H A_mu U and
-    rho = sum_mu A_mu (x) B_mu (B_mu an orthonormal Hermitian basis of the
-    unmeasured side). As g_mu = vec(A_mu)^T E and K = sum_mu conj(vec A_mu)
-    vec(A_mu)^T, G = Re(E^H K E), where E's columns are vec(P_pp - P_qq),
-    vec(P_pq + P_qp) and -i vec(P_pq - P_qp) with P_kl = conj(u_k) u_l^T."""
-    n, d = bases.shape[0], bases.shape[-1]
-    up, uq = bases[..., p], bases[..., q]
-    pp, pq, qp, qq = ((a.conj()[:, :, None] * b[:, None, :]).reshape(n, d * d)
-                      for a, b in ((up, up), (up, uq), (uq, up), (uq, uq)))
-    e = np.stack([pp - qq, pq + qp, -1j * (pq - qp)], axis=-1)
-    return (e.conj().swapaxes(-1, -2) @ (gram @ e)).real
+def _plane_matrix(ops: np.ndarray, bases: np.ndarray, p: int, q: int) -> np.ndarray:
+    """G = sum_mu g_mu g_mu^T of each basis in the plane (p, q), read from the real
+    coordinates of M_mu = U^H A_mu U as g_mu = [M_pp - M_qq, 2 Re M_pq, 2 Im M_pq]."""
+    d, m = bases.shape[-1], _sandwiches(ops, bases)
+    pq = d + [(k, l) for k in range(d) for l in range(k + 1, d)].index((p, q))
+    g = np.stack([m[..., p] - m[..., q], 2.0 * m[..., pq], 2.0 * m[..., pq + d * (d - 1) // 2]], -1)
+    return g.swapaxes(-1, -2) @ g
 
 
-def _jacobi_turn(gram: np.ndarray, bases: np.ndarray, p: int, q: int) -> None:
+def _jacobi_turn(ops: np.ndarray, bases: np.ndarray, p: int, q: int) -> None:
     """Turn each basis of the stack in the plane (p, q), U <- U V with
     V = [[c, -s*], [s, c]], to the objective's minimum there, in place. After
     the turn sum_mu (M_pp - M_qq)^2 = v^T G v with v = [cos 2theta, ...], so
     the top eigenvector of G is the best turn (Cardoso & Souloumiac, SIAM J.
     Matrix Anal. Appl. 17 (1996) 161)."""
-    x, y, z = np.linalg.eigh(_plane_matrix(gram, bases, p, q))[1][..., -1].T
+    x, y, z = np.linalg.eigh(_plane_matrix(ops, bases, p, q))[1][..., -1].T
     x, y, z = np.copysign(1.0, x) * np.array([x, y, z])
     c = np.sqrt((1.0 + x) / 2.0)[:, None]
     s = (y - 1j * z)[:, None] / (2.0 * c)
@@ -145,60 +177,32 @@ def _jacobi_turn(gram: np.ndarray, bases: np.ndarray, p: int, q: int) -> None:
     bases[..., p], bases[..., q] = c * up + s * uq, c * uq - s.conj() * up
 
 
-def _coordinates(gens: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Tr(g_j X) for each generator g_j and each X of the stack."""
-    return np.einsum("jab,nba->nj", gens, x).real
-
-
-def _hessian(gram, norm_sq, bases, gens, stencil):
-    """Hessian of h -> f(exp(i sum_j h_j g_j) U) at h = 0 for each basis: central
-    differences of the gradient coordinates over stencil = exp(+-i HESSIAN_STEP
-    g_j), symmetrised (the antisymmetric part is the frame's own turn). The
-    moved bases of 8 restarts share one evaluation, whose temporaries (about
-    150 KB; 600 KB for 32 restarts) the process keeps resident."""
-    moved = (stencil[None] @ bases[:, None]).reshape(-1, *bases.shape[1:])
-    rows = 8 * len(stencil)
-    grads = np.concatenate([_coordinates(gens, _gradient(_evaluate(gram, norm_sq, part)[1], part))
-                            for part in (moved[i:i + rows] for i in range(0, len(moved), rows))])
-    plus, minus = grads.reshape(len(bases), 2, len(gens), len(gens)).swapaxes(0, 1)
-    hess = (plus - minus) / (2.0 * HESSIAN_STEP)
-    return (hess + hess.swapaxes(-1, -2)) / 2.0
-
-
-def _newton(gram, norm_sq, bases, min_step):
-    """Damped Newton steps U -> exp(i sum_j h_j g_j) U for every restart of the
-    stack in lockstep; moves it in place, returns its values and gradient norms.
-    Hessian eigenvalues enter by modulus, so saddles are left downhill; those
-    at most 1e-4 of the largest, the gauge U -> U diag(phases), are dropped."""
+def _newton(ops, norm_sq, bases, min_step):
+    """Damped Newton steps U -> U exp(i sum_j h_j g_j) for every restart of the
+    stack in lockstep, in place; returns the values and gradient norms. Hessian
+    eigenvalues enter by modulus, so saddles are left downhill; those at most
+    1e-4 of the largest, the gauge U -> U diag(phases), are dropped."""
     gens = np.array(su_generators(bases.shape[-1]))
-    stencil = _expi(np.concatenate([HESSIAN_STEP * gens, -HESSIAN_STEP * gens]))
-
-    def evaluate(b):  # values, gradient coordinates and gradient norms |X|_F
-        vals, kc = _evaluate(gram, norm_sq, b)
-        x = _gradient(kc, b)
-        return vals, _coordinates(gens, x), np.linalg.norm(x, axis=(-2, -1))
-
-    vals, grads, norms = evaluate(bases)
+    vals, grads, norms, hess = _readout(ops, norm_sq, bases)
     live = np.flatnonzero(norms > NEWTON_TOL)
     for _ in range(NEWTON_ITERATIONS):
         if not live.size:
             break
-        w, v = np.linalg.eigh(_hessian(gram, norm_sq, bases[live], gens, stencil))
+        w, v = np.linalg.eigh(hess[live])
         w = np.abs(w)
         inv_w = np.divide(1.0, w, out=np.zeros_like(w),
                           where=w > 1e-4 * w.max(axis=-1, keepdims=True))
         step = -np.einsum("nji,ni,nki,nk->nj", v, inv_w, v, grads[live])
         step *= MAX_STEP / np.maximum(np.linalg.norm(step, axis=-1, keepdims=True), MAX_STEP)
-        stepped = np.zeros(len(live), dtype=bool)
-        pending, scale = np.arange(len(live)), 1.0
+        stepped, pending, scale = np.zeros(len(live), dtype=bool), np.arange(len(live)), 1.0
         while pending.size and scale >= min_step:  # halve the step until it passes
             idx = live[pending]
-            cand = _expi(np.einsum("nj,jab->nab", scale * step[pending], gens)) @ bases[idx]
-            c_vals, c_grads, c_norms = evaluate(cand)
+            cand = bases[idx] @ _expi(np.einsum("nj,jab->nab", scale * step[pending], gens))
+            c_vals, c_grads, c_norms, c_hess = _readout(ops, norm_sq, cand)
             ok = (c_vals <= vals[idx] + ROUNDING_SLACK * norm_sq) & (
                 (c_vals < vals[idx]) | (c_norms < norms[idx]))
             bases[idx[ok]], vals[idx[ok]] = cand[ok], c_vals[ok]
-            grads[idx[ok]], norms[idx[ok]] = c_grads[ok], c_norms[ok]
+            grads[idx[ok]], hess[idx[ok]], norms[idx[ok]] = c_grads[ok], c_hess[ok], c_norms[ok]
             stepped[pending[ok]] = True
             pending = pending[~ok]
             scale *= 0.5
@@ -212,17 +216,15 @@ def gd_exact(rho: DensityMatrix, restarts: int = 32, seed: int = 0, side: str = 
     measured version over von Neumann measurement bases on one side.
 
     Restart r starts from exp(i H), H a Gaussian Hermitian matrix drawn from
-    default_rng([seed, r]) and cached per process, and all restarts descend
-    together as one stack. A restart whose start is already stationary (flat
-    landscapes, such as isotropic states) stays there. The others take two
-    Jacobi sweeps of closed-form plane turns (the objective is a joint
-    diagonalisation criterion), then damped Newton steps (`_newton`) until the
-    gradient norm is at most NEWTON_TOL (1e-13) or a step fails. min_step is
-    the smallest step the backtracking tries; tol is validated but unused.
-    residual is the Riemannian gradient norm at the returned basis.
-    """
-    if restarts < 1:
-        raise ValueError(f"need at least one restart, got {restarts}")
+    default_rng([seed, r]) and cached per process. A restart whose start is
+    stationary (flat landscapes, such as isotropic states) stays there; the
+    others take two Jacobi sweeps of plane turns, then damped Newton steps, all
+    restarts as one stack. min_step is the smallest step the backtracking
+    tries; tol is validated but unused."""
+    for name, value, least in (("restarts", restarts, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    restarts, seed = int(restarts), int(seed)
     if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
     if not (math.isfinite(tol) and tol >= 0.0):
@@ -230,25 +232,23 @@ def gd_exact(rho: DensityMatrix, restarts: int = 32, seed: int = 0, side: str = 
     if not (math.isfinite(min_step) and 0.0 < min_step <= 0.5):
         raise ValueError(f"min_step must lie in (0, 0.5], got {min_step}")
     rho4 = rho.matrix.reshape(rho.dims * 2)  # measured side first
-    rho4 = rho4 if side == "A" else rho4.transpose(1, 0, 3, 2)
-    d = rho4.shape[0]
-    gram = _gram(rho4)
+    ops = _operator_rows(rho4 if side == "A" else rho4.transpose(1, 0, 3, 2))
+    d = rho.dims[0 if side == "A" else 1]
     norm_sq = float(np.vdot(rho.matrix, rho.matrix).real)
-    bases = _start_bases(d, seed, restarts).copy()
-    vals, kc = _evaluate(gram, norm_sq, bases)
-    # Stationary starts (flat landscapes) are left where they are, and checked
-    # before anything else is built.
-    norms = np.linalg.norm(_gradient(kc, bases), axis=(-2, -1))
-    live = np.flatnonzero(norms > NEWTON_TOL)
-    if live.size:
-        cur = bases[live]
+    starts = _start_bases(d, seed, restarts)
+    bases = starts.copy()
+    vals, _, norms, _ = _readout(ops, norm_sq, bases, hessian=False)
+    moved = norms > NEWTON_TOL  # stationary starts stay where they are
+    if moved.any():
+        cur = bases[moved]
         for p, q in [(p, q) for p in range(d) for q in range(p + 1, d)] * 2:
-            _jacobi_turn(gram, cur, p, q)  # two Jacobi sweeps
-        vals[live], norms[live] = _newton(gram, norm_sq, cur, float(min_step))
-        bases[live] = cur
+            _jacobi_turn(ops, cur, p, q)  # two Jacobi sweeps
+        vals[moved], norms[moved] = _newton(ops, norm_sq, cur, float(min_step))
+        bases[moved] = cur
     best = int(np.argmin(vals))
-    # A copy of the basis, so the result does not keep the whole stack alive.
-    return OracleResult(value=float(max(vals[best], 0.0)), basis=bases[best].copy(),
+    basis = bases[best].copy() if moved[best] else starts[best]  # starts are shared
+    basis.setflags(write=False)
+    return OracleResult(value=float(max(vals[best], 0.0)), basis=basis,
                         restarts_used=restarts, seed=seed, residual=float(norms[best]))
 
 

@@ -6,7 +6,8 @@ import pytest
 
 import qutritcorr.cli as cli
 import qutritcorr.validation as validation
-from qutritcorr import SweepDataset, SweepRange, ValidationError, make_bell_state
+from qutritcorr import (DensityMatrix, SweepDataset, SweepRange, ValidationError, evolve,
+                        gd_exact, make_bell_state)
 
 
 def run_cli(argv):
@@ -79,6 +80,24 @@ def test_run_oracle_column(tmp_path):
     assert rc == 0
     body = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     assert body[0] == "t,q1,q2,negativity,gd_lower,gd_exact"
+
+
+def test_run_oracle_column_is_gd_exact_row_by_row(tmp_path):
+    # a 3x3 rate grid whose first row (q_a = q_b = 0) is the Bell state, whose
+    # landscape is flat; JSON keeps every float exactly
+    out = tmp_path / "grid.json"
+    rc = run_cli(["run", "--channel-a", "dephasing", "--channel-b", "trit-phase-flip",
+                  "--qa", "0:1:3", "--qb", "0:1:3", "--t", "1", "--oracle", "--restarts", "4",
+                  "--seed", "2", "--format", "json", "--output", str(out)])
+    assert rc == 0
+    columns = json.loads(out.read_text())["columns"]
+    rho = evolve(make_bell_state(3), "dephasing", "trit-phase-flip",
+                 *(np.array(columns[key]) for key in ("q1", "q2", "t")))
+    expected = [gd_exact(DensityMatrix(state, (3, 3)), restarts=4, seed=2).value
+                for state in rho.matrix]
+    assert columns["gd_exact"] == expected
+    assert abs(expected[0] - 2.0 / 3.0) <= 1e-14
+    assert len(set(expected)) == 9
 
 
 def test_cached_parser_keeps_no_options_between_calls(tmp_path):
@@ -257,6 +276,12 @@ def test_library_value_errors_exit_2(capsys):
     assert rc == 2
     assert run_cli(["validate", "--oracle-states", "0"]) == 2
     assert "error:" in capsys.readouterr().err
+    # a negative seed is refused by name, not by numpy's generator
+    rc = run_cli(["oracle", "--channel-a", "depolarizing", "--channel-b",
+                  "depolarizing", "--qa", "0.5", "--qb", "0.5", "--t", "1.0",
+                  "--seed", "-3"])
+    assert rc == 2
+    assert "error: seed must be an integer >= 0, got -3" in capsys.readouterr().err
 
 
 def test_oracle_subcommand(capsys):

@@ -144,17 +144,36 @@ def test_gd_exact_rejects_bad_arguments():
                    {"min_step": -1e-6}, {"min_step": 1.0}):
         with pytest.raises(ValueError):
             gd_exact(rho, restarts=8, **kwargs)
+    # seeds and restart counts are refused by name, before any start is drawn
+    misses = oracle._start_bases.cache_info().misses
+    for kwargs in ({"seed": -1}, {"seed": 2.5}, {"seed": True}, {"seed": "3"},
+                   {"restarts": 2.5}, {"restarts": "8"}):
+        (name, value), = kwargs.items()
+        with pytest.raises(ValueError, match=name):
+            gd_exact(rho, **kwargs)
+    assert oracle._start_bases.cache_info().misses == misses
+    result = gd_exact(rho, restarts=np.int64(2), seed=np.uint8(3))
+    assert result.restarts_used == 2 and result.seed == 3
 
 
 def _landscape(rho):
-    gram = oracle._gram(rho.matrix.reshape(3, 3, 3, 3))
-    return gram, float(np.vdot(rho.matrix, rho.matrix).real)
+    ops = oracle._operator_rows(rho.matrix.reshape(3, 3, 3, 3))
+    return ops, float(np.vdot(rho.matrix, rho.matrix).real)
+
+
+GENERATORS = np.array(su_generators(3))
+
+
+def _values(ops, norm_sq, bases):
+    return oracle._readout(ops, norm_sq, bases)[0]
 
 
 def _gradient_at(rho, basis):
-    gram, norm_sq = _landscape(rho)
-    bases = np.asarray(basis)[None]
-    return oracle._gradient(oracle._evaluate(gram, norm_sq, bases)[1], bases)[0]
+    """The right-frame gradient matrix Y, f(U exp(i s H)) = f(U) + s Tr(H Y) +
+    O(s^2), from the gradient coordinates Tr(g_j Y) (Tr(g_j g_l) = 2 delta_jl)."""
+    ops, norm_sq = _landscape(rho)
+    grads = oracle._readout(ops, norm_sq, np.asarray(basis)[None])[1][0]
+    return np.einsum("j,jab->ab", grads, GENERATORS) / 2.0
 
 
 def test_riemannian_gradient_matches_central_differences():
@@ -162,23 +181,47 @@ def test_riemannian_gradient_matches_central_differences():
     h = 1e-5
     for _ in range(4):
         rho = random_density_matrix(3, 3, rng=rng)
-        gram, norm_sq = _landscape(rho)
+        ops, norm_sq = _landscape(rho)
         basis = random_unitary(3, rng=rng)
         grad = _gradient_at(rho, basis)
         np.testing.assert_allclose(grad, grad.conj().T, atol=1e-15)
+        # each coordinate, along the right-frame turns U exp(+-i h g_j)
+        coords = oracle._readout(ops, norm_sq, basis[None])[1][0]
+        turns = oracle._expi(np.concatenate([h * GENERATORS, -h * GENERATORS]))
+        plus, minus = _values(ops, norm_sq, basis @ turns).reshape(2, -1)
+        np.testing.assert_allclose(coords, (plus - minus) / (2.0 * h), rtol=0.0, atol=1e-9)
         for _ in range(3):
             g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             direction = (g + g.conj().T) / 2.0
             steps = oracle._expi(np.array([h * direction, -h * direction]))
-            plus, minus = oracle._evaluate(gram, norm_sq, steps @ basis)[0]
+            plus, minus = _values(ops, norm_sq, basis @ steps)
             assert abs(np.trace(direction @ grad).real - (plus - minus) / (2.0 * h)) < 1e-9
+
+
+def test_first_order_readout_reads_only_the_diagonal_rows_of_q():
+    # the objective and the gradient have no coefficient outside Q's first
+    # three rows, which lead its upper triangle, so building only those rows
+    # gives what the full readout gives
+    upper, table = oracle._readout_table(3)
+    assert upper[23] // 9 == 2 and upper[24] // 9 == 3
+    assert not table[24:, :9].any()
+    rng = np.random.default_rng(13)
+    ops, norm_sq = _landscape(random_density_matrix(3, 3, rng=rng))
+    bases = np.array([random_unitary(3, rng=rng) for _ in range(6)])
+    vals, grads, norms, _ = oracle._readout(ops, norm_sq, bases)
+    first_vals, first_grads, first_norms, hess = oracle._readout(ops, norm_sq, bases,
+                                                                 hessian=False)
+    assert hess is None
+    np.testing.assert_allclose(first_vals, vals, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(first_grads, grads, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(first_norms, norms, rtol=0.0, atol=1e-15)
 
 
 def _side_landscape(rho, side):
     rho4 = rho.matrix.reshape(3, 3, 3, 3)
     if side == "B":
         rho4 = rho4.transpose(1, 0, 3, 2)
-    return rho4, oracle._gram(rho4), float(np.vdot(rho.matrix, rho.matrix).real)
+    return rho4, oracle._operator_rows(rho4), float(np.vdot(rho.matrix, rho.matrix).real)
 
 
 UNMEASURED = np.array([np.eye(3) / np.sqrt(3.0)] + [g / np.sqrt(2.0) for g in su_generators(3)])
@@ -199,7 +242,7 @@ def _sandwich(bases, blocks):
 def test_evaluate_is_the_joint_diagonalisation_criterion(side):
     rng = np.random.default_rng(31)
     for _ in range(4):
-        rho4, gram, norm_sq = _side_landscape(random_density_matrix(3, 3, rng=rng), side)
+        rho4, ops, norm_sq = _side_landscape(random_density_matrix(3, 3, rng=rng), side)
         blocks = _operator_blocks(rho4)
         np.testing.assert_allclose(blocks, blocks.conj().swapaxes(-1, -2), atol=1e-16)
         rebuilt = sum(np.kron(a, b) for a, b in zip(blocks, UNMEASURED))
@@ -207,8 +250,7 @@ def test_evaluate_is_the_joint_diagonalisation_criterion(side):
         bases = np.array([random_unitary(3, rng=rng) for _ in range(5)])
         diagonals = np.einsum("nmkk->nmk", _sandwich(bases, blocks)).real
         expected = norm_sq - (diagonals ** 2).sum(axis=(1, 2))
-        np.testing.assert_allclose(oracle._evaluate(gram, norm_sq, bases)[0], expected,
-                                   rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(_values(ops, norm_sq, bases), expected, rtol=0.0, atol=1e-14)
 
 
 def _plane_turns(p, q, n_theta=13, n_phi=24):
@@ -226,7 +268,7 @@ def _plane_turns(p, q, n_theta=13, n_phi=24):
 def test_jacobi_turn_lowers_objective_optimally_in_its_plane(side):
     rng = np.random.default_rng(41)
     for _ in range(3):
-        rho4, gram, norm_sq = _side_landscape(random_density_matrix(3, 3, rng=rng), side)
+        rho4, ops, norm_sq = _side_landscape(random_density_matrix(3, 3, rng=rng), side)
         blocks = _operator_blocks(rho4)
         bases = np.array([random_unitary(3, rng=rng) for _ in range(8)])
         for p, q in ((0, 1), (0, 2), (1, 2), (0, 1)):
@@ -235,13 +277,13 @@ def test_jacobi_turn_lowers_objective_optimally_in_its_plane(side):
             m = _sandwich(bases, blocks)
             g = np.stack([(m[..., p, p] - m[..., q, q]).real, 2.0 * m[..., p, q].real,
                           2.0 * m[..., p, q].imag], axis=-1)
-            np.testing.assert_allclose(oracle._plane_matrix(gram, bases, p, q),
+            np.testing.assert_allclose(oracle._plane_matrix(ops, bases, p, q),
                                        g.swapaxes(-1, -2) @ g, rtol=0.0, atol=1e-14)
-            before = oracle._evaluate(gram, norm_sq, bases)[0]
+            before = _values(ops, norm_sq, bases)
             grid = bases[:, None] @ _plane_turns(p, q)[None]
-            best_on_grid = oracle._evaluate(gram, norm_sq, grid.reshape(-1, 3, 3))[0]
-            oracle._jacobi_turn(gram, bases, p, q)
-            after = oracle._evaluate(gram, norm_sq, bases)[0]
+            best_on_grid = _values(ops, norm_sq, grid.reshape(-1, 3, 3))
+            oracle._jacobi_turn(ops, bases, p, q)
+            after = _values(ops, norm_sq, bases)
             # no restart rises, and no turn of the same plane on the grid does better
             assert np.all(after <= before + 1e-15)
             assert np.all(after <= best_on_grid.reshape(len(bases), -1).min(axis=1) + 1e-15)
@@ -249,22 +291,20 @@ def test_jacobi_turn_lowers_objective_optimally_in_its_plane(side):
                                        np.broadcast_to(np.eye(3), bases.shape), atol=1e-14)
 
 
-def test_difference_hessian_matches_second_differences_of_objective():
+def test_hessian_matches_second_differences_of_objective():
     rng = np.random.default_rng(51)
-    gens = np.array(su_generators(3))
-    stencil = oracle._expi(np.concatenate([oracle.HESSIAN_STEP * gens,
-                                           -oracle.HESSIAN_STEP * gens]))
     h = 1e-4
     for _ in range(3):
         rho = random_density_matrix(3, 3, rng=rng)
-        gram, norm_sq = _landscape(rho)
+        ops, norm_sq = _landscape(rho)
         bases = np.array([random_unitary(3, rng=rng) for _ in range(2)])
-        hess = oracle._hessian(gram, norm_sq, bases, gens, stencil)
-        # f(exp(i h (a g_j + b g_k)) U) for (a, b) = (+,+), (+,-), (-,+), (-,-)
+        hess = oracle._readout(ops, norm_sq, bases)[3]
+        # f(U exp(i h (a g_j + b g_k))) for (a, b) = (+,+), (+,-), (-,+), (-,-)
         a, b = np.array([(1, 1), (1, -1), (-1, 1), (-1, -1)]).T.reshape(2, 4, 1, 1, 1, 1)
-        turns = oracle._expi(h * (a * gens[:, None] + b * gens[None, :])).reshape(-1, 3, 3)
+        pairs = a * GENERATORS[:, None] + b * GENERATORS[None, :]
+        turns = oracle._expi(h * pairs).reshape(-1, 3, 3)
         for n, basis in enumerate(bases):
-            f = oracle._evaluate(gram, norm_sq, turns @ basis)[0].reshape(4, 8, 8)
+            f = _values(ops, norm_sq, basis @ turns).reshape(4, 8, 8)
             second = (f[0] - f[1] - f[2] + f[3]) / (4.0 * h * h)
             np.testing.assert_allclose(hess[n], second, rtol=0.0,
                                        atol=1e-6 * np.abs(second).max())
@@ -273,11 +313,11 @@ def test_difference_hessian_matches_second_differences_of_objective():
 def test_newton_restarts_do_not_depend_on_the_rest_of_the_stack():
     # each restart's arithmetic is its own, so adding restarts can only lower
     # the minimum
-    gram, norm_sq = _landscape(random_density_matrix(3, 3, rng=12))
+    ops, norm_sq = _landscape(random_density_matrix(3, 3, rng=12))
     full = oracle._start_bases(3, 0, 16).copy()
     part = full[3:6].copy()
-    vals, norms = oracle._newton(gram, norm_sq, full, 1e-6)
-    part_vals, part_norms = oracle._newton(gram, norm_sq, part, 1e-6)
+    vals, norms = oracle._newton(ops, norm_sq, full, 1e-6)
+    part_vals, part_norms = oracle._newton(ops, norm_sq, part, 1e-6)
     np.testing.assert_array_equal(part_vals, vals[3:6])
     np.testing.assert_array_equal(part_norms, norms[3:6])
     np.testing.assert_array_equal(part, full[3:6])
@@ -305,6 +345,18 @@ def test_gd_exact_pinned_values(make_state, expected):
     assert abs(gd_exact(make_state(), restarts=32, seed=0).value - expected) <= 1e-12
 
 
+# gd_exact(random_density_matrix(3, 3, rng=r), restarts=32, seed=0, side="B").value
+# as computed by the Newton phase with a difference Hessian; the closed-form
+# Hessian must reproduce these.
+PINNED_SIDE_B = [(1, 0.07275868120447598), (2, 0.05533908773304033), (3, 0.0636741565331157)]
+
+
+@pytest.mark.parametrize("state_seed,expected", PINNED_SIDE_B)
+def test_gd_exact_pinned_values_side_b(state_seed, expected):
+    rho = random_density_matrix(3, 3, rng=state_seed)
+    assert abs(gd_exact(rho, restarts=32, seed=0, side="B").value - expected) <= 1e-12
+
+
 def test_gd_exact_restarts_are_independent():
     # restart r only depends on its own seed, so adding restarts can only
     # lower the minimum
@@ -326,6 +378,8 @@ def test_gd_exact_stops_at_stationary_starts_on_flat_landscapes(make_state, p):
     result = gd_exact(make_state(), restarts=32, seed=0)
     starts = oracle._start_bases(3, 0, 32)
     assert any(np.array_equal(result.basis, start) for start in starts)
+    # a stationary basis is the cached start itself, shared read-only
+    assert result.basis.base is starts and not result.basis.flags.writeable
     assert abs(result.value - analytic_gd_isotropic(p, RAW_CONVENTION)) <= 1e-14
     assert result.residual <= oracle.NEWTON_TOL
 
@@ -354,6 +408,7 @@ def test_gd_exact_basis_owns_its_data():
     result = gd_exact(random_density_matrix(3, 3, rng=4), restarts=4, seed=0)
     assert result.basis.base is None
     assert result.basis.shape == (3, 3)
+    assert not result.basis.flags.writeable
 
 
 @settings(max_examples=15)
