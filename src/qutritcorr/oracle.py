@@ -143,7 +143,7 @@ def _readout(ops: np.ndarray, norm_sq: float, bases: np.ndarray, hessian: bool =
     return norm_sq - out[:, 0], grads, np.sqrt((grads * grads).sum(axis=-1) / 2.0), hess
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=32)
 def _start_bases(d: int, seed: int, restarts: int) -> np.ndarray:
     """The seeded starts exp(i H_r), H_r a Gaussian Hermitian matrix drawn
     from default_rng([seed, r]), as a read-only (restarts, d, d) stack."""
@@ -152,6 +152,14 @@ def _start_bases(d: int, seed: int, restarts: int) -> np.ndarray:
     bases = _expi((raw + raw.conj().swapaxes(-1, -2)) / 2.0)
     bases.setflags(write=False)
     return bases
+
+
+@lru_cache(maxsize=16)
+def _start_views(d: int, seed: int, restarts: int) -> tuple[np.ndarray, ...]:
+    """One read-only view per start of `_start_bases`, so the results that keep a
+    start share one basis object. gd_exact looks up both caches on every call,
+    and this one holds half as many keys, so its views stay on the cached stack."""
+    return tuple(_start_bases(d, seed, restarts))
 
 
 def _plane_matrix(ops: np.ndarray, bases: np.ndarray, p: int, q: int) -> np.ndarray:
@@ -177,22 +185,52 @@ def _jacobi_turn(ops: np.ndarray, bases: np.ndarray, p: int, q: int) -> None:
     bases[..., p], bases[..., q] = c * up + s * uq, c * uq - s.conj() * up
 
 
+def _positive_definite(hess: np.ndarray) -> np.ndarray:
+    """Whether Cholesky factors each matrix of the stack. One call decides the
+    common case; only if it fails is each matrix tried on its own, so every
+    answer is that matrix's own."""
+    try:
+        np.linalg.cholesky(hess)
+        return np.ones(len(hess), dtype=bool)
+    except np.linalg.LinAlgError:
+        if len(hess) == 1:
+            return np.zeros(1, dtype=bool)
+    return np.concatenate([_positive_definite(h[None]) for h in hess])
+
+
+def _newton_steps(hess: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """The step -H^-1 g of each restart where H is positive definite; elsewhere
+    H's eigenvalues enter by modulus, so saddles are left downhill, and those at
+    most 1e-4 of the largest are dropped."""
+    pd = _positive_definite(hess)
+    step = np.empty_like(grads)
+    if pd.any():
+        step[pd] = -np.linalg.solve(hess[pd], grads[pd][..., None])[..., 0]
+    if not pd.all():
+        w, v = np.linalg.eigh(hess[~pd])
+        w = np.abs(w)
+        inv_w = np.divide(1.0, w, out=np.zeros_like(w),
+                          where=w > 1e-4 * w.max(axis=-1, keepdims=True))
+        step[~pd] = -np.einsum("nji,ni,nki,nk->nj", v, inv_w, v, grads[~pd])
+    return step
+
+
 def _newton(ops, norm_sq, bases, min_step):
     """Damped Newton steps U -> U exp(i sum_j h_j g_j) for every restart of the
-    stack in lockstep, in place; returns the values and gradient norms. Hessian
-    eigenvalues enter by modulus, so saddles are left downhill; those at most
-    1e-4 of the largest, the gauge U -> U diag(phases), are dropped."""
-    gens = np.array(su_generators(bases.shape[-1]))
+    stack in lockstep, in place; returns the values and gradient norms. Steps
+    use only the d(d-1) off-diagonal generators: the diagonal ones are the gauge
+    U -> U diag(phases), which leaves f unchanged, so the reduced Hessian is
+    solved directly wherever Cholesky shows it positive definite
+    (`_newton_steps`). The gradient norm still reads all d^2 - 1 coordinates."""
+    d = bases.shape[-1]
+    k = d * (d - 1)  # su_generators lists the off-diagonal generators first
+    gens = np.array(su_generators(d)[:k])
     vals, grads, norms, hess = _readout(ops, norm_sq, bases)
     live = np.flatnonzero(norms > NEWTON_TOL)
     for _ in range(NEWTON_ITERATIONS):
         if not live.size:
             break
-        w, v = np.linalg.eigh(hess[live])
-        w = np.abs(w)
-        inv_w = np.divide(1.0, w, out=np.zeros_like(w),
-                          where=w > 1e-4 * w.max(axis=-1, keepdims=True))
-        step = -np.einsum("nji,ni,nki,nk->nj", v, inv_w, v, grads[live])
+        step = _newton_steps(hess[live, :k, :k], grads[live, :k])
         step *= MAX_STEP / np.maximum(np.linalg.norm(step, axis=-1, keepdims=True), MAX_STEP)
         stepped, pending, scale = np.zeros(len(live), dtype=bool), np.arange(len(live)), 1.0
         while pending.size and scale >= min_step:  # halve the step until it passes
@@ -210,6 +248,11 @@ def _newton(ops, norm_sq, bases, min_step):
     return vals, norms
 
 
+def _integer_at_least(value, least: int) -> bool:
+    """Whether value is an integer (not a bool) of at least least."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= least
+
+
 def gd_exact(rho: DensityMatrix, restarts: int = 32, seed: int = 0, side: str = "A",
              tol: float = 1e-9, min_step: float = 1e-6) -> OracleResult:
     """Minimize the squared Hilbert-Schmidt distance between rho and its
@@ -222,7 +265,7 @@ def gd_exact(rho: DensityMatrix, restarts: int = 32, seed: int = 0, side: str = 
     restarts as one stack. min_step is the smallest step the backtracking
     tries; tol is validated but unused."""
     for name, value, least in (("restarts", restarts, 1), ("seed", seed, 0)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        if not _integer_at_least(value, least):
             raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     restarts, seed = int(restarts), int(seed)
     if side not in ("A", "B"):
@@ -235,8 +278,8 @@ def gd_exact(rho: DensityMatrix, restarts: int = 32, seed: int = 0, side: str = 
     ops = _operator_rows(rho4 if side == "A" else rho4.transpose(1, 0, 3, 2))
     d = rho.dims[0 if side == "A" else 1]
     norm_sq = float(np.vdot(rho.matrix, rho.matrix).real)
-    starts = _start_bases(d, seed, restarts)
-    bases = starts.copy()
+    bases = _start_bases(d, seed, restarts).copy()
+    views = _start_views(d, seed, restarts)
     vals, _, norms, _ = _readout(ops, norm_sq, bases, hessian=False)
     moved = norms > NEWTON_TOL  # stationary starts stay where they are
     if moved.any():
@@ -246,8 +289,11 @@ def gd_exact(rho: DensityMatrix, restarts: int = 32, seed: int = 0, side: str = 
         vals[moved], norms[moved] = _newton(ops, norm_sq, cur, float(min_step))
         bases[moved] = cur
     best = int(np.argmin(vals))
-    basis = bases[best].copy() if moved[best] else starts[best]  # starts are shared
-    basis.setflags(write=False)
+    if moved[best]:
+        basis = bases[best].copy()
+        basis.setflags(write=False)
+    else:
+        basis = views[best]  # shared by every result that keeps this start
     return OracleResult(value=float(max(vals[best], 0.0)), basis=basis,
                         restarts_used=restarts, seed=seed, residual=float(norms[best]))
 

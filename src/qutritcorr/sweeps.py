@@ -12,7 +12,7 @@ from ._version import __version__
 from .channels import CHANNEL_FAMILIES, evolve
 from .linalg import DensityMatrix, make_bell_state
 from .measures import GdConvention, PAPER_CONVENTION, gd_lower_bound, negativity
-from .oracle import gd_exact
+from .oracle import _integer_at_least, gd_exact
 
 
 class ConfigError(ValueError):
@@ -65,6 +65,8 @@ class ExperimentConfig:
         object.__setattr__(self, "sweep_mode", infer_sweep_mode(self.q_a, self.q_b, self.t))
         if self.oracle_restarts < 1:
             raise ConfigError("oracle_restarts", f"need at least 1, got {self.oracle_restarts}")
+        if not _integer_at_least(self.seed, 0):
+            raise ConfigError("seed", f"must be an integer >= 0, got {self.seed!r}")
         for name, value in (("q_a", self.q_a), ("q_b", self.q_b), ("t", self.t)):
             if not isinstance(value, SweepRange) and not 0.0 <= value < math.inf:
                 raise ConfigError(name, f"must be finite and non-negative, got {value}")

@@ -8,9 +8,9 @@ import numpy as np
 
 from .channels import (CHANNEL_FAMILIES, COMPLETENESS_TOL, _FAMILY_BUILDERS, evolve,
                        trit_flip_kraus_unnormalized, validate_kraus)
-from .linalg import ValidationError, make_bell_state, random_density_matrix
+from .linalg import DensityMatrix, ValidationError, make_bell_state, random_density_matrix
 from .measures import RAW_CONVENTION, gd_lower_bound, isotropic_family, negativity
-from .oracle import (analytic_gd_isotropic, analytic_negativity_dephasing,
+from .oracle import (_integer_at_least, analytic_gd_isotropic, analytic_negativity_dephasing,
                      analytic_negativity_depolarizing, gd_exact)
 
 STATE_TOL = 1e-10
@@ -35,6 +35,8 @@ class CheckResult:
 
 def run_validation(seed: int = 0, restarts: int = 32, oracle_states: int = 12,
                    unnormalized_trit_flip: bool = False) -> list[CheckResult]:
+    if not _integer_at_least(seed, 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     if oracle_states < 1:
         raise ValueError(f"need at least 1 oracle state, got {oracle_states}")
     checks: list[CheckResult] = []
@@ -51,27 +53,29 @@ def run_validation(seed: int = 0, restarts: int = 32, oracle_states: int = 12,
 
     rng = np.random.default_rng(seed)
     families = list(CHANNEL_FAMILIES)
+    mats, pairs, params = [], [], []
+    for _ in range(200):
+        mats.append(random_density_matrix(3, 3, rng=rng).matrix)
+        pairs.append(tuple(str(f) for f in rng.choice(families, size=2)))
+        params.append((*rng.uniform(0.0, 2.0, size=2), rng.uniform(0.0, 5.0)))
+    mats, params = np.array(mats), np.array(params)
     worst = 0.0
     ok = True
-    for _ in range(200):
-        rho = random_density_matrix(3, 3, rng=rng)
-        fa, fb = (str(f) for f in rng.choice(families, size=2))
-        qa, qb = rng.uniform(0.0, 2.0, size=2)
-        t = rng.uniform(0.0, 5.0)
+    for pair in dict.fromkeys(pairs):  # one stacked evolve per family pair
+        group = [n for n, p in enumerate(pairs) if p == pair]
         try:
-            evolve(rho, fa, fb, qa, qb, t)
+            evolve(DensityMatrix(mats[group], (3, 3)), *pair, *params[group].T)
         except ValidationError as exc:
             ok = False
             worst = max(worst, max(exc.violations.values(), default=np.inf))
     checks.append(CheckResult("evolved states valid", STATE_TOL, worst, ok))
 
     bell = make_bell_state(3)
+    grid = [(qa, qb, t) for qa, qb in RATE_PAIRS for t in TIME_POINTS]
     for family, closed_form in (("dephasing", analytic_negativity_dephasing),
                                 ("depolarizing", analytic_negativity_depolarizing)):
-        dev = max(
-            abs(negativity(evolve(bell, family, family, qa, qb, t)) - closed_form(qa, qb, t))
-            for qa, qb in RATE_PAIRS for t in TIME_POINTS
-        )
+        evolved = negativity(evolve(bell, family, family, *np.array(grid).T))
+        dev = float(np.max(np.abs(evolved - [closed_form(*point) for point in grid])))
         checks.append(CheckResult(f"negativity closed form: {family}", CLOSED_FORM_TOL,
                                   dev, dev <= CLOSED_FORM_TOL))
 

@@ -284,6 +284,20 @@ def test_library_value_errors_exit_2(capsys):
     assert "error: seed must be an integer >= 0, got -3" in capsys.readouterr().err
 
 
+def test_negative_seed_exits_2_naming_seed(tmp_path, monkeypatch, capsys):
+    # `run` without --oracle and `validate` refuse it by name, before any
+    # state is drawn or any file written
+    monkeypatch.setattr(validation, "random_density_matrix", None)
+    out = tmp_path / "sweep.csv"
+    for argv in (["run", "--channel-a", "dephasing", "--channel-b", "dephasing",
+                  "--qa", "0.5", "--qb", "0.5", "--t", "0:2:5", "--output", str(out),
+                  "--seed", "-3"],
+                 ["validate", "--seed", "-3"]):
+        assert run_cli(argv) == 2
+        assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_oracle_subcommand(capsys):
     rc = run_cli(["oracle", "--channel-a", "depolarizing", "--channel-b",
                   "depolarizing", "--qa", "0.5", "--qb", "0.5", "--t", "1.0",

@@ -324,6 +324,45 @@ def test_newton_restarts_do_not_depend_on_the_rest_of_the_stack():
     assert norms.max() <= oracle.NEWTON_TOL
 
 
+def test_gauge_coordinates_of_gradient_and_hessian_vanish():
+    # the diagonal generators g_6, g_7 turn U -> U diag(phases), which leaves f
+    # unchanged: their gradient coordinates and their 2x2 Hessian block vanish at
+    # every basis, and their block with the off-diagonal generators is half the
+    # gradient contracted with the structure constants Tr(i[g_a, g_j] g_l) / 2
+    comm = 1j * (GENERATORS[:, None] @ GENERATORS[None] - GENERATORS[None] @ GENERATORS[:, None])
+    structure = np.einsum("ajxy,lyx->ajl", comm, GENERATORS).real / 2.0
+    rng = np.random.default_rng(61)
+    for _ in range(4):
+        rho = random_density_matrix(3, 3, rng=rng)
+        ops, norm_sq = _landscape(rho)
+        bases = np.array([random_unitary(3, rng=rng) for _ in range(6)])
+        _, grads, _, hess = oracle._readout(ops, norm_sq, bases)
+        assert np.abs(grads[:, 6:]).max() <= 1e-13 * norm_sq
+        assert np.abs(hess[:, 6:, 6:]).max() <= 1e-13 * norm_sq
+        cross = np.einsum("ajl,nl->naj", structure, grads) / 2.0
+        assert np.abs(hess[:, 6:, :6]).max() > 1e-3 * norm_sq
+        np.testing.assert_allclose(hess[:, 6:, :6], cross[:, 6:, :6], rtol=0.0,
+                                   atol=1e-13 * norm_sq)
+        # so at a converged basis the gauge decouples from the six coordinates
+        # Newton steps along
+        result = gd_exact(rho, restarts=8, seed=0)
+        hess = oracle._readout(ops, norm_sq, np.asarray(result.basis)[None])[3][0]
+        assert result.residual <= 1e-10
+        assert np.abs(hess[6:, :6]).max() <= 1e-12 * norm_sq
+
+
+def test_positive_definite_decides_each_matrix_on_its_own():
+    rng = np.random.default_rng(71)
+    a = rng.standard_normal((5, 6, 6))
+    stack = a @ a.swapaxes(-1, -2) + 0.1 * np.eye(6)
+    assert oracle._positive_definite(stack).all()
+    stack[[1, 3]] -= 2.0 * np.linalg.eigvalsh(stack[[1, 3]])[:, -1, None, None] * np.eye(6)
+    expected = [True, False, True, False, True]
+    np.testing.assert_array_equal(oracle._positive_definite(stack), expected)
+    for n in range(5):
+        np.testing.assert_array_equal(oracle._positive_definite(stack[n:n + 1]), expected[n])
+
+
 def _depolarized_bell(t):
     return evolve(make_bell_state(3), "depolarizing", "depolarizing", 0.5, 0.5, t)
 
@@ -355,6 +394,24 @@ PINNED_SIDE_B = [(1, 0.07275868120447598), (2, 0.05533908773304033), (3, 0.06367
 def test_gd_exact_pinned_values_side_b(state_seed, expected):
     rho = random_density_matrix(3, 3, rng=state_seed)
     assert abs(gd_exact(rho, restarts=32, seed=0, side="B").value - expected) <= 1e-12
+
+
+def test_eigen_fallback_alone_reaches_the_pinned_values(monkeypatch):
+    # most Newton iterations solve by Cholesky; with every reduced Hessian
+    # declared indefinite, the modulus-damped eigen step must converge as well
+    monkeypatch.setattr(oracle, "_positive_definite",
+                        lambda hess: np.zeros(len(hess), dtype=bool))
+    for make_state, expected in PINNED_VALUES:
+        result = gd_exact(make_state(), restarts=32, seed=0)
+        assert abs(result.value - expected) <= 1e-12
+        assert result.residual <= 1e-10
+
+
+def test_flat_results_share_one_read_only_basis_per_start():
+    first, second = (gd_exact(isotropic_family(0.5), restarts=8, seed=3) for _ in range(2))
+    assert first.basis is second.basis
+    assert not first.basis.flags.writeable
+    assert first.basis.base is oracle._start_bases(3, 3, 8)
 
 
 def test_gd_exact_restarts_are_independent():
@@ -402,6 +459,15 @@ def test_residual_is_gradient_norm_at_returned_basis():
         grad_norm = float(np.linalg.norm(_gradient_at(rho, result.basis)))
         assert abs(result.residual - grad_norm) <= 1e-12 * grad_norm
         assert result.residual <= 1e-10
+
+
+@pytest.mark.parametrize("q_a,q_b", [(80 / 49, 70 / 49), (56 / 49, 54 / 49)])
+def test_newton_converges_where_real_curvature_is_small(q_a, q_b):
+    # 50x50 grid points of the fig6 pair at t = 1 whose minimum has a Hessian
+    # eigenvalue about 5e-5 of the largest; a step that cut eigenvalues below
+    # 1e-4 of the largest as gauge stopped there at residuals of 1e-8
+    rho = evolve(make_bell_state(3), "dephasing", "trit-phase-flip", q_a, q_b, 1.0)
+    assert gd_exact(rho, restarts=32, seed=0).residual <= 1e-10
 
 
 def test_gd_exact_basis_owns_its_data():

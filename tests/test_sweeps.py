@@ -54,6 +54,15 @@ def test_config_validation_names_fields():
     assert exc.value.field == "q_b"
 
 
+@pytest.mark.parametrize("seed", [-3, 2.5, True, "3"])
+def test_config_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ConfigError) as exc:
+        time_config("dephasing", "dephasing", 0.5, 0.5, SweepRange(0, 1, 3), seed=seed)
+    assert exc.value.field == "seed"
+    assert time_config("dephasing", "dephasing", 0.5, 0.5, SweepRange(0, 1, 3),
+                       seed=np.int64(3)).seed == 3
+
+
 def test_sweep_mode_is_derived_and_read_only():
     cfg = time_config("dephasing", "dephasing", 0.5, 0.5, SweepRange(0, 1, 3))
     assert cfg.sweep_mode == "time"
