@@ -51,11 +51,11 @@ class KrausDiagnostics:
     max_deviation: float
 
 
-def validate_kraus(channel: KrausChannel, tol: float = COMPLETENESS_TOL) -> KrausDiagnostics:
-    """Check trace preservation: max entry of |sum E^dag E - I|."""
+def validate_kraus(channel: KrausChannel) -> KrausDiagnostics:
+    """Check trace preservation: max entry of |sum E^dag E - I| <= COMPLETENESS_TOL."""
     total = sum(op.conj().T @ op for op in channel.operators)
     dev = float(np.abs(total - np.eye(channel.dim)).max())
-    return KrausDiagnostics(ok=dev <= tol, max_deviation=dev)
+    return KrausDiagnostics(ok=dev <= COMPLETENESS_TOL, max_deviation=dev)
 
 
 def gamma_of(q, t):
@@ -86,14 +86,14 @@ def clock_matrix(d: int = 3) -> np.ndarray:
     return np.diag(np.exp(2j * np.pi * np.arange(d) / d))
 
 
-def dephasing_kraus(gamma: float, d: int = 3) -> KrausChannel:
+def dephasing_kraus(gamma: float) -> KrausChannel:
     """Pure dephasing: populations untouched, coherences to level 0 damped by
-    sqrt(1 - gamma), coherences among levels 1..d-1 damped by (1 - gamma)."""
+    sqrt(1 - gamma), the coherence between levels 1 and 2 by (1 - gamma)."""
     _check_gamma(gamma)
-    keep = np.eye(d, dtype=complex)
+    keep = np.eye(3, dtype=complex)
     keep[1:, 1:] *= np.sqrt(1.0 - gamma)
-    ops = [keep] + [np.sqrt(gamma) * np.diag(np.eye(d, dtype=complex)[k]) for k in range(1, d)]
-    return KrausChannel(d, tuple(ops))
+    ops = [keep] + [np.sqrt(gamma) * np.diag(np.eye(3, dtype=complex)[k]) for k in (1, 2)]
+    return KrausChannel(3, tuple(ops))
 
 
 def trit_flip_kraus(gamma: float) -> KrausChannel:

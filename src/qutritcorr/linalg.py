@@ -14,6 +14,7 @@ import numpy as np
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
+EIGENVALUE_HERMITICITY_TOL = 1e-10  # what hermitian_eigenvalues accepts
 
 
 class ValidationError(ValueError):
@@ -132,14 +133,14 @@ def partial_trace(rho: DensityMatrix, keep: str = "A") -> np.ndarray:
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-def hermitian_eigenvalues(matrix: np.ndarray, hermiticity_tol: float = 1e-10) -> np.ndarray:
+def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix (or of each matrix in a stack),
     sorted non-increasing."""
     mat = np.asarray(matrix)
     if not np.isfinite(mat).all():  # before any arithmetic, which would warn on inf
         raise ValueError("matrix is not Hermitian (non-finite entries)")
     dev = float(np.abs(mat - mat.conj().swapaxes(-1, -2)).max())
-    if not dev <= hermiticity_tol:
+    if not dev <= EIGENVALUE_HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     return np.linalg.eigvalsh(mat)[..., ::-1]
 

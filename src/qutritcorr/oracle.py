@@ -17,10 +17,10 @@ from .measures import GdConvention, PAPER_CONVENTION
 UNITARITY_TOL = 1e-10
 # Newton: the gradient norm at which a restart is stationary (generic starts sit
 # at about 1e-2, flat landscapes of U x U*-invariant states at about 1e-17), step
-# count, step-norm cap. A step is taken if it lowers f or the gradient norm and
-# raises f by at most its rounding, ROUNDING_SLACK |rho|^2 (up to 0.9e-15 |rho|^2
-# on random states; a slack of 1e-15 strands restarts at about 1e-9).
-NEWTON_TOL, NEWTON_ITERATIONS, MAX_STEP, ROUNDING_SLACK = 1e-13, 60, 0.5, 1e-14
+# count, step-norm cap, smallest step tried. A step is taken if it lowers f or the
+# gradient norm and raises f by at most its rounding, ROUNDING_SLACK |rho|^2 (up
+# to 0.9e-15 |rho|^2 on random states; a slack of 1e-15 strands restarts at about 1e-9).
+NEWTON_TOL, NEWTON_ITERATIONS, MAX_STEP, MIN_STEP, ROUNDING_SLACK = 1e-13, 60, 0.5, 1e-6, 1e-14
 
 
 # Slots leave out the per-instance dict, which callers keeping many results pay.
@@ -215,7 +215,7 @@ def _newton_steps(hess: np.ndarray, grads: np.ndarray) -> np.ndarray:
     return step
 
 
-def _newton(ops, norm_sq, bases, min_step):
+def _newton(ops, norm_sq, bases):
     """Damped Newton steps U -> U exp(i sum_j h_j g_j) for every restart of the
     stack in lockstep, in place; returns the values and gradient norms. Steps
     use only the d(d-1) off-diagonal generators: the diagonal ones are the gauge
@@ -233,7 +233,7 @@ def _newton(ops, norm_sq, bases, min_step):
         step = _newton_steps(hess[live, :k, :k], grads[live, :k])
         step *= MAX_STEP / np.maximum(np.linalg.norm(step, axis=-1, keepdims=True), MAX_STEP)
         stepped, pending, scale = np.zeros(len(live), dtype=bool), np.arange(len(live)), 1.0
-        while pending.size and scale >= min_step:  # halve the step until it passes
+        while pending.size and scale >= MIN_STEP:  # halve the step until it passes
             idx = live[pending]
             cand = bases[idx] @ _expi(np.einsum("nj,jab->nab", scale * step[pending], gens))
             c_vals, c_grads, c_norms, c_hess = _readout(ops, norm_sq, cand)
@@ -253,8 +253,8 @@ def _integer_at_least(value, least: int) -> bool:
     return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= least
 
 
-def gd_exact(rho: DensityMatrix, restarts: int = 32, seed: int = 0, side: str = "A",
-             tol: float = 1e-9, min_step: float = 1e-6) -> OracleResult:
+def gd_exact(rho: DensityMatrix, restarts: int = 32, seed: int = 0,
+             side: str = "A") -> OracleResult:
     """Minimize the squared Hilbert-Schmidt distance between rho and its
     measured version over von Neumann measurement bases on one side.
 
@@ -262,18 +262,14 @@ def gd_exact(rho: DensityMatrix, restarts: int = 32, seed: int = 0, side: str = 
     default_rng([seed, r]) and cached per process. A restart whose start is
     stationary (flat landscapes, such as isotropic states) stays there; the
     others take two Jacobi sweeps of plane turns, then damped Newton steps, all
-    restarts as one stack. min_step is the smallest step the backtracking
-    tries; tol is validated but unused."""
+    restarts as one stack. The backtracking halves a step down to MIN_STEP
+    (1e-6), the smallest step it tries."""
     for name, value, least in (("restarts", restarts, 1), ("seed", seed, 0)):
         if not _integer_at_least(value, least):
             raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     restarts, seed = int(restarts), int(seed)
     if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be finite and non-negative, got {tol}")
-    if not (math.isfinite(min_step) and 0.0 < min_step <= 0.5):
-        raise ValueError(f"min_step must lie in (0, 0.5], got {min_step}")
     rho4 = rho.matrix.reshape(rho.dims * 2)  # measured side first
     ops = _operator_rows(rho4 if side == "A" else rho4.transpose(1, 0, 3, 2))
     d = rho.dims[0 if side == "A" else 1]
@@ -286,7 +282,7 @@ def gd_exact(rho: DensityMatrix, restarts: int = 32, seed: int = 0, side: str = 
         cur = bases[moved]
         for p, q in [(p, q) for p in range(d) for q in range(p + 1, d)] * 2:
             _jacobi_turn(ops, cur, p, q)  # two Jacobi sweeps
-        vals[moved], norms[moved] = _newton(ops, norm_sq, cur, float(min_step))
+        vals[moved], norms[moved] = _newton(ops, norm_sq, cur)
         bases[moved] = cur
     best = int(np.argmin(vals))
     if moved[best]:

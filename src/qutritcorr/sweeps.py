@@ -32,8 +32,8 @@ class SweepRange:
     steps: int
 
     def __post_init__(self):
-        if self.steps < 2:
-            raise ConfigError("steps", f"a range needs at least 2 steps, got {self.steps}")
+        if not _integer_at_least(self.steps, 2):
+            raise ConfigError("steps", f"must be an integer >= 2, got {self.steps!r}")
         if not 0.0 <= self.start <= self.stop < math.inf:
             raise ConfigError("range", f"range needs finite 0 <= start <= stop, "
                                        f"got {self.start}:{self.stop}")
@@ -63,10 +63,10 @@ class ExperimentConfig:
             if fam not in CHANNEL_FAMILIES:
                 raise ConfigError(name, f"unknown channel family {fam!r}")
         object.__setattr__(self, "sweep_mode", infer_sweep_mode(self.q_a, self.q_b, self.t))
-        if self.oracle_restarts < 1:
-            raise ConfigError("oracle_restarts", f"need at least 1, got {self.oracle_restarts}")
-        if not _integer_at_least(self.seed, 0):
-            raise ConfigError("seed", f"must be an integer >= 0, got {self.seed!r}")
+        for name, value, least in (("oracle_restarts", self.oracle_restarts, 1),
+                                   ("seed", self.seed, 0)):
+            if not _integer_at_least(value, least):
+                raise ConfigError(name, f"must be an integer >= {least}, got {value!r}")
         for name, value in (("q_a", self.q_a), ("q_b", self.q_b), ("t", self.t)):
             if not isinstance(value, SweepRange) and not 0.0 <= value < math.inf:
                 raise ConfigError(name, f"must be finite and non-negative, got {value}")
@@ -238,6 +238,7 @@ ROBUSTNESS_DEFINITION = (
     "later point the measure with the larger normalized value counts as more "
     "robust"
 )
+TIE_TOL = 1e-12  # normalized curves at most this far apart tie
 
 
 @dataclass(frozen=True)
@@ -266,7 +267,7 @@ class RobustnessReport:
         }
 
 
-def robustness_report(cfg: ExperimentConfig, tie_tol: float = 1e-12) -> RobustnessReport:
+def robustness_report(cfg: ExperimentConfig) -> RobustnessReport:
     """Compare how negativity and the discord bound decay along a time sweep.
 
     A measure that starts at zero cannot be normalized; its curve is None and
@@ -288,11 +289,11 @@ def robustness_report(cfg: ExperimentConfig, tie_tol: float = 1e-12) -> Robustne
     else:
         diff = normalized["negativity"] - normalized["gd"]
         winner = tuple(
-            "tie" if abs(d) <= tie_tol else ("negativity" if d > 0 else "gd")
+            "tie" if abs(d) <= TIE_TOL else ("negativity" if d > 0 else "gd")
             for d in diff
         )
         # sign changes between consecutive untied points, linearly interpolated
-        untied = np.flatnonzero(np.abs(diff) > tie_tol)
+        untied = np.flatnonzero(np.abs(diff) > TIE_TOL)
         flips = np.sign(diff[untied[:-1]]) != np.sign(diff[untied[1:]])
         i0, i1 = untied[:-1][flips], untied[1:][flips]
         t0, t1, d0, d1 = times[i0], times[i1], diff[i0], diff[i1]

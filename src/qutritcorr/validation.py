@@ -35,10 +35,9 @@ class CheckResult:
 
 def run_validation(seed: int = 0, restarts: int = 32, oracle_states: int = 12,
                    unnormalized_trit_flip: bool = False) -> list[CheckResult]:
-    if not _integer_at_least(seed, 0):
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-    if oracle_states < 1:
-        raise ValueError(f"need at least 1 oracle state, got {oracle_states}")
+    for name, value, least in (("seed", seed, 0), ("oracle_states", oracle_states, 1)):
+        if not _integer_at_least(value, least):
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     checks: list[CheckResult] = []
 
     builders = dict(_FAMILY_BUILDERS)

@@ -276,6 +276,10 @@ def test_library_value_errors_exit_2(capsys):
     assert rc == 2
     assert run_cli(["validate", "--oracle-states", "0"]) == 2
     assert "error:" in capsys.readouterr().err
+    # a fractional count is refused by name, not by range(); True is not one state
+    for states in (2.5, True):
+        with pytest.raises(ValueError, match="oracle_states"):
+            validation.run_validation(oracle_states=states)
     # a negative seed is refused by name, not by numpy's generator
     rc = run_cli(["oracle", "--channel-a", "depolarizing", "--channel-b",
                   "depolarizing", "--qa", "0.5", "--qb", "0.5", "--t", "1.0",

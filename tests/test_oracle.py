@@ -136,14 +136,7 @@ def test_gd_exact_rejects_bad_arguments():
         gd_exact(bell, restarts=0)
     with pytest.raises(ValueError):
         gd_exact(bell, side="X")
-    # NaN or a min_step above 1/2 would skip the descent and return a start
-    # value; min_step 0 would never stop halving the step
     rho = random_density_matrix(3, 3, rng=5)
-    for kwargs in ({"tol": np.nan}, {"tol": np.inf}, {"tol": -1e-9},
-                   {"min_step": np.nan}, {"min_step": np.inf}, {"min_step": 0.0},
-                   {"min_step": -1e-6}, {"min_step": 1.0}):
-        with pytest.raises(ValueError):
-            gd_exact(rho, restarts=8, **kwargs)
     # seeds and restart counts are refused by name, before any start is drawn
     misses = oracle._start_bases.cache_info().misses
     for kwargs in ({"seed": -1}, {"seed": 2.5}, {"seed": True}, {"seed": "3"},
@@ -316,8 +309,8 @@ def test_newton_restarts_do_not_depend_on_the_rest_of_the_stack():
     ops, norm_sq = _landscape(random_density_matrix(3, 3, rng=12))
     full = oracle._start_bases(3, 0, 16).copy()
     part = full[3:6].copy()
-    vals, norms = oracle._newton(ops, norm_sq, full, 1e-6)
-    part_vals, part_norms = oracle._newton(ops, norm_sq, part, 1e-6)
+    vals, norms = oracle._newton(ops, norm_sq, full)
+    part_vals, part_norms = oracle._newton(ops, norm_sq, part)
     np.testing.assert_array_equal(part_vals, vals[3:6])
     np.testing.assert_array_equal(part_norms, norms[3:6])
     np.testing.assert_array_equal(part, full[3:6])

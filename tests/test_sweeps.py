@@ -26,6 +26,11 @@ def test_sweep_range_grid_and_validation():
         SweepRange(2.0, 1.0, 5)
     with pytest.raises(ConfigError):
         SweepRange(-1.0, 1.0, 5)
+    # a fractional step count is refused by name, not by numpy in grid()
+    with pytest.raises(ConfigError) as exc:
+        SweepRange(0.0, 1.0, 2.5)
+    assert exc.value.field == "steps"
+    assert len(SweepRange(0.0, 1.0, np.int64(3)).grid()) == 3
 
 
 def test_config_validation_names_fields():
@@ -61,6 +66,17 @@ def test_config_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
     assert exc.value.field == "seed"
     assert time_config("dephasing", "dephasing", 0.5, 0.5, SweepRange(0, 1, 3),
                        seed=np.int64(3)).seed == 3
+
+
+@pytest.mark.parametrize("restarts", [2.5, True, "8"])
+def test_config_refuses_oracle_restarts_that_are_not_a_positive_integer(restarts):
+    # refused when the config is built, not after the first batch is evolved
+    with pytest.raises(ConfigError) as exc:
+        time_config("dephasing", "dephasing", 0.5, 0.5, SweepRange(0, 1, 3),
+                    oracle_enabled=True, oracle_restarts=restarts)
+    assert exc.value.field == "oracle_restarts"
+    assert time_config("dephasing", "dephasing", 0.5, 0.5, SweepRange(0, 1, 3),
+                       oracle_restarts=np.int64(4)).oracle_restarts == 4
 
 
 def test_sweep_mode_is_derived_and_read_only():
