@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import DensityMatrix
+from .linalg import DensityMatrix, _read_only
 
 COMPLETENESS_TOL = 1e-12
 
@@ -35,14 +35,11 @@ class KrausChannel:
     def __post_init__(self):
         if not self.operators:
             raise ValueError("channel needs at least one Kraus operator")
-        frozen = []
-        for op in self.operators:
-            arr = np.array(op, dtype=complex)
+        frozen = tuple(_read_only(np.array(op, dtype=complex)) for op in self.operators)
+        for arr in frozen:
             if arr.shape != (self.dim, self.dim):
                 raise ValueError(f"operator shape {arr.shape} does not match dim {self.dim}")
-            arr.setflags(write=False)
-            frozen.append(arr)
-        object.__setattr__(self, "operators", tuple(frozen))
+        object.__setattr__(self, "operators", frozen)
 
 
 @dataclass(frozen=True)
@@ -58,14 +55,19 @@ def validate_kraus(channel: KrausChannel) -> KrausDiagnostics:
     return KrausDiagnostics(ok=dev <= COMPLETENESS_TOL, max_deviation=dev)
 
 
+def _gammas(t, *rates) -> list:
+    """1 - exp(-q t) for each rate q (arrays broadcast); every entry must be finite and >= 0."""
+    t, *rates = [np.asarray(x, dtype=float) for x in (t, *rates)]
+    if not all([((x >= 0.0) & (x < np.inf)).all() for x in (t, *rates)]):  # NaN fails both
+        raise ValueError(f"decay rate and time must be finite and non-negative, got "
+                         f"q={', '.join(map(str, rates))}, t={t}")
+    return [1.0 - np.exp(-q * t) for q in rates]  # -q t is in [-inf, 0]: in [0, 1] unclamped
+
+
 def gamma_of(q, t):
-    """Decay parameter 1 - exp(-q t), clamped to [0, 1]. Scalars give a
-    float; arrays broadcast and give an array. Negative, NaN and infinite
-    inputs are refused."""
-    q, t = np.asarray(q, dtype=float), np.asarray(t, dtype=float)
-    if not (np.all(np.isfinite(q) & (q >= 0.0)) and np.all(np.isfinite(t) & (t >= 0.0))):
-        raise ValueError(f"decay rate and time must be finite and non-negative, got q={q}, t={t}")
-    gamma = np.clip(1.0 - np.exp(-q * t), 0.0, 1.0)
+    """Decay parameter 1 - exp(-q t), in [0, 1]: a float for scalars, an array for
+    arrays, which broadcast. Negative, NaN and infinite inputs are refused."""
+    (gamma,) = _gammas(t, q)
     return float(gamma) if gamma.ndim == 0 else gamma
 
 
@@ -214,7 +216,7 @@ def apply_local_channels(rho: DensityMatrix, channel_a: KrausChannel,
 
 
 @lru_cache(maxsize=None)
-def _family_superoperator_basis(family: str) -> np.ndarray:
+def _family_superoperator_basis(family: str) -> tuple[np.ndarray, ...]:
     """(C0, C1, C2) with S(gamma) = C0 + sqrt(1 - gamma) C1 + gamma C2, solved
     from the Kraus sets at gamma = 0, 3/4, 1 (sqrt(1 - gamma) = 1, 1/2, 0).
 
@@ -226,9 +228,7 @@ def _family_superoperator_basis(family: str) -> np.ndarray:
                                       f"{family} Kraus set at gamma={g}")
                    for g in (0.0, 0.75, 1.0))
     c0 = 2.0 * s0 + 3.0 * s1 - 4.0 * s34
-    basis = np.stack([c0, s0 - c0, s1 - c0])
-    basis.setflags(write=False)
-    return basis
+    return tuple(map(_read_only, (c0, s0 - c0, s1 - c0)))
 
 
 def _family_superoperator(family: str, gamma) -> np.ndarray:
@@ -245,6 +245,5 @@ def evolve(rho0: DensityMatrix, family_a: str, family_b: str, q_a, q_b, t) -> De
     Scalar rates and time give one state; arrays broadcast against each other
     and give an (N, 9, 9) stack, one state per element.
     """
-    s_a = _family_superoperator(family_a, gamma_of(q_a, t))
-    s_b = _family_superoperator(family_b, gamma_of(q_b, t))
+    s_a, s_b = map(_family_superoperator, (family_a, family_b), _gammas(t, q_a, q_b))
     return DensityMatrix(_apply_superoperators(rho0.matrix, rho0.dims, s_a, s_b), rho0.dims)

@@ -6,7 +6,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import os
 import sys
 from functools import lru_cache, partial
@@ -17,7 +16,7 @@ from ._version import __version__
 from .channels import CHANNEL_FAMILIES, evolve
 from .linalg import make_bell_state
 from .measures import GdConvention, RAW_CONVENTION, gd_lower_bound, negativity
-from .oracle import gd_exact
+from .oracle import _finite_nonnegative, gd_exact
 from .sweeps import (ConfigError, ExperimentConfig, PRESET_NAMES, SweepDataset,
                      SweepRange, preset_configs, run_preset, run_sweep)
 from .validation import run_validation
@@ -50,7 +49,7 @@ def parse_axis(text: str, range_ok: bool = True):
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (math.isfinite(value) and value >= 0.0):
+    if not _finite_nonnegative(value):
         raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text}")
     return value
 

@@ -29,18 +29,29 @@ class ValidationError(ValueError):
         self.violations = dict(violations or {})
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """The array, made read-only: for arrays that are cached or shared."""
+    array.setflags(write=False)
+    return array
+
+
+@lru_cache(maxsize=None)
+def _psd_shift(dim: int) -> np.ndarray:
+    return _read_only((PSD_TOL / 2) * np.eye(dim))
+
+
 def _density_violations(mat: np.ndarray, dim: int) -> dict[str, float]:
     out: dict[str, float] = {}
     if mat.ndim not in (2, 3) or mat.shape[-2:] != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix or a stack of them, got shape {mat.shape}")
     if mat.size == 0:
         raise ValueError(f"cannot certify an empty stack of shape {mat.shape}")
-    if not np.all(np.isfinite(mat.view(float))):
+    if not np.isfinite(mat).all():
         raise ValueError("matrix contains non-finite entries")
     herm = float(np.abs(mat - mat.conj().swapaxes(-1, -2)).max())
     if herm > HERMITICITY_TOL:
         out["hermiticity"] = herm
-    trace = float(np.abs(np.trace(mat, axis1=-2, axis2=-1) - 1.0).max())
+    trace = float(np.abs(mat.trace(axis1=-2, axis2=-1) - 1.0).max())
     if trace > TRACE_TOL:
         out["trace"] = trace
     if "hermiticity" in out:  # eigvalsh is only meaningful once Hermiticity holds
@@ -50,7 +61,7 @@ def _density_violations(mat: np.ndarray, dim: int) -> dict[str, float]:
         # mat + (PSD_TOL / 2) I proves every eigenvalue is above -PSD_TOL; a
         # failure leaves the decision to eigvalsh. Both read the lower triangle.
         try:
-            np.linalg.cholesky(mat + (PSD_TOL / 2) * np.eye(dim))
+            np.linalg.cholesky(mat + _psd_shift(dim))
             return out
         except np.linalg.LinAlgError:
             pass
@@ -74,7 +85,7 @@ class DensityMatrix:
     dims: tuple[int, int]
 
     def __post_init__(self):
-        d1, d2 = (int(d) for d in self.dims)
+        d1, d2 = map(int, self.dims)
         if d1 < 1 or d2 < 1:
             raise ValueError(f"subsystem dimensions must be positive, got {self.dims}")
         mat = np.array(self.matrix, dtype=complex)
@@ -82,8 +93,7 @@ class DensityMatrix:
         if violations:
             detail = ", ".join(f"{k} off by {v:.3e}" for k, v in violations.items())
             raise ValidationError(f"not a density matrix: {detail}", violations)
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "matrix", _read_only(mat))
         object.__setattr__(self, "dims", (d1, d2))
 
 
@@ -112,13 +122,10 @@ def partial_transpose(rho: DensityMatrix, subsystem: str = "A") -> np.ndarray:
     d1, d2 = rho.dims
     lead = rho.matrix.shape[:-2]
     r4 = rho.matrix.reshape(lead + (d1, d2, d1, d2))
-    if subsystem == "A":
-        out = r4.swapaxes(-4, -2)
-    elif subsystem == "B":
-        out = r4.swapaxes(-3, -1)
-    else:
+    if subsystem not in ("A", "B"):
         raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    return out.reshape(lead + (d1 * d2, d1 * d2)).copy()
+    out = r4.swapaxes(-4, -2) if subsystem == "A" else r4.swapaxes(-3, -1)
+    return out.copy().reshape(lead + (d1 * d2, d1 * d2))
 
 
 def partial_trace(rho: DensityMatrix, keep: str = "A") -> np.ndarray:
@@ -176,9 +183,7 @@ def su_generators(d: int) -> tuple[np.ndarray, ...]:
         g[np.arange(l), np.arange(l)] = 1.0
         g[l, l] = -float(l)
         gens.append(np.sqrt(2.0 / (l * (l + 1))) * g)
-    for g in gens:
-        g.setflags(write=False)
-    return tuple(gens)
+    return tuple(map(_read_only, gens))
 
 
 def random_density_matrix(d1: int, d2: int = 1, rank: int | None = None,

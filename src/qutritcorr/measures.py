@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import (DensityMatrix, hermitian_eigenvalues, make_bell_state,
+from .linalg import (DensityMatrix, _read_only, hermitian_eigenvalues, make_bell_state,
                      partial_transpose, su_generators)
 
 NEGATIVITY_EIG_TOL = 1e-12
@@ -53,16 +53,18 @@ class BlochDecomposition:
 
 
 @lru_cache(maxsize=None)
-def _generator_table(d1: int, d2: int) -> np.ndarray:
+def _generator_table(d1: int, d2: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows vec(op^T) of the operators g_k x I, then I x g_l, then g_k x g_l,
-    so that Tr(op rho) = row . vec(rho); read-only, (d1^2 d2^2 - 1, d1^2 d2^2)."""
+    so that Tr(op rho) = row . vec(rho), and the factor d1/2, d2/2 or d1 d2/4
+    that scales each row's trace to a Bloch coefficient; read-only."""
     gen_a, gen_b = su_generators(d1), su_generators(d2)
     eye_a, eye_b = np.eye(d1), np.eye(d2)
     ops = ([np.kron(g, eye_b) for g in gen_a] + [np.kron(eye_a, g) for g in gen_b]
            + [np.kron(ga, gb) for ga in gen_a for gb in gen_b])
     table = np.stack(ops).swapaxes(-1, -2).reshape(len(ops), -1)
-    table.setflags(write=False)
-    return table
+    n1, n2 = len(gen_a), len(gen_b)
+    scale = np.repeat([0.5 * d1, 0.5 * d2, 0.25 * d1 * d2], [n1, n2, n1 * n2])
+    return _read_only(table), _read_only(scale)
 
 
 def bloch_decomposition(rho: DensityMatrix) -> BlochDecomposition:
@@ -70,16 +72,15 @@ def bloch_decomposition(rho: DensityMatrix) -> BlochDecomposition:
     z_l = (d2/2) Tr(rho I x g_l), v_kl = (d1 d2/4) Tr(rho g_k x g_l)."""
     d1, d2 = rho.dims
     n1, n2 = d1 * d1 - 1, d2 * d2 - 1
-    table = _generator_table(d1, d2)
+    table, scale = _generator_table(d1, d2)
     lead = rho.matrix.shape[:-2]
-    coeffs = rho.matrix.reshape(-1, table.shape[1]) @ table.T
-    y = 0.5 * d1 * coeffs[:, :n1].reshape(lead + (n1,))
-    z = 0.5 * d2 * coeffs[:, n1:n1 + n2].reshape(lead + (n2,))
-    v = 0.25 * d1 * d2 * coeffs[:, n1 + n2:].reshape(lead + (n1, n2))
-    resid = max(float(np.abs(c.imag).max()) for c in (y, z, v))
+    coeffs = (rho.matrix.reshape(-1, table.shape[1]) @ table.T) * scale
+    resid = float(np.abs(coeffs.imag).max())
     if resid > IMAG_TOL:
         raise ValueError(f"Bloch coefficients carry residual imaginary part {resid:.3e}")
-    return BlochDecomposition(y.real.copy(), z.real.copy(), v.real.copy())
+    return BlochDecomposition(coeffs.real[:, :n1].reshape(lead + (n1,)),  # views, no copies
+                              coeffs.real[:, n1:n1 + n2].reshape(lead + (n2,)),
+                              coeffs.real[:, n1 + n2:].reshape(lead + (n1, n2)))
 
 
 def bloch_synthesis(dec: BlochDecomposition, dims: tuple[int, int]) -> np.ndarray:
@@ -88,7 +89,7 @@ def bloch_synthesis(dec: BlochDecomposition, dims: tuple[int, int]) -> np.ndarra
     d = dims[0] * dims[1]
     lead = dec.y_a.shape[:-1]
     coeffs = np.concatenate([dec.y_a, dec.z_b, dec.corr.reshape(lead + (-1,))], axis=-1)
-    return (np.eye(d) + (coeffs @ _generator_table(*dims).conj()).reshape(lead + (d, d))) / d
+    return (np.eye(d) + (coeffs @ _generator_table(*dims)[0].conj()).reshape(lead + (d, d))) / d
 
 
 def negativity(rho: DensityMatrix) -> float | np.ndarray:

@@ -11,7 +11,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import _apply_superoperators, _liouville
-from .linalg import DensityMatrix, su_generators
+from .linalg import DensityMatrix, _read_only, su_generators
 from .measures import GdConvention, PAPER_CONVENTION
 
 UNITARITY_TOL = 1e-10
@@ -79,11 +79,9 @@ def _hermitian_parts(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     units = np.zeros((d * d, d, d), dtype=complex)
     for unit, (k, l, im) in zip(units, parts):
         unit[k, l], unit[l, k] = 1j ** im, (-1j) ** im
-    out = (np.array([2 * (k * d + l) + im for k, l, im in parts]), units,
-           units.reshape(d * d, -1).conj() / np.linalg.norm(units, axis=(1, 2))[:, None])
-    for a in out:
-        a.setflags(write=False)
-    return out
+    return tuple(map(_read_only, (
+        np.array([2 * (k * d + l) + im for k, l, im in parts]), units,
+        units.reshape(d * d, -1).conj() / np.linalg.norm(units, axis=(1, 2))[:, None])))
 
 
 def _operator_rows(rho4: np.ndarray) -> np.ndarray:
@@ -119,10 +117,8 @@ def _readout_table(d: int) -> tuple[np.ndarray, np.ndarray]:
     coef = np.concatenate([(pick.T @ pick)[None], -2.0 * first.swapaxes(-1, -2) @ pick,
                            -2.0 * hess.reshape(m * m, dd, dd)])
     rows, cols = np.triu_indices(dd)  # Q is symmetric: fold each pair onto one entry
-    out = (rows * dd + cols, (coef[:, rows, cols] + (rows != cols) * coef[:, cols, rows]).T.copy())
-    for a in out:
-        a.setflags(write=False)
-    return out
+    return (_read_only(rows * dd + cols),
+            _read_only((coef[:, rows, cols] + (rows != cols) * coef[:, cols, rows]).T.copy()))
 
 
 def _readout(ops: np.ndarray, norm_sq: float, bases: np.ndarray, hessian: bool = True):
@@ -149,9 +145,7 @@ def _start_bases(d: int, seed: int, restarts: int) -> np.ndarray:
     from default_rng([seed, r]), as a read-only (restarts, d, d) stack."""
     rngs = [np.random.default_rng([seed, r]) for r in range(restarts)]
     raw = np.array([g.standard_normal((d, d)) + 1j * g.standard_normal((d, d)) for g in rngs])
-    bases = _expi((raw + raw.conj().swapaxes(-1, -2)) / 2.0)
-    bases.setflags(write=False)
-    return bases
+    return _read_only(_expi((raw + raw.conj().swapaxes(-1, -2)) / 2.0))
 
 
 @lru_cache(maxsize=16)
@@ -186,16 +180,16 @@ def _jacobi_turn(ops: np.ndarray, bases: np.ndarray, p: int, q: int) -> None:
 
 
 def _positive_definite(hess: np.ndarray) -> np.ndarray:
-    """Whether Cholesky factors each matrix of the stack. One call decides the
-    common case; only if it fails is each matrix tried on its own, so every
-    answer is that matrix's own."""
+    """Whether Cholesky factors each matrix of the stack. A stack factors only
+    if each of its matrices does, so one call decides the common case and a
+    failed stack is decided half by half; every answer is that matrix's own."""
     try:
         np.linalg.cholesky(hess)
         return np.ones(len(hess), dtype=bool)
     except np.linalg.LinAlgError:
         if len(hess) == 1:
             return np.zeros(1, dtype=bool)
-    return np.concatenate([_positive_definite(h[None]) for h in hess])
+    return np.concatenate([_positive_definite(half) for half in np.array_split(hess, 2)])
 
 
 def _newton_steps(hess: np.ndarray, grads: np.ndarray) -> np.ndarray:
@@ -253,6 +247,11 @@ def _integer_at_least(value, least: int) -> bool:
     return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= least
 
 
+def _finite_nonnegative(value) -> bool:
+    """Whether value is a real number (not a bool), finite and non-negative."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) and 0 <= value < math.inf
+
+
 def gd_exact(rho: DensityMatrix, restarts: int = 32, seed: int = 0,
              side: str = "A") -> OracleResult:
     """Minimize the squared Hilbert-Schmidt distance between rho and its
@@ -285,18 +284,15 @@ def gd_exact(rho: DensityMatrix, restarts: int = 32, seed: int = 0,
         vals[moved], norms[moved] = _newton(ops, norm_sq, cur)
         bases[moved] = cur
     best = int(np.argmin(vals))
-    if moved[best]:
-        basis = bases[best].copy()
-        basis.setflags(write=False)
-    else:
-        basis = views[best]  # shared by every result that keeps this start
+    # an unmoved start's view is shared by every result that keeps this start
+    basis = _read_only(bases[best].copy()) if moved[best] else views[best]
     return OracleResult(value=float(max(vals[best], 0.0)), basis=basis,
                         restarts_used=restarts, seed=seed, residual=float(norms[best]))
 
 
 def _check_nonnegative(**kwargs: float) -> None:
     for name, value in kwargs.items():
-        if not (math.isfinite(value) and value >= 0.0):
+        if not _finite_nonnegative(value):
             raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 

@@ -3,7 +3,6 @@ and the robustness comparison report."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,7 +11,7 @@ from ._version import __version__
 from .channels import CHANNEL_FAMILIES, evolve
 from .linalg import DensityMatrix, make_bell_state
 from .measures import GdConvention, PAPER_CONVENTION, gd_lower_bound, negativity
-from .oracle import _integer_at_least, gd_exact
+from .oracle import _finite_nonnegative, _integer_at_least, gd_exact
 
 
 class ConfigError(ValueError):
@@ -34,9 +33,10 @@ class SweepRange:
     def __post_init__(self):
         if not _integer_at_least(self.steps, 2):
             raise ConfigError("steps", f"must be an integer >= 2, got {self.steps!r}")
-        if not 0.0 <= self.start <= self.stop < math.inf:
-            raise ConfigError("range", f"range needs finite 0 <= start <= stop, "
-                                       f"got {self.start}:{self.stop}")
+        if not (_finite_nonnegative(self.start) and _finite_nonnegative(self.stop)
+                and self.start <= self.stop):
+            raise ConfigError("range", f"range needs real, finite 0 <= start <= stop, "
+                                       f"got {self.start!r}:{self.stop!r}")
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.steps)
@@ -68,8 +68,8 @@ class ExperimentConfig:
             if not _integer_at_least(value, least):
                 raise ConfigError(name, f"must be an integer >= {least}, got {value!r}")
         for name, value in (("q_a", self.q_a), ("q_b", self.q_b), ("t", self.t)):
-            if not isinstance(value, SweepRange) and not 0.0 <= value < math.inf:
-                raise ConfigError(name, f"must be finite and non-negative, got {value}")
+            if not isinstance(value, SweepRange) and not _finite_nonnegative(value):
+                raise ConfigError(name, f"must be a finite, non-negative number, got {value!r}")
 
 
 def infer_sweep_mode(q_a: float | SweepRange, q_b: float | SweepRange,

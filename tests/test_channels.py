@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qutritcorr import channels
-from qutritcorr import (CHANNEL_FAMILIES, RAW_CONVENTION, DensityMatrix, IncompleteKrausError,
-                        KrausChannel, apply_channel, apply_local_channels,
-                        clock_matrix, dephasing_kraus, depolarizing_kraus, evolve,
+from qutritcorr import (CHANNEL_FAMILIES, PAPER_CONVENTION, RAW_CONVENTION, DensityMatrix,
+                        GdConvention, IncompleteKrausError, KrausChannel, apply_channel,
+                        apply_local_channels, bloch_decomposition, clock_matrix,
+                        dephasing_kraus, depolarizing_kraus, evolve,
                         gamma_of, gd_lower_bound, identity_kraus, isotropic_family,
                         kraus_for_family, make_bell_state, negativity,
                         random_density_matrix, shift_matrix, tensor,
@@ -27,6 +28,23 @@ def test_gamma_of_monotone_in_time():
     times = np.linspace(0.0, 6.0, 40)
     gammas = [gamma_of(0.8, t) for t in times]
     assert np.all(np.diff(gammas) >= 0.0)
+
+
+def test_gamma_of_stays_in_the_unit_interval_unclamped():
+    # finite, non-negative q and t put -q t in [-inf, 0], so 1 - exp(-q t) lies
+    # in [0, 1] with no clamp, also where q t overflows to inf (numpy warns)
+    with np.errstate(over="ignore"):
+        assert gamma_of(1e200, 1e200) == 1.0
+    for q, t in ((-0.0, 1.0), (1.0, -0.0), (-0.0, -0.0)):
+        gamma = gamma_of(q, t)
+        assert gamma == 0.0 and not np.signbit(gamma)
+    q = np.array([0.0, -0.0, 1e-300, 0.5, 2.0, 1e300])
+    t = np.array([0.0, 5.0, 1e-300, 1.0, 1e3, 1e300])
+    with np.errstate(over="ignore"):
+        gammas = gamma_of(q[:, None], t)
+    assert gammas.shape == (6, 6)
+    assert ((gammas >= 0.0) & (gammas <= 1.0)).all()
+    assert gammas[-1, -1] == 1.0 and (gammas[:, 0] == 0.0).all()
 
 
 @pytest.mark.parametrize("q,t", [(-0.1, 1.0), (1.0, -0.5), (float("nan"), 1.0),
@@ -244,6 +262,26 @@ def test_array_evolve_matches_scalar_calls():
             assert np.abs(stack.matrix[i] - one.matrix).max() <= 1e-14
             assert abs(neg[i] - negativity(one)) <= 1e-14
             assert abs(gd[i] - gd_lower_bound(one, RAW_CONVENTION)) <= 1e-14
+
+
+@pytest.mark.parametrize("family_a", CHANNEL_FAMILIES)
+@pytest.mark.parametrize("family_b", CHANNEL_FAMILIES)
+def test_scalar_query_is_row_zero_of_the_one_state_stack(family_a, family_b):
+    # one code path: scalar arguments give exactly the bits of length-1 arrays
+    rng = np.random.default_rng([7, CHANNEL_FAMILIES.index(family_a),
+                                 CHANNEL_FAMILIES.index(family_b)])
+    rho0 = random_density_matrix(3, 3, rank=1, rng=rng)
+    qa, qb, t = rng.uniform(0.0, 1.0, size=3)
+    one = evolve(rho0, family_a, family_b, qa, qb, t)
+    stack = evolve(rho0, family_a, family_b, np.array([qa]), np.array([qb]), np.array([t]))
+    assert stack.matrix.shape == (1, 9, 9)
+    assert (one.matrix == stack.matrix[0]).all()
+    assert negativity(one) == negativity(stack)[0]
+    for convention in (PAPER_CONVENTION, RAW_CONVENTION, GdConvention("raw", False)):
+        assert gd_lower_bound(one, convention) == gd_lower_bound(stack, convention)[0]
+    dec_one, dec_stack = bloch_decomposition(one), bloch_decomposition(stack)
+    for field in ("y_a", "z_b", "corr"):
+        assert (getattr(dec_one, field) == getattr(dec_stack, field)[0]).all()
 
 
 def test_evolve_at_t_zero_is_identity():

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -77,6 +79,20 @@ def test_bloch_decomposition_of_product_state_factorizes():
     rho = product_state(RNG)
     dec = bloch_decomposition(rho)
     np.testing.assert_allclose(dec.corr, np.outer(dec.y_a, dec.z_b), atol=1e-12)
+
+
+def test_bloch_decomposition_refuses_an_imaginary_residual():
+    # DensityMatrix refuses non-Hermitian input first, so an uncertified
+    # duck-typed state is the way to reach this refusal; the largest scaled
+    # imaginary part here sits in the correlation block
+    mat = np.eye(9, dtype=complex) / 9.0
+    mat[0, 1] = 1e-6
+    for raw in (mat, np.stack([np.eye(9) / 9.0, mat])):
+        with pytest.raises(ValueError, match=r"^Bloch coefficients carry residual "
+                                             r"imaginary part 2\.250e-06$"):
+            bloch_decomposition(SimpleNamespace(matrix=raw, dims=(3, 3)))
+    mat[0, 1] = 1e-11  # 2.25e-11, below the 1e-10 tolerance
+    bloch_decomposition(SimpleNamespace(matrix=mat, dims=(3, 3)))
 
 
 def test_bloch_roundtrip():

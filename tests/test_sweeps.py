@@ -59,6 +59,28 @@ def test_config_validation_names_fields():
     assert exc.value.field == "q_b"
 
 
+@pytest.mark.parametrize("field,value", [("q_a", True), ("q_a", "0.5"), ("q_a", None),
+                                         ("q_b", False), ("q_b", 1j), ("t", True),
+                                         ("t", "1")])
+def test_config_refuses_rates_and_times_that_are_not_real_numbers(field, value):
+    axes = {"q_a": 0.5, "q_b": 0.5, "t": SweepRange(0, 1, 3)}
+    if field == "t":
+        axes["q_a"] = SweepRange(0, 1, 3)
+    axes[field] = value
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig(family_a="dephasing", family_b="dephasing", **axes)
+    assert exc.value.field == field
+
+
+@pytest.mark.parametrize("start,stop", [(True, 1), (0, True), ("0", 1), (0, None),
+                                        (0, 1 + 0j)])
+def test_sweep_range_refuses_bounds_that_are_not_real_numbers(start, stop):
+    with pytest.raises(ConfigError) as exc:
+        SweepRange(start, stop, 3)
+    assert exc.value.field == "range"
+    assert len(SweepRange(np.float64(0), np.int64(1), 3).grid()) == 3
+
+
 @pytest.mark.parametrize("seed", [-3, 2.5, True, "3"])
 def test_config_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
     with pytest.raises(ConfigError) as exc:
