@@ -189,7 +189,8 @@ def _positive_definite(hess: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         if len(hess) == 1:
             return np.zeros(1, dtype=bool)
-    return np.concatenate([_positive_definite(half) for half in np.array_split(hess, 2)])
+    half = len(hess) // 2
+    return np.concatenate([_positive_definite(hess[:half]), _positive_definite(hess[half:])])
 
 
 def _newton_steps(hess: np.ndarray, grads: np.ndarray) -> np.ndarray:
@@ -284,8 +285,7 @@ def gd_exact(rho: DensityMatrix, restarts: int = 32, seed: int = 0,
         vals[moved], norms[moved] = _newton(ops, norm_sq, cur)
         bases[moved] = cur
     best = int(np.argmin(vals))
-    # an unmoved start's view is shared by every result that keeps this start
-    basis = _read_only(bases[best].copy()) if moved[best] else views[best]
+    basis = _read_only(bases[best].copy()) if moved[best] else views[best]  # views are shared
     return OracleResult(value=float(max(vals[best], 0.0)), basis=basis,
                         restarts_used=restarts, seed=seed, residual=float(norms[best]))
 
