@@ -61,7 +61,10 @@ def _gammas(t, *rates) -> list:
     if not all([((x >= 0.0) & (x < np.inf)).all() for x in (t, *rates)]):  # NaN fails both
         raise ValueError(f"decay rate and time must be finite and non-negative, got "
                          f"q={', '.join(map(str, rates))}, t={t}")
-    return [1.0 - np.exp(-q * t) for q in rates]  # -q t is in [-inf, 0]: in [0, 1] unclamped
+    # -q t is in [-inf, 0], so 1 - exp(-q t) is in [0, 1] unclamped; a product
+    # that overflows to -inf gives exactly 1, which is no cause for a warning
+    with np.errstate(over="ignore"):
+        return [1.0 - np.exp(-q * t) for q in rates]
 
 
 def gamma_of(q, t):

@@ -14,9 +14,9 @@ import numpy as np
 
 from ._version import __version__
 from .channels import CHANNEL_FAMILIES, evolve
-from .linalg import make_bell_state
+from .linalg import _finite_nonnegative, make_bell_state
 from .measures import GdConvention, RAW_CONVENTION, gd_lower_bound, negativity
-from .oracle import _finite_nonnegative, gd_exact
+from .oracle import gd_exact
 from .sweeps import (ConfigError, ExperimentConfig, PRESET_NAMES, SweepDataset,
                      SweepRange, preset_configs, run_preset, run_sweep)
 from .validation import run_validation
@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     seed = _shared("--seed", type=int, default=0)
-    restarts = _shared("--restarts", type=int, default=32)
+    restarts = _shared("--restarts", type=int, default=32, help="oracle restarts")
     force = _shared("--force", action="store_true", help="overwrite an existing output file")
     output = _shared("--output", default="-", help="output file, or - for stdout")
     fmt = _shared("--format", choices=("csv", "json"), default="csv")
@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
                 for side in "ab"]
 
     run_p = sub.add_parser("run", help="custom sweep over time and decay rates",
-                           parents=[*channels, convention, seed, fmt, output, force])
+                           parents=[*channels, convention, seed, restarts, fmt, output, force])
     for name, what in (("qa", "A-side decay rate"), ("qb", "B-side decay rate"),
                        ("t", "evolution time")):
         run_p.add_argument(f"--{name}", required=True, type=parse_axis,
@@ -88,8 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help=f"{what}, scalar or range")
     run_p.add_argument("--oracle", action="store_true",
                        help="add a gd_exact column (slow)")
-    run_p.add_argument("--restarts", type=int, default=32,
-                       help="oracle restarts when --oracle is set")
 
     preset_p = sub.add_parser("preset", help="run a bundled figure preset",
                               parents=[convention, seed, fmt, force])

@@ -6,6 +6,8 @@ state (i, j) of a d1 x d2 system sits at index i * d2 + j, matching np.kron.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,6 +29,16 @@ class ValidationError(ValueError):
     def __init__(self, message: str, violations: dict[str, float] | None = None):
         super().__init__(message)
         self.violations = dict(violations or {})
+
+
+def _integer_at_least(value, least: int) -> bool:
+    """Whether value is an integer (not a bool) of at least least."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= least
+
+
+def _finite_nonnegative(value) -> bool:
+    """Whether value is a real number (not a bool), finite and non-negative."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) and 0 <= value < math.inf
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

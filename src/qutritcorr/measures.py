@@ -21,13 +21,10 @@ class GdConvention:
 
     prefactor_mode "raw" applies 2/(d1^2 d2), which makes the result a true
     lower bound on the squared Hilbert-Schmidt distance to the nearest
-    measured state; "paper" doubles that to 4/(d1^2 d2). clamp_nonnegative
-    replaces a negative eigenvalue bracket (possible under floating point for
-    zero-discord states) with 0; switch it off to see the raw bracket sign.
+    measured state; "paper" doubles that to 4/(d1^2 d2).
     """
 
     prefactor_mode: str = "paper"
-    clamp_nonnegative: bool = True
 
     def __post_init__(self):
         if self.prefactor_mode not in ("paper", "raw"):
@@ -109,8 +106,9 @@ def gd_lower_bound(rho: DensityMatrix,
 
     Builds G = y y^T + (2/d2) V V^T from the Bloch decomposition and subtracts
     the d1 - 1 largest eigenvalues of G from its trace (which equals
-    |y|^2 + (2/d2) |V|^2), then scales by the convention prefactor. A stack
-    of states gives an array.
+    |y|^2 + (2/d2) |V|^2), then scales by the convention prefactor. A negative
+    bracket (possible under floating point for zero-discord states) gives 0. A
+    stack of states gives an array.
     """
     # The bracket is summed over the d1 (d1 - 1) smallest eigenvalues rather
     # than taken as a difference: no cancellation, and the exact zero rows of
@@ -120,9 +118,7 @@ def gd_lower_bound(rho: DensityMatrix,
     y = dec.y_a[..., :, None]
     g = y * y.swapaxes(-1, -2) + (2.0 / d2) * (dec.corr @ dec.corr.swapaxes(-1, -2))
     bracket = np.linalg.eigvalsh(g)[..., : d1 * (d1 - 1)].sum(axis=-1)
-    value = convention.prefactor(d1, d2) * bracket
-    if convention.clamp_nonnegative:
-        value = np.maximum(0.0, value)
+    value = np.maximum(0.0, convention.prefactor(d1, d2) * bracket)
     return float(value) if rho.matrix.ndim == 2 else value
 
 

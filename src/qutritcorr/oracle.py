@@ -3,15 +3,14 @@ closed-form references for the channel dynamics."""
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .channels import _apply_superoperators, _liouville
-from .linalg import DensityMatrix, _read_only, su_generators
+from .linalg import (DensityMatrix, _finite_nonnegative, _integer_at_least, _read_only,
+                     su_generators)
 from .measures import GdConvention, PAPER_CONVENTION
 
 UNITARITY_TOL = 1e-10
@@ -140,20 +139,14 @@ def _readout(ops: np.ndarray, norm_sq: float, bases: np.ndarray, hessian: bool =
 
 
 @lru_cache(maxsize=32)
-def _start_bases(d: int, seed: int, restarts: int) -> np.ndarray:
-    """The seeded starts exp(i H_r), H_r a Gaussian Hermitian matrix drawn
-    from default_rng([seed, r]), as a read-only (restarts, d, d) stack."""
+def _starts(d: int, seed: int, restarts: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The seeded starts exp(i H_r), H_r a Gaussian Hermitian matrix drawn from
+    default_rng([seed, r]), as a read-only (restarts, d, d) stack, and one view per
+    start, so the results that keep a start share one basis object."""
     rngs = [np.random.default_rng([seed, r]) for r in range(restarts)]
     raw = np.array([g.standard_normal((d, d)) + 1j * g.standard_normal((d, d)) for g in rngs])
-    return _read_only(_expi((raw + raw.conj().swapaxes(-1, -2)) / 2.0))
-
-
-@lru_cache(maxsize=16)
-def _start_views(d: int, seed: int, restarts: int) -> tuple[np.ndarray, ...]:
-    """One read-only view per start of `_start_bases`, so the results that keep a
-    start share one basis object. gd_exact looks up both caches on every call,
-    and this one holds half as many keys, so its views stay on the cached stack."""
-    return tuple(_start_bases(d, seed, restarts))
+    starts = _read_only(_expi((raw + raw.conj().swapaxes(-1, -2)) / 2.0))
+    return starts, tuple(starts)
 
 
 def _plane_matrix(ops: np.ndarray, bases: np.ndarray, p: int, q: int) -> np.ndarray:
@@ -243,16 +236,6 @@ def _newton(ops, norm_sq, bases):
     return vals, norms
 
 
-def _integer_at_least(value, least: int) -> bool:
-    """Whether value is an integer (not a bool) of at least least."""
-    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= least
-
-
-def _finite_nonnegative(value) -> bool:
-    """Whether value is a real number (not a bool), finite and non-negative."""
-    return not isinstance(value, bool) and isinstance(value, numbers.Real) and 0 <= value < math.inf
-
-
 def gd_exact(rho: DensityMatrix, restarts: int = 32, seed: int = 0,
              side: str = "A") -> OracleResult:
     """Minimize the squared Hilbert-Schmidt distance between rho and its
@@ -274,18 +257,17 @@ def gd_exact(rho: DensityMatrix, restarts: int = 32, seed: int = 0,
     ops = _operator_rows(rho4 if side == "A" else rho4.transpose(1, 0, 3, 2))
     d = rho.dims[0 if side == "A" else 1]
     norm_sq = float(np.vdot(rho.matrix, rho.matrix).real)
-    bases = _start_bases(d, seed, restarts).copy()
-    views = _start_views(d, seed, restarts)
-    vals, _, norms, _ = _readout(ops, norm_sq, bases, hessian=False)
+    starts, views = _starts(d, seed, restarts)
+    vals, _, norms, _ = _readout(ops, norm_sq, starts, hessian=False)
     moved = norms > NEWTON_TOL  # stationary starts stay where they are
     if moved.any():
-        cur = bases[moved]
+        bases = starts[moved]  # a copy of the starts that descend
         for p, q in [(p, q) for p in range(d) for q in range(p + 1, d)] * 2:
-            _jacobi_turn(ops, cur, p, q)  # two Jacobi sweeps
-        vals[moved], norms[moved] = _newton(ops, norm_sq, cur)
-        bases[moved] = cur
+            _jacobi_turn(ops, bases, p, q)  # two Jacobi sweeps
+        vals[moved], norms[moved] = _newton(ops, norm_sq, bases)
     best = int(np.argmin(vals))
-    basis = _read_only(bases[best].copy()) if moved[best] else views[best]  # views are shared
+    # a descended start is returned as its own copy, a stationary one as its shared view
+    basis = _read_only(bases[moved[:best].sum()].copy()) if moved[best] else views[best]
     return OracleResult(value=float(max(vals[best], 0.0)), basis=basis,
                         restarts_used=restarts, seed=seed, residual=float(norms[best]))
 

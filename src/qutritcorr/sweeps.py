@@ -9,9 +9,9 @@ import numpy as np
 
 from ._version import __version__
 from .channels import CHANNEL_FAMILIES, evolve
-from .linalg import DensityMatrix, make_bell_state
+from .linalg import DensityMatrix, _finite_nonnegative, _integer_at_least, make_bell_state
 from .measures import GdConvention, PAPER_CONVENTION, gd_lower_bound, negativity
-from .oracle import _finite_nonnegative, _integer_at_least, gd_exact
+from .oracle import gd_exact
 
 
 class ConfigError(ValueError):
@@ -119,7 +119,7 @@ def config_meta(cfg: ExperimentConfig) -> dict[str, object]:
         "sweep_mode": cfg.sweep_mode,
         "row_order": _ROW_ORDER[cfg.sweep_mode],
         "gd_convention": cfg.gd_convention.prefactor_mode,
-        "gd_clamped": cfg.gd_convention.clamp_nonnegative,
+        "gd_clamped": True,  # gd_lower_bound clamps a negative bracket at 0
         "oracle_enabled": cfg.oracle_enabled,
         "oracle_restarts": cfg.oracle_restarts,
         "seed": cfg.seed,
@@ -275,7 +275,7 @@ def robustness_report(cfg: ExperimentConfig) -> RobustnessReport:
     """
     if cfg.sweep_mode != "time":
         raise ConfigError("sweep_mode", "the robustness comparison needs a plain time sweep")
-    ds = time_sweep(cfg)
+    ds = run_sweep(cfg)
     times = ds.columns["t"]
     curves = {"negativity": ds.columns["negativity"], "gd": ds.columns["gd_lower"]}
     initial = {name: float(col[0]) for name, col in curves.items()}

@@ -8,9 +8,10 @@ import numpy as np
 
 from .channels import (CHANNEL_FAMILIES, COMPLETENESS_TOL, _FAMILY_BUILDERS, evolve,
                        trit_flip_kraus_unnormalized, validate_kraus)
-from .linalg import DensityMatrix, ValidationError, make_bell_state, random_density_matrix
+from .linalg import (DensityMatrix, ValidationError, _integer_at_least, make_bell_state,
+                     random_density_matrix)
 from .measures import RAW_CONVENTION, gd_lower_bound, isotropic_family, negativity
-from .oracle import (_integer_at_least, analytic_gd_isotropic, analytic_negativity_dephasing,
+from .oracle import (analytic_gd_isotropic, analytic_negativity_dephasing,
                      analytic_negativity_depolarizing, gd_exact)
 
 STATE_TOL = 1e-10

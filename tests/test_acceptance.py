@@ -122,10 +122,14 @@ def test_channel_families_are_trace_preserving():
           f"200 random evolutions valid ({elapsed:.2f}s)")
 
 
-def test_lower_bound_never_exceeds_oracle():
+def test_lower_bound_never_exceeds_oracle(mub_distance):
+    # The oracle is bracketed: the bound lies below it, and every mutually
+    # unbiased basis gives a distance above it (to 1e-12). The Bell state under
+    # dephasing/trit-flip at t = 0.5 has a local minimum 9.1e-3 above the
+    # discord, so an oracle that returned its worst restart would fail there.
     start = time.perf_counter()
     rng = np.random.default_rng(11)
-    worst_gap = -np.inf
+    worst_gap, worst_slack = -np.inf, np.inf
     for trial in range(50):
         seed = int(rng.integers(0, 2**31 - 1))
         rho = random_density_matrix(3, d2=3, rng=seed)
@@ -133,18 +137,30 @@ def test_lower_bound_never_exceeds_oracle():
         exact = gd_exact(rho, restarts=32, seed=trial)
         assert bound <= exact.value + 1e-4, (trial, bound, exact.value)
         worst_gap = max(worst_gap, bound - exact.value)
+        worst_slack = min(worst_slack, mub_distance(rho) - exact.value)
+    bell = make_bell_state(3)
+    for family_a in CHANNEL_FAMILIES:
+        for family_b in CHANNEL_FAMILIES:
+            for t in (0.5, 3.0):
+                rho = evolve(bell, family_a, family_b, 2.0 / 3.0, 0.5, t)
+                exact = gd_exact(rho, restarts=32, seed=0)
+                worst_gap = max(worst_gap, gd_lower_bound(rho, RAW_CONVENTION) - exact.value)
+                worst_slack = min(worst_slack, mub_distance(rho) - exact.value)
     worst_tight = 0.0
     for i, p in enumerate(np.linspace(0.05, 0.95, 10)):
         rho = isotropic_family(p)
         exact = gd_exact(rho, restarts=32, seed=1000 + i)
         dev = abs(exact.value - analytic_gd_isotropic(p, convention=RAW_CONVENTION))
         worst_tight = max(worst_tight, dev)
+        worst_slack = min(worst_slack, mub_distance(rho) - exact.value)
     elapsed = time.perf_counter() - start
+    assert worst_gap <= 1e-4
+    assert worst_slack >= -1e-12
     assert worst_tight <= 1e-5
     assert elapsed < 600.0
     print(f"[acceptance] oracle dominance pass: worst bound-oracle gap "
-          f"{worst_gap:.3e}, isotropic tightness {worst_tight:.3e} "
-          f"({elapsed:.2f}s)")
+          f"{worst_gap:.3e}, worst MUB slack {worst_slack:.3e}, isotropic "
+          f"tightness {worst_tight:.3e} ({elapsed:.2f}s)")
 
 
 def test_preset_negativity_monotone_in_time(preset_runs):

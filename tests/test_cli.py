@@ -316,6 +316,15 @@ def test_oracle_subcommand(capsys):
     assert payload["negativity"] == pytest.approx((4 * p - 1) / 3, abs=1e-10)
 
 
+def test_oracle_rates_whose_product_with_time_overflows_exit_0_quietly(capsys):
+    # q t = 1e400 overflows to inf and gamma is exactly 1: no numpy warning
+    rc = run_cli(["oracle", "--channel-a", "dephasing", "--channel-b", "trit-flip",
+                  "--qa", "1e200", "--qb", "0", "--t", "1e200"])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    assert json.loads(captured.out)["negativity"] == 0.0
+
+
 def test_csv_meta_formatting():
     ds = fake_datasets()["time"]
     text = cli.format_dataset_csv(ds)

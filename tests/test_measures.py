@@ -123,11 +123,14 @@ def test_gd_lower_bound_paper_doubles_raw():
 
 
 def test_gd_lower_bound_vanishes_on_product_states():
-    unclamped = GdConvention("raw", clamp_nonnegative=False)
     for _ in range(5):
         rho = product_state(RNG)
         assert gd_lower_bound(rho, RAW_CONVENTION) <= 1e-10
-        assert abs(gd_lower_bound(rho, unclamped)) < 1e-10
+        # the bracket itself, before the clamp at 0, from G = y y^T + (2/3) V V^T
+        dec = bloch_decomposition(rho)
+        g = np.outer(dec.y_a, dec.y_a) + (2.0 / 3.0) * dec.corr @ dec.corr.T
+        bracket = np.linalg.eigvalsh(g)[:6].sum()
+        assert abs(RAW_CONVENTION.prefactor(3, 3) * bracket) < 1e-10
 
 
 def test_gd_lower_bound_vanishes_on_classical_quantum_states():

@@ -138,13 +138,13 @@ def test_gd_exact_rejects_bad_arguments():
         gd_exact(bell, side="X")
     rho = random_density_matrix(3, 3, rng=5)
     # seeds and restart counts are refused by name, before any start is drawn
-    misses = oracle._start_bases.cache_info().misses
+    misses = oracle._starts.cache_info().misses
     for kwargs in ({"seed": -1}, {"seed": 2.5}, {"seed": True}, {"seed": "3"},
                    {"restarts": 2.5}, {"restarts": "8"}):
         (name, value), = kwargs.items()
         with pytest.raises(ValueError, match=name):
             gd_exact(rho, **kwargs)
-    assert oracle._start_bases.cache_info().misses == misses
+    assert oracle._starts.cache_info().misses == misses
     result = gd_exact(rho, restarts=np.int64(2), seed=np.uint8(3))
     assert result.restarts_used == 2 and result.seed == 3
 
@@ -307,7 +307,7 @@ def test_newton_restarts_do_not_depend_on_the_rest_of_the_stack():
     # each restart's arithmetic is its own, so adding restarts can only lower
     # the minimum
     ops, norm_sq = _landscape(random_density_matrix(3, 3, rng=12))
-    full = oracle._start_bases(3, 0, 16).copy()
+    full = oracle._starts(3, 0, 16)[0].copy()
     part = full[3:6].copy()
     vals, norms = oracle._newton(ops, norm_sq, full)
     part_vals, part_norms = oracle._newton(ops, norm_sq, part)
@@ -418,7 +418,7 @@ def test_flat_results_share_one_read_only_basis_per_start():
     first, second = (gd_exact(isotropic_family(0.5), restarts=8, seed=3) for _ in range(2))
     assert first.basis is second.basis
     assert not first.basis.flags.writeable
-    assert first.basis.base is oracle._start_bases(3, 3, 8)
+    assert first.basis.base is oracle._starts(3, 3, 8)[0]
 
 
 def test_gd_exact_restarts_are_independent():
@@ -440,7 +440,7 @@ def test_gd_exact_stops_at_stationary_starts_on_flat_landscapes(make_state, p):
     # U x U*-invariant states have the same discord in every basis, so every
     # start is stationary and none is descended
     result = gd_exact(make_state(), restarts=32, seed=0)
-    starts = oracle._start_bases(3, 0, 32)
+    starts = oracle._starts(3, 0, 32)[0]
     assert any(np.array_equal(result.basis, start) for start in starts)
     # a stationary basis is the cached start itself, shared read-only
     assert result.basis.base is starts and not result.basis.flags.writeable
@@ -449,14 +449,22 @@ def test_gd_exact_stops_at_stationary_starts_on_flat_landscapes(make_state, p):
 
 
 def test_start_bases_cache_is_read_only_and_unchanged():
-    starts = oracle._start_bases(3, 5, 8)
+    starts = oracle._starts(3, 5, 8)[0]
     before = starts.copy()
     assert not starts.flags.writeable
     gd_exact(random_density_matrix(3, 3, rng=6), restarts=8, seed=5)
-    assert oracle._start_bases(3, 5, 8) is starts
+    assert oracle._starts(3, 5, 8)[0] is starts
+    assert all(view.base is starts for view in oracle._starts(3, 5, 8)[1])
     np.testing.assert_array_equal(starts, before)
     with pytest.raises(ValueError):
         starts[0, 0, 0] = 0.0
+
+
+def test_mub_bases_are_unitary_and_mutually_unbiased(mub_bases):
+    for k, a in enumerate(mub_bases):
+        np.testing.assert_allclose(a.conj().T @ a, np.eye(3), atol=1e-12)
+        for b in mub_bases[k + 1:]:
+            np.testing.assert_allclose(np.abs(a.conj().T @ b) ** 2, 1.0 / 3.0, atol=1e-12)
 
 
 def test_residual_is_gradient_norm_at_returned_basis():
@@ -486,10 +494,11 @@ def test_gd_exact_basis_owns_its_data():
 
 @settings(max_examples=15)
 @given(state_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 1000))
-def test_gd_exact_dominates_bound_and_is_reached(state_seed, seed):
+def test_gd_exact_dominates_bound_and_is_reached(state_seed, seed, mub_distance):
     rho = random_density_matrix(3, 3, rng=state_seed)
     result = gd_exact(rho, restarts=8, seed=seed)
     assert gd_lower_bound(rho, RAW_CONVENTION) <= result.value + 1e-4
+    assert result.value <= mub_distance(rho) + 1e-12  # any fixed basis bounds it above
     reached = hs_distance_sq(rho.matrix, project_measurement(rho, result.basis).matrix)
     assert abs(reached - result.value) <= 1e-12
 
