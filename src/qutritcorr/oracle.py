@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .channels import _apply_superoperators, _liouville
 from .linalg import (DensityMatrix, _finite_nonnegative, _integer_at_least, _read_only,
@@ -173,17 +174,11 @@ def _jacobi_turn(ops: np.ndarray, bases: np.ndarray, p: int, q: int) -> None:
 
 
 def _positive_definite(hess: np.ndarray) -> np.ndarray:
-    """Whether Cholesky factors each matrix of the stack. A stack factors only
-    if each of its matrices does, so one call decides the common case and a
-    failed stack is decided half by half; every answer is that matrix's own."""
-    try:
-        np.linalg.cholesky(hess)
-        return np.ones(len(hess), dtype=bool)
-    except np.linalg.LinAlgError:
-        if len(hess) == 1:
-            return np.zeros(1, dtype=bool)
-    half = len(hess) // 2
-    return np.concatenate([_positive_definite(hess[:half]), _positive_definite(hess[half:])])
+    """Whether Cholesky factors each matrix of the stack, decided per matrix: the kernel
+    under np.linalg.cholesky, which raises once for a stack, fills failed factors with NaN."""
+    with np.errstate(invalid="ignore"):
+        factor = _umath_linalg.cholesky_lo(hess, signature="d->d")
+    return ~np.isnan(factor[..., -1, -1])
 
 
 def _newton_steps(hess: np.ndarray, grads: np.ndarray) -> np.ndarray:

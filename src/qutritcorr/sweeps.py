@@ -63,6 +63,10 @@ class ExperimentConfig:
             if fam not in CHANNEL_FAMILIES:
                 raise ConfigError(name, f"unknown channel family {fam!r}")
         object.__setattr__(self, "sweep_mode", infer_sweep_mode(self.q_a, self.q_b, self.t))
+        if not isinstance(self.gd_convention, GdConvention):
+            raise ConfigError("gd_convention", f"not a GdConvention: {self.gd_convention!r}")
+        if not isinstance(self.oracle_enabled, (bool, np.bool_)):
+            raise ConfigError("oracle_enabled", f"not a bool: {self.oracle_enabled!r}")
         for name, value, least in (("oracle_restarts", self.oracle_restarts, 1),
                                    ("seed", self.seed, 0)):
             if not _integer_at_least(value, least):
@@ -298,7 +302,6 @@ def robustness_report(cfg: ExperimentConfig) -> RobustnessReport:
         i0, i1 = untied[:-1][flips], untied[1:][flips]
         t0, t1, d0, d1 = times[i0], times[i1], diff[i0], diff[i1]
         crossovers = tuple(float(x) for x in t0 - d0 * (t1 - t0) / (d1 - d0))
-    meta = config_meta(cfg)
     return RobustnessReport(times=times, initial=initial, normalized=normalized,
                             winner=winner, crossovers=crossovers,
-                            definition=ROBUSTNESS_DEFINITION, meta=meta)
+                            definition=ROBUSTNESS_DEFINITION, meta=ds.meta)

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qutritcorr import (DensityMatrix, GdConvention, PAPER_CONVENTION,
-                        RAW_CONVENTION, bloch_decomposition, bloch_synthesis,
-                        gd_lower_bound, isotropic_family, make_bell_state,
-                        negativity, partial_transpose, random_density_matrix,
-                        random_unitary, tensor, trace_norm)
+from qutritcorr import (CHANNEL_FAMILIES, DensityMatrix, GdConvention, PAPER_CONVENTION,
+                        RAW_CONVENTION, bloch_decomposition, bloch_synthesis, evolve,
+                        gd_lower_bound, hermitian_eigenvalues, isotropic_family,
+                        make_bell_state, negativity, partial_transpose,
+                        random_density_matrix, random_unitary, tensor, trace_norm)
+from qutritcorr.measures import NEGATIVITY_EIG_TOL
 
 RNG = np.random.default_rng(512)
 
@@ -50,6 +51,21 @@ def test_negativity_two_routes_agree():
         via_spectrum = negativity(rho)
         via_norm = (trace_norm(partial_transpose(rho, "A")) - 1.0) / 2.0
         assert abs(via_spectrum - via_norm) < 1e-10
+
+
+@pytest.mark.parametrize("family_a", CHANNEL_FAMILIES)
+@pytest.mark.parametrize("family_b", CHANNEL_FAMILIES)
+def test_negativity_matches_the_checked_eigenvalue_route_bit_for_bit(family_a, family_b):
+    # negativity reads the spectrum of the partial transpose directly; the
+    # checked hermitian_eigenvalues route, summed in the same descending order,
+    # gives the same bits for the stack and for each row alone
+    q_a, t = (grid.ravel() for grid in np.meshgrid(np.linspace(0.0, 2.0, 6),
+                                                     [0.1, 0.3, 0.6, 1.0, 1.5], indexing="ij"))
+    rho = evolve(make_bell_state(3), family_a, family_b, q_a, 0.5, t)
+    eigs = hermitian_eigenvalues(partial_transpose(rho, "A"))
+    expected = np.where(eigs < -NEGATIVITY_EIG_TOL, -eigs, 0.0).sum(axis=-1)
+    assert (negativity(rho) == expected).all()
+    assert [negativity(DensityMatrix(row, (3, 3))) for row in rho.matrix] == list(expected)
 
 
 def test_negativity_local_unitary_invariance():

@@ -57,11 +57,15 @@ def test_config_validation_names_fields():
     with pytest.raises(ConfigError) as exc:
         time_config("dephasing", "dephasing", 0.5, float("nan"), SweepRange(0, 1, 3))
     assert exc.value.field == "q_b"
+    assert time_config("dephasing", "dephasing", 0.5, 0.5, SweepRange(0, 1, 3),
+                       oracle_enabled=np.True_).oracle_enabled
 
 
 @pytest.mark.parametrize("field,value", [("q_a", True), ("q_a", "0.5"), ("q_a", None),
                                          ("q_b", False), ("q_b", 1j), ("t", True),
-                                         ("t", "1")])
+                                         ("t", "1"), ("gd_convention", "raw"),
+                                         ("gd_convention", None), ("oracle_enabled", "no"),
+                                         ("oracle_enabled", 1)])
 def test_config_refuses_rates_and_times_that_are_not_real_numbers(field, value):
     axes = {"q_a": 0.5, "q_b": 0.5, "t": SweepRange(0, 1, 3)}
     if field == "t":
