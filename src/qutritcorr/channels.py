@@ -10,6 +10,8 @@ import numpy as np
 from .linalg import DensityMatrix, _read_only
 
 COMPLETENESS_TOL = 1e-12
+# evolve's gather: block jk of the 27x27 (C_j R C_k^T) to row jk, un-realigned to rho's layout
+_UNREALIGN = _read_only(np.arange(729).reshape((3,) * 6).transpose(0, 3, 1, 4, 2, 5).reshape(9, 81))
 
 
 class IncompleteKrausError(ValueError):
@@ -55,16 +57,15 @@ def validate_kraus(channel: KrausChannel) -> KrausDiagnostics:
     return KrausDiagnostics(ok=dev <= COMPLETENESS_TOL, max_deviation=dev)
 
 
-def _gammas(t, *rates) -> list:
-    """1 - exp(-q t) for each rate q (arrays broadcast); every entry must be finite and >= 0."""
-    t, *rates = [np.asarray(x, dtype=float) for x in (t, *rates)]
-    if not all([((x >= 0.0) & (x < np.inf)).all() for x in (t, *rates)]):  # NaN fails both
+def _gammas(t, *rates) -> np.ndarray:
+    """1 - exp(-q t) per rate q, on a new first axis; all broadcast, finite and >= 0."""
+    tq = np.array(np.broadcast_arrays(t, *rates), dtype=float)
+    if not ((tq >= 0.0) & (tq < np.inf)).all():  # NaN fails both
         raise ValueError(f"decay rate and time must be finite and non-negative, got "
-                         f"q={', '.join(map(str, rates))}, t={t}")
-    # -q t is in [-inf, 0], so 1 - exp(-q t) is in [0, 1] unclamped; a product
-    # that overflows to -inf gives exactly 1, which is no cause for a warning
+                         f"q={', '.join(map(str, tq[1:]))}, t={tq[0]}")
+    # 1 - exp(-q t) lies in [0, 1] unclamped; -q t overflowing to -inf gives exactly 1
     with np.errstate(over="ignore"):
-        return [1.0 - np.exp(-q * t) for q in rates]
+        return 1.0 - np.exp(-tq[1:] * tq[0])
 
 
 def gamma_of(q, t):
@@ -219,9 +220,9 @@ def apply_local_channels(rho: DensityMatrix, channel_a: KrausChannel,
 
 
 @lru_cache(maxsize=None)
-def _family_superoperator_basis(family: str) -> tuple[np.ndarray, ...]:
-    """(C0, C1, C2) with S(gamma) = C0 + sqrt(1 - gamma) C1 + gamma C2, solved
-    from the Kraus sets at gamma = 0, 3/4, 1 (sqrt(1 - gamma) = 1, 1/2, 0).
+def _family_superoperator_basis(family: str) -> np.ndarray:
+    """The stack (C0, C1, C2) with S(gamma) = C0 + sqrt(1 - gamma) C1 + gamma C2,
+    solved from the Kraus sets at gamma = 0, 3/4, 1 (sqrt(1 - gamma) = 1, 1/2, 0).
 
     Every family has this form: its Kraus weights are constants,
     sqrt(1 - gamma) or roots of linear functions of gamma. Completeness is
@@ -231,22 +232,21 @@ def _family_superoperator_basis(family: str) -> tuple[np.ndarray, ...]:
                                       f"{family} Kraus set at gamma={g}")
                    for g in (0.0, 0.75, 1.0))
     c0 = 2.0 * s0 + 3.0 * s1 - 4.0 * s34
-    return tuple(map(_read_only, (c0, s0 - c0, s1 - c0)))
-
-
-def _family_superoperator(family: str, gamma) -> np.ndarray:
-    """S(gamma) of a family; an array of gammas gives a stack."""
-    c0, c1, c2 = _family_superoperator_basis(family)
-    gamma = np.asarray(gamma)[..., None, None]
-    return c0 + np.sqrt(1.0 - gamma) * c1 + gamma * c2
+    return _read_only(np.stack((c0, s0 - c0, s1 - c0)))
 
 
 def evolve(rho0: DensityMatrix, family_a: str, family_b: str, q_a, q_b, t) -> DensityMatrix:
-    """Two-sided noise at the decay parameters gamma = 1 - exp(-q t) reached
-    by time t.
-
-    Scalar rates and time give one state; arrays broadcast against each other
-    and give an (N, 9, 9) stack, one state per element.
-    """
-    s_a, s_b = map(_family_superoperator, (family_a, family_b), _gammas(t, q_a, q_b))
-    return DensityMatrix(_apply_superoperators(rho0.matrix, rho0.dims, s_a, s_b), rho0.dims)
+    """Two-sided noise at gamma = 1 - exp(-q t) per side: one state for scalar rates and time,
+    an (N, 9, 9) stack when they or rho0 are stacks (all broadcast). Realigned, the state is
+    sum_jk a_j b_k C_j R C_k^T with a = (1, sqrt(1 - gamma_a), gamma_a) and b likewise."""
+    if rho0.dims != (3, 3):
+        raise ValueError(f"evolve acts on two qutrits, got dims {rho0.dims}")
+    lead = rho0.matrix.shape[:-2]
+    r = rho0.matrix.reshape(lead + (3, 3, 3, 3)).swapaxes(-3, -2).reshape(lead + (9, 9))
+    c_a, c_b = (_family_superoperator_basis(f).reshape(27, 9) for f in (family_a, family_b))
+    m = (c_a @ r @ c_b.T).reshape(lead + (729,))[..., _UNREALIGN]  # row jk: C_j R C_k^T
+    g = _gammas(t, q_a, q_b)  # (gamma_a, gamma_b)
+    w = np.empty(g.shape + (3,))
+    w[..., 0], w[..., 1], w[..., 2] = 1.0, np.sqrt(1.0 - g), g
+    out = (w[0, ..., :, None] * w[1, ..., None, :]).reshape(g.shape[1:] + (1, 9)) @ m
+    return DensityMatrix(out.reshape(out.shape[:-2] + (9, 9)), rho0.dims)

@@ -71,6 +71,8 @@ class ExperimentConfig:
                                    ("seed", self.seed, 0)):
             if not _integer_at_least(value, least):
                 raise ConfigError(name, f"must be an integer >= {least}, got {value!r}")
+        for name, kind in (("oracle_enabled", bool), ("oracle_restarts", int), ("seed", int)):
+            object.__setattr__(self, name, kind(getattr(self, name)))  # numpy scalars -> JSON
         for name, value in (("q_a", self.q_a), ("q_b", self.q_b), ("t", self.t)):
             if not isinstance(value, SweepRange) and not _finite_nonnegative(value):
                 raise ConfigError(name, f"must be a finite, non-negative number, got {value!r}")

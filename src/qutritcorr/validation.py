@@ -6,18 +6,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (CHANNEL_FAMILIES, COMPLETENESS_TOL, _FAMILY_BUILDERS, evolve,
-                       trit_flip_kraus_unnormalized, validate_kraus)
+from .channels import (CHANNEL_FAMILIES, COMPLETENESS_TOL, _FAMILY_BUILDERS, clock_matrix,
+                       evolve, shift_matrix, trit_flip_kraus_unnormalized, validate_kraus)
 from .linalg import (DensityMatrix, ValidationError, _integer_at_least, make_bell_state,
                      random_density_matrix)
 from .measures import RAW_CONVENTION, gd_lower_bound, isotropic_family, negativity
 from .oracle import (analytic_gd_isotropic, analytic_negativity_dephasing,
-                     analytic_negativity_depolarizing, gd_exact)
+                     analytic_negativity_depolarizing, gd_exact, project_measurement)
 
 STATE_TOL = 1e-10
 CLOSED_FORM_TOL = 1e-10
 BOUND_TOL = 1e-4
 TIGHTNESS_TOL = 1e-5
+MUB_TOL = 1e-12
 
 GAMMA_GRID = np.linspace(0.0, 1.0, 11)
 # 4 asymmetric rate pairs x 5 times = the 20-point closed-form grid
@@ -81,18 +82,30 @@ def run_validation(seed: int = 0, restarts: int = 32, oracle_states: int = 12,
 
     state_rng = np.random.default_rng([seed, 1])
     states = [random_density_matrix(3, 3, rng=state_rng) for _ in range(oracle_states)]
+    isotropic = [isotropic_family(p) for p in ISOTROPIC_PS]
+    exact = [gd_exact(rho, restarts=restarts, seed=seed).value for rho in states + isotropic]
     # np.max, unlike max, lets a NaN through to fail the check
-    gap = float(np.max([gd_lower_bound(rho, RAW_CONVENTION)
-                        - gd_exact(rho, restarts=restarts, seed=seed).value for rho in states]))
+    gap = float(np.max([gd_lower_bound(rho, RAW_CONVENTION) - value
+                        for rho, value in zip(states, exact)]))
     checks.append(CheckResult("gd bound below oracle", BOUND_TOL, max(0.0, gap),
                               gap <= BOUND_TOL))
 
     tight = 0.0  # against the oracle and, as a sanity check, the closed form
-    for p in ISOTROPIC_PS:
-        bound = gd_lower_bound(isotropic_family(p), RAW_CONVENTION)
-        exact = gd_exact(isotropic_family(p), restarts=restarts, seed=seed).value
+    for p, rho, value in zip(ISOTROPIC_PS, isotropic, exact[len(states):]):
+        bound = gd_lower_bound(rho, RAW_CONVENTION)
         analytic = analytic_gd_isotropic(p, RAW_CONVENTION)
-        tight = float(np.max([tight, abs(bound - exact), abs(bound - analytic)]))
+        tight = float(np.max([tight, abs(bound - value), abs(bound - analytic)]))
     checks.append(CheckResult("gd bound tight on isotropic states", TIGHTNESS_TOL,
                               tight, tight <= TIGHTNESS_TOL))
+
+    # any fixed basis bounds the discord from above; these are the four qutrit
+    # mutually unbiased bases, the eigenbases of Z, X, XZ and XZ^2
+    x, z = shift_matrix(3), clock_matrix(3)
+    mubs = [np.linalg.eig(u)[1] for u in (z, x, x @ z, x @ z @ z)]
+    excess = float(np.max([
+        value - np.min([np.vdot(diff, diff).real for diff in
+                        (rho.matrix - project_measurement(rho, u).matrix for u in mubs)])
+        for rho, value in zip(states + isotropic, exact)]))
+    checks.append(CheckResult("gd oracle below MUB distances", MUB_TOL, max(0.0, excess),
+                              excess <= MUB_TOL))
     return checks

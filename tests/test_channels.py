@@ -66,7 +66,8 @@ def test_three_term_superoperator_matches_kraus(family):
     # gammas, equals sum E (x) E^* of the builder at every gamma
     for g in GAMMAS:
         want = sum(np.kron(e, e.conj()) for e in kraus_for_family(family, g).operators)
-        got = channels._family_superoperator(family, g)
+        got = np.tensordot((1.0, np.sqrt(1.0 - g), g),
+                           channels._family_superoperator_basis(family), axes=1)
         assert np.abs(got - want).max() <= 1e-14, g
 
 
@@ -234,13 +235,43 @@ def test_two_sided_depolarizing_gives_isotropic_state():
     np.testing.assert_allclose(out.matrix, iso.matrix, atol=1e-14)
 
 
-def test_evolve_matches_manual_channel_application():
+@pytest.mark.parametrize("family_a", CHANNEL_FAMILIES)
+@pytest.mark.parametrize("family_b", CHANNEL_FAMILIES)
+def test_evolve_matches_manual_channel_application(family_a, family_b):
+    # a full sweep batch against the Kraus sets built at each row's gammas
     bell = make_bell_state(3)
-    qa, qb, t = 0.5, 0.8, 1.3
-    out = evolve(bell, "dephasing", "trit-flip", qa, qb, t)
-    ref = apply_local_channels(bell, dephasing_kraus(gamma_of(qa, t)),
-                               trit_flip_kraus(gamma_of(qb, t)))
-    np.testing.assert_allclose(out.matrix, ref.matrix, atol=1e-14)
+    rng = np.random.default_rng(11)
+    qa, qb = rng.uniform(0.0, 2.0, size=(2, 256))
+    t = np.r_[0.0, 1e3, rng.uniform(0.0, 5.0, size=254)]  # gamma 0 and exactly 1 included
+    out = evolve(bell, family_a, family_b, qa, qb, t)
+    for i in range(256):
+        ref = apply_local_channels(bell, kraus_for_family(family_a, gamma_of(qa[i], t[i])),
+                                   kraus_for_family(family_b, gamma_of(qb[i], t[i])))
+        assert np.abs(out.matrix[i] - ref.matrix).max() <= 1e-14, i
+
+
+@pytest.mark.parametrize("family_a", CHANNEL_FAMILIES)
+@pytest.mark.parametrize("family_b", CHANNEL_FAMILIES)
+def test_stacked_initial_states_evolve_row_by_row(family_a, family_b):
+    # validate's path: one initial state and one set of rates per row
+    rng = np.random.default_rng([13, CHANNEL_FAMILIES.index(family_a),
+                                 CHANNEL_FAMILIES.index(family_b)])
+    states = [random_density_matrix(3, 3, rank=r, rng=rng) for r in (1, 2, 5, 9, 9, 3)]
+    stack = DensityMatrix(np.array([s.matrix for s in states]), (3, 3))
+    qa, qb = rng.uniform(0.0, 2.0, size=(2, 6))
+    t = rng.uniform(0.0, 5.0, size=6)
+    out = evolve(stack, family_a, family_b, qa, qb, t)
+    assert out.matrix.shape == (6, 9, 9)
+    mixed = np.eye(9) / 9.0
+    for i, rho in enumerate(states):
+        one = evolve(rho, family_a, family_b, qa[i], qb[i], t[i])
+        assert np.abs(out.matrix[i] - one.matrix).max() <= 1e-14, i
+        # no row reads another: other states and rates elsewhere leave row i's bits
+        others = np.arange(6) != i
+        swapped = np.where(others[:, None, None], mixed, stack.matrix)
+        rates = [np.where(others, x[::-1] + 0.5, x) for x in (qa, qb, t)]
+        again = evolve(DensityMatrix(swapped, (3, 3)), family_a, family_b, *rates)
+        assert (again.matrix[i] == out.matrix[i]).all(), i
 
 
 def test_array_evolve_matches_scalar_calls():
@@ -280,6 +311,14 @@ def test_scalar_query_is_row_zero_of_the_one_state_stack(family_a, family_b):
     dec_one, dec_stack = bloch_decomposition(one), bloch_decomposition(stack)
     for field in ("y_a", "z_b", "corr"):
         assert (getattr(dec_one, field) == getattr(dec_stack, field)[0]).all()
+
+
+@pytest.mark.parametrize("dims", [(9, 1), (1, 9)])
+def test_evolve_refuses_states_that_are_not_two_qutrits(dims):
+    # a 9x9 state of any other split would reshape without complaint
+    rho = DensityMatrix(random_density_matrix(3, 3, rng=RNG).matrix, dims)
+    with pytest.raises(ValueError, match="two qutrits"):
+        evolve(rho, "dephasing", "dephasing", 0.5, 0.5, 1.0)
 
 
 def test_evolve_at_t_zero_is_identity():

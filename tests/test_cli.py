@@ -1,5 +1,6 @@
 import json
 import os
+import types
 
 import numpy as np
 import pytest
@@ -265,6 +266,20 @@ def test_validate_fails_when_an_evolved_state_is_refused(monkeypatch, capsys):
     assert all(c.passed for c in checks.values())
     assert run_cli(["validate", "--oracle-states", "1", "--restarts", "2"]) == 1
     assert "failed: evolved states valid" in capsys.readouterr().err
+
+
+def test_validate_fails_when_the_oracle_exceeds_a_mub_distance(monkeypatch, capsys):
+    # every basis gives an isotropic state the same distance, so an oracle
+    # reading 1e-9 high exceeds the mutually unbiased bases' there
+    real_gd_exact = validation.gd_exact
+    monkeypatch.setattr(validation, "gd_exact", lambda rho, **kw: types.SimpleNamespace(
+        value=real_gd_exact(rho, **kw).value + 1e-9))
+    checks = {c.name: c for c in validation.run_validation(restarts=2, oracle_states=1)}
+    mub = checks.pop("gd oracle below MUB distances")
+    assert not mub.passed and 0.9e-9 < mub.max_deviation < 1.1e-9
+    assert all(c.passed for c in checks.values())
+    assert run_cli(["validate", "--oracle-states", "1", "--restarts", "2"]) == 1
+    assert "failed: gd oracle below MUB distances" in capsys.readouterr().err
 
 
 def test_library_value_errors_exit_2(capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from qutritcorr import (CHANNEL_FAMILIES, ConfigError, ExperimentConfig,
                         analytic_negativity_dephasing,
                         analytic_negativity_depolarizing, infer_sweep_mode,
                         preset_configs, rate_grid, robustness_report, run_preset,
-                        time_sweep)
+                        run_sweep, time_sweep)
+from qutritcorr.cli import format_dataset_csv, format_dataset_json
 
 
 def time_config(family_a, family_b, qa, qb, t_range, **kw):
@@ -92,6 +94,19 @@ def test_config_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
     assert exc.value.field == "seed"
     assert time_config("dephasing", "dephasing", 0.5, 0.5, SweepRange(0, 1, 3),
                        seed=np.int64(3)).seed == 3
+
+
+@pytest.mark.parametrize("numpy_field", [{"seed": np.int64(3)},
+                                         {"oracle_restarts": np.int32(4)},
+                                         {"oracle_enabled": np.False_}])
+def test_numpy_scalars_in_the_config_format_as_csv_and_json(numpy_field):
+    # accepted numpy scalars become Python values, so the metadata serialises
+    cfg = time_config("dephasing", "trit-flip", 0.5, 0.5, SweepRange(0, 1, 3), **numpy_field)
+    (name, value), = numpy_field.items()
+    assert type(getattr(cfg, name)) is type(value.item()) and getattr(cfg, name) == value
+    ds = run_sweep(cfg)
+    assert f"# {name}: {json.dumps(value.item())}\n" in format_dataset_csv(ds)
+    assert json.loads(format_dataset_json(ds))["meta"][name] == value.item()
 
 
 @pytest.mark.parametrize("restarts", [2.5, True, "8"])
