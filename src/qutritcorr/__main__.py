@@ -1,0 +1,4 @@
+"""`python -m qutritcorr` runs the command-line interface."""
+from .cli import main
+if __name__ == "__main__":
+    raise SystemExit(main())

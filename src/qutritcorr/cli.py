@@ -238,6 +238,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO if isinstance(exc, OutputError) else EXIT_USAGE
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,4 +1,4 @@
-"""Dense complex-matrix primitives for small bipartite qudit systems.
+"""Dense matrix primitives for small bipartite qudit systems.
 
 Composite indices follow the row-major, left-factor-major convention: basis
 state (i, j) of a d1 x d2 system sits at index i * d2 + j, matching np.kron.
@@ -90,7 +90,9 @@ class DensityMatrix:
 
     Construction validates Hermiticity (1e-12), unit trace (1e-12) and
     positivity (smallest eigenvalue >= -1e-10) of every state and freezes the
-    array, so any DensityMatrix in circulation holds only valid states.
+    array, so any DensityMatrix in circulation holds only valid states. The
+    dtype follows the data: float64 for real, integer or bool input,
+    complex128 for complex input.
     """
 
     matrix: np.ndarray
@@ -100,7 +102,9 @@ class DensityMatrix:
         d1, d2 = map(int, self.dims)
         if d1 < 1 or d2 < 1:
             raise ValueError(f"subsystem dimensions must be positive, got {self.dims}")
-        mat = np.array(self.matrix, dtype=complex)
+        # A copy, complex128 for complex input, else float64: complex objects raise
+        mat = np.asarray(self.matrix)
+        mat = mat.astype(complex if mat.dtype.kind == "c" else float)
         violations = _density_violations(mat, d1 * d2)
         if violations:
             detail = ", ".join(f"{k} off by {v:.3e}" for k, v in violations.items())
@@ -111,16 +115,16 @@ class DensityMatrix:
 
 def validate_density_matrix(matrix: np.ndarray, dims: tuple[int, int]) -> DensityMatrix:
     """Certify a raw matrix as a density matrix or raise ValidationError."""
-    return DensityMatrix(np.asarray(matrix, dtype=complex), tuple(dims))
+    return DensityMatrix(matrix, tuple(dims))
 
 
 def make_bell_state(d: int) -> DensityMatrix:
     """Maximally entangled state (1/sqrt(d)) sum_i |ii> as a density matrix."""
     if d < 2:
         raise ValueError(f"need subsystem dimension >= 2, got {d}")
-    amp = np.zeros(d * d, dtype=complex)
+    amp = np.zeros(d * d)
     amp[(d + 1) * np.arange(d)] = 1.0 / np.sqrt(d)
-    return DensityMatrix(np.outer(amp, amp.conj()), (d, d))
+    return DensityMatrix(np.outer(amp, amp), (d, d))
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -49,15 +49,17 @@ class BlochDecomposition:
 
 
 @lru_cache(maxsize=None)
-def _generator_table(d1: int, d2: int) -> tuple[np.ndarray, np.ndarray]:
+def _generator_table(d1: int, d2: int, dtype=np.dtype(complex)) -> tuple[np.ndarray, np.ndarray]:
     """Rows vec(op^T) of the operators g_k x I, then I x g_l, then g_k x g_l,
     so that Tr(op rho) = row . vec(rho), and the factor d1/2, d2/2 or d1 d2/4
-    that scales each row's trace to a Bloch coefficient; read-only."""
+    that scales each row's trace to a Bloch coefficient; read-only. For float64,
+    the rows' real parts: their antisymmetric imaginary parts give 0 on a real rho."""
     gen_a, gen_b = su_generators(d1), su_generators(d2)
     eye_a, eye_b = np.eye(d1), np.eye(d2)
     ops = ([np.kron(g, eye_b) for g in gen_a] + [np.kron(eye_a, g) for g in gen_b]
            + [np.kron(ga, gb) for ga in gen_a for gb in gen_b])
     table = np.stack(ops).swapaxes(-1, -2).reshape(len(ops), -1)
+    table = np.ascontiguousarray(table.real) if dtype == np.float64 else table
     n1, n2 = len(gen_a), len(gen_b)
     scale = np.repeat([0.5 * d1, 0.5 * d2, 0.25 * d1 * d2], [n1, n2, n1 * n2])
     return _read_only(table), _read_only(scale)
@@ -68,7 +70,7 @@ def bloch_decomposition(rho: DensityMatrix) -> BlochDecomposition:
     z_l = (d2/2) Tr(rho I x g_l), v_kl = (d1 d2/4) Tr(rho g_k x g_l)."""
     d1, d2 = rho.dims
     n1, n2 = d1 * d1 - 1, d2 * d2 - 1
-    table, scale = _generator_table(d1, d2)
+    table, scale = _generator_table(d1, d2, rho.matrix.dtype)
     lead = rho.matrix.shape[:-2]
     coeffs = (rho.matrix.reshape(-1, table.shape[1]) @ table.T) * scale
     resid = float(np.abs(coeffs.imag).max())

@@ -10,7 +10,7 @@ import numpy as np
 from ._version import __version__
 from .channels import CHANNEL_FAMILIES, evolve
 from .linalg import DensityMatrix, _finite_nonnegative, _integer_at_least, make_bell_state
-from .measures import GdConvention, PAPER_CONVENTION, gd_lower_bound, negativity
+from .measures import GdConvention, PAPER_CONVENTION, RAW_CONVENTION, gd_lower_bound, negativity
 from .oracle import gd_exact
 
 
@@ -116,7 +116,7 @@ _ROW_ORDER = {
 
 
 def config_meta(cfg: ExperimentConfig) -> dict[str, object]:
-    return {
+    meta = {
         "family_a": cfg.family_a,
         "family_b": cfg.family_b,
         "q_a": _axis_repr(cfg.q_a),
@@ -134,6 +134,9 @@ def config_meta(cfg: ExperimentConfig) -> dict[str, object]:
         "depolarizing_operators": "shift-clock unitary basis",
         "version": __version__,
     }
+    if cfg.oracle_enabled:  # only then, so the default output keeps its header
+        meta["gd_exact_convention"] = cfg.gd_convention.prefactor_mode
+    return meta
 
 
 # Rows are evaluated in batches of this many: enough to amortise numpy's
@@ -154,6 +157,8 @@ def run_sweep(cfg: ExperimentConfig) -> SweepDataset:
                "negativity": np.empty(len(t)), "gd_lower": np.empty(len(t))}
     if cfg.oracle_enabled:
         columns["gd_exact"] = np.empty(len(t))
+        # gd_exact's raw distance in gd_lower's convention: times exactly 2.0 for paper
+        scale = cfg.gd_convention.prefactor(3, 3) / RAW_CONVENTION.prefactor(3, 3)
     for start in range(0, len(t), _BATCH_ROWS):
         rows = slice(start, start + _BATCH_ROWS)
         rho = evolve(bell, cfg.family_a, cfg.family_b, qa[rows], qb[rows], t[rows])
@@ -161,8 +166,8 @@ def run_sweep(cfg: ExperimentConfig) -> SweepDataset:
         columns["gd_lower"][rows] = gd_lower_bound(rho, cfg.gd_convention)
         if cfg.oracle_enabled:
             columns["gd_exact"][rows] = [
-                gd_exact(DensityMatrix(state, rho.dims), restarts=cfg.oracle_restarts,
-                         seed=cfg.seed).value
+                scale * gd_exact(DensityMatrix(state, rho.dims), restarts=cfg.oracle_restarts,
+                                 seed=cfg.seed).value
                 for state in rho.matrix]
     return SweepDataset(columns=columns, meta=config_meta(cfg))
 

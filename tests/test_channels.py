@@ -252,6 +252,43 @@ def test_evolve_matches_manual_channel_application(family_a, family_b):
 
 @pytest.mark.parametrize("family_a", CHANNEL_FAMILIES)
 @pytest.mark.parametrize("family_b", CHANNEL_FAMILIES)
+def test_real_and_complex_bell_batches_agree(family_a, family_b):
+    # the real Bell state runs in float64, the same state as complex128 in complex
+    # arithmetic; each keeps its dtype and both measures agree
+    bell = make_bell_state(3)
+    as_complex = DensityMatrix(bell.matrix.astype(complex), (3, 3))
+    rng = np.random.default_rng([17, CHANNEL_FAMILIES.index(family_a),
+                                 CHANNEL_FAMILIES.index(family_b)])
+    qa, qb = rng.uniform(0.0, 2.0, size=(2, 256))
+    t = np.r_[0.0, 1e3, rng.uniform(0.0, 5.0, size=254)]  # gamma 0 and exactly 1 included
+    real, cplx = (evolve(rho, family_a, family_b, qa, qb, t) for rho in (bell, as_complex))
+    assert real.matrix.dtype == np.float64 and cplx.matrix.dtype == np.complex128
+    assert np.abs(real.matrix - cplx.matrix).max() <= 1e-15
+    assert np.abs(negativity(real) - negativity(cplx)).max() <= 1e-15
+    for convention in (PAPER_CONVENTION, RAW_CONVENTION):
+        gap = gd_lower_bound(real, convention) - gd_lower_bound(cplx, convention)
+        assert np.abs(gap).max() <= 1e-15
+
+
+def test_a_superoperator_basis_with_an_imaginary_part_is_refused(monkeypatch):
+    # sqrt(1 - g) I and sqrt(g) Z form a complete Kraus set that is not closed under
+    # conjugation: its basis is complex, and evolve must refuse it, not keep its real part
+    def clocked(gamma):
+        return KrausChannel(3, (np.sqrt(1.0 - gamma) * np.eye(3),
+                                np.sqrt(gamma) * clock_matrix(3)))
+
+    monkeypatch.setitem(channels._FAMILY_BUILDERS, "dephasing", clocked)
+    channels._family_superoperator_basis.cache_clear()
+    try:
+        for rho in (make_bell_state(3), random_density_matrix(3, 3, rng=RNG)):
+            with pytest.raises(ValueError, match="dephasing superoperator basis has imaginary"):
+                evolve(rho, "trit-flip", "dephasing", 0.5, 0.5, 1.0)
+    finally:
+        channels._family_superoperator_basis.cache_clear()
+
+
+@pytest.mark.parametrize("family_a", CHANNEL_FAMILIES)
+@pytest.mark.parametrize("family_b", CHANNEL_FAMILIES)
 def test_stacked_initial_states_evolve_row_by_row(family_a, family_b):
     # validate's path: one initial state and one set of rates per row
     rng = np.random.default_rng([13, CHANNEL_FAMILIES.index(family_a),

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import types
 
 import numpy as np
@@ -7,8 +9,8 @@ import pytest
 
 import qutritcorr.cli as cli
 import qutritcorr.validation as validation
-from qutritcorr import (DensityMatrix, SweepDataset, SweepRange, ValidationError, evolve,
-                        gd_exact, make_bell_state)
+from qutritcorr import (DensityMatrix, SweepDataset, SweepRange, ValidationError, __version__,
+                        evolve, gd_exact, make_bell_state)
 
 
 def run_cli(argv):
@@ -83,22 +85,42 @@ def test_run_oracle_column(tmp_path):
     assert body[0] == "t,q1,q2,negativity,gd_lower,gd_exact"
 
 
-def test_run_oracle_column_is_gd_exact_row_by_row(tmp_path):
+@pytest.mark.parametrize("convention,scale", [("paper", 2.0), ("raw", 1.0)])
+def test_run_oracle_column_is_gd_exact_row_by_row(tmp_path, convention, scale):
     # a 3x3 rate grid whose first row (q_a = q_b = 0) is the Bell state, whose
-    # landscape is flat; JSON keeps every float exactly
+    # landscape is flat; JSON keeps every float exactly. The column is in the
+    # dataset's convention, as gd_lower is: paper doubles the raw distance, exactly
     out = tmp_path / "grid.json"
     rc = run_cli(["run", "--channel-a", "dephasing", "--channel-b", "trit-phase-flip",
                   "--qa", "0:1:3", "--qb", "0:1:3", "--t", "1", "--oracle", "--restarts", "4",
-                  "--seed", "2", "--format", "json", "--output", str(out)])
+                  "--seed", "2", "--gd-convention", convention, "--format", "json",
+                  "--output", str(out)])
     assert rc == 0
-    columns = json.loads(out.read_text())["columns"]
+    dataset = json.loads(out.read_text())
+    columns = dataset["columns"]
+    assert dataset["meta"]["gd_exact_convention"] == convention
     rho = evolve(make_bell_state(3), "dephasing", "trit-phase-flip",
                  *(np.array(columns[key]) for key in ("q1", "q2", "t")))
-    expected = [gd_exact(DensityMatrix(state, (3, 3)), restarts=4, seed=2).value
+    expected = [scale * gd_exact(DensityMatrix(state, (3, 3)), restarts=4, seed=2).value
                 for state in rho.matrix]
     assert columns["gd_exact"] == expected
-    assert abs(expected[0] - 2.0 / 3.0) <= 1e-14
+    assert abs(expected[0] - scale * 2.0 / 3.0) <= 1e-14
     assert len(set(expected)) == 9
+    # at the Bell state the bound is tight: the exact value is not below it
+    assert abs(columns["gd_exact"][0] - columns["gd_lower"][0]) <= 1e-14
+    plain = tmp_path / "plain.csv"  # without the oracle, no gd_exact column and no line for it
+    assert run_cli(["run", "--channel-a", "dephasing", "--channel-b", "trit-phase-flip",
+                    "--qa", "0:1:3", "--qb", "0:1:3", "--t", "1", "--output", str(plain)]) == 0
+    assert "gd_exact" not in plain.read_text()
+
+
+def test_python_dash_m_runs_the_cli_from_a_checkout():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "qutritcorr", "--version"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == __version__
 
 
 def test_cached_parser_keeps_no_options_between_calls(tmp_path):

@@ -212,6 +212,33 @@ def test_validate_density_matrix_accepts_and_rejects():
         DensityMatrix(np.eye(3) / 3.0, (0, 3))
 
 
+@pytest.mark.parametrize("entries", [
+    np.eye(9) / 9.0,
+    np.diag(np.array([0.5, 0.25, 0.25] + [0.0] * 6, dtype=np.float32)),
+    np.diag([1] + [0] * 8),                   # integer
+    np.diag([True] + [False] * 8),            # bool
+    (np.eye(9) / 9.0).tolist(),               # Python floats
+])
+def test_real_input_certifies_as_float64(entries):
+    for rho in (DensityMatrix(entries, (3, 3)), validate_density_matrix(entries, (3, 3))):
+        assert rho.matrix.dtype == np.float64
+        np.testing.assert_array_equal(rho.matrix, np.asarray(entries, dtype=float))
+
+
+def test_complex_input_stays_complex_and_object_input_is_not_truncated():
+    mat = random_density_matrix(3, 3, rng=RNG).matrix
+    exact = np.zeros((9, 9), dtype=np.complex64)  # (|0> + i|1>) / sqrt(2), exact in complex64
+    exact[:2, :2] = [[0.5, -0.5j], [0.5j, 0.5]]
+    for entries in (mat, exact, mat.tolist()):  # tolist gives Python complex numbers
+        for rho in (DensityMatrix(entries, (3, 3)), validate_density_matrix(entries, (3, 3))):
+            assert rho.matrix.dtype == np.complex128
+    assert (DensityMatrix(mat.tolist(), (3, 3)).matrix == mat).all()
+    # an object array of complex values is refused, never cut to its real part
+    for make in (DensityMatrix, validate_density_matrix):
+        with pytest.raises(TypeError, match="complex"):
+            make(mat.astype(object), (3, 3))
+
+
 def test_density_matrix_is_frozen():
     rho = make_bell_state(3)
     with pytest.raises(ValueError):

@@ -387,6 +387,18 @@ def test_gd_exact_pinned_values(make_state, expected):
     assert abs(gd_exact(make_state(), restarts=32, seed=0).value - expected) <= 1e-12
 
 
+@pytest.mark.parametrize("make_state", [
+    lambda: isotropic_family(0.5), lambda: _depolarized_bell(1.0),
+    lambda: evolve(make_bell_state(3), "dephasing", "trit-phase-flip", 0.5, 0.5, 1.0)])
+def test_gd_exact_of_a_real_state_matches_its_complex_input(make_state):
+    rho = make_state()
+    assert rho.matrix.dtype == np.float64
+    as_complex = DensityMatrix(rho.matrix.astype(complex), (3, 3))
+    for side in ("A", "B"):
+        real, cplx = (gd_exact(r, restarts=8, seed=0, side=side) for r in (rho, as_complex))
+        assert abs(real.value - cplx.value) <= 1e-12
+
+
 # gd_exact(random_density_matrix(3, 3, rng=r), restarts=32, seed=0, side="B").value
 # as computed by the Newton phase with a difference Hessian; the closed-form
 # Hessian must reproduce these.
