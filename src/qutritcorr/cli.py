@@ -218,7 +218,7 @@ def _cmd_oracle(args) -> int:
         "negativity": negativity(rho),
         "gd_lower_paper": gd_lower_bound(rho),
         "gd_lower_raw": gd_lower_bound(rho, RAW_CONVENTION),
-        "gd_exact": result.value, "residual": result.residual,
+        "gd_exact": result.value, "gd_exact_convention": "raw", "residual": result.residual,
         "restarts": result.restarts_used, "seed": result.seed,
     }
     write_text(json.dumps(payload, indent=2) + "\n", args.output, args.force)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -52,6 +53,14 @@ def _psd_shift(dim: int) -> np.ndarray:
     return _read_only((PSD_TOL / 2) * np.eye(dim))
 
 
+def _positive_definite(mats: np.ndarray) -> np.ndarray:
+    """Whether Cholesky factors each real or complex matrix of the stack, decided per matrix:
+    the kernel under np.linalg.cholesky, which raises once for a stack, fills failures with NaN."""
+    with np.errstate(invalid="ignore"):
+        factor = _umath_linalg.cholesky_lo(mats)
+    return ~np.isnan(factor[..., -1, -1])
+
+
 def _density_violations(mat: np.ndarray, dim: int) -> dict[str, float]:
     out: dict[str, float] = {}
     if mat.ndim not in (2, 3) or mat.shape[-2:] != (dim, dim):
@@ -69,14 +78,12 @@ def _density_violations(mat: np.ndarray, dim: int) -> dict[str, float]:
     if "hermiticity" in out:  # eigvalsh is only meaningful once Hermiticity holds
         return out
     if not out:
-        # At unit trace, Cholesky's backward error is ~ dim * eps, so factoring
-        # mat + (PSD_TOL / 2) I proves every eigenvalue is above -PSD_TOL; a
-        # failure leaves the decision to eigvalsh. Both read the lower triangle.
-        try:
-            np.linalg.cholesky(mat + _psd_shift(dim))
+        # At unit trace, Cholesky's backward error is ~ dim * eps, so a state whose
+        # mat + (PSD_TOL / 2) I factors has every eigenvalue above -PSD_TOL; eigvalsh
+        # decides the rest, whose minimum is the stack's whenever one violates.
+        mat = mat[~_positive_definite(mat + _psd_shift(dim))]
+        if not mat.size:
             return out
-        except np.linalg.LinAlgError:
-            pass
     low = float(np.linalg.eigvalsh(mat)[..., 0].min())
     if low < -PSD_TOL:
         out["psd"] = -low
@@ -99,9 +106,9 @@ class DensityMatrix:
     dims: tuple[int, int]
 
     def __post_init__(self):
+        if not all(_integer_at_least(d, 1) for d in self.dims):
+            raise ValueError(f"subsystem dimensions must be positive integers, got {self.dims}")
         d1, d2 = map(int, self.dims)
-        if d1 < 1 or d2 < 1:
-            raise ValueError(f"subsystem dimensions must be positive, got {self.dims}")
         # A copy, complex128 for complex input, else float64: complex objects raise
         mat = np.asarray(self.matrix)
         mat = mat.astype(complex if mat.dtype.kind == "c" else float)

@@ -7,11 +7,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .channels import _apply_superoperators, _liouville
-from .linalg import (DensityMatrix, _finite_nonnegative, _integer_at_least, _read_only,
-                     su_generators)
+from .linalg import (DensityMatrix, _finite_nonnegative, _integer_at_least,
+                     _positive_definite, _read_only, su_generators)
 from .measures import GdConvention, PAPER_CONVENTION
 
 UNITARITY_TOL = 1e-10
@@ -171,14 +170,6 @@ def _jacobi_turn(ops: np.ndarray, bases: np.ndarray, p: int, q: int) -> None:
     s = (y - 1j * z)[:, None] / (2.0 * c)
     up, uq = bases[..., p], bases[..., q]
     bases[..., p], bases[..., q] = c * up + s * uq, c * uq - s.conj() * up
-
-
-def _positive_definite(hess: np.ndarray) -> np.ndarray:
-    """Whether Cholesky factors each matrix of the stack, decided per matrix: the kernel
-    under np.linalg.cholesky, which raises once for a stack, fills failed factors with NaN."""
-    with np.errstate(invalid="ignore"):
-        factor = _umath_linalg.cholesky_lo(hess, signature="d->d")
-    return ~np.isnan(factor[..., -1, -1])
 
 
 def _newton_steps(hess: np.ndarray, grads: np.ndarray) -> np.ndarray:

@@ -8,13 +8,12 @@ import numpy as np
 
 from .channels import (CHANNEL_FAMILIES, COMPLETENESS_TOL, _FAMILY_BUILDERS, clock_matrix,
                        evolve, shift_matrix, trit_flip_kraus_unnormalized, validate_kraus)
-from .linalg import (DensityMatrix, ValidationError, _integer_at_least, make_bell_state,
-                     random_density_matrix)
+from .linalg import (PSD_TOL, DensityMatrix, ValidationError, _integer_at_least,
+                     make_bell_state, random_density_matrix)
 from .measures import RAW_CONVENTION, gd_lower_bound, isotropic_family, negativity
 from .oracle import (analytic_gd_isotropic, analytic_negativity_dephasing,
                      analytic_negativity_depolarizing, gd_exact, project_measurement)
 
-STATE_TOL = 1e-10
 CLOSED_FORM_TOL = 1e-10
 BOUND_TOL = 1e-4
 TIGHTNESS_TOL = 1e-5
@@ -69,7 +68,7 @@ def run_validation(seed: int = 0, restarts: int = 32, oracle_states: int = 12,
         except ValidationError as exc:
             ok = False
             worst = max(worst, max(exc.violations.values(), default=np.inf))
-    checks.append(CheckResult("evolved states valid", STATE_TOL, worst, ok))
+    checks.append(CheckResult("evolved states valid", PSD_TOL, worst, ok))
 
     bell = make_bell_state(3)
     grid = [(qa, qb, t) for qa, qb in RATE_PAIRS for t in TIME_POINTS]

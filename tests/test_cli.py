@@ -348,6 +348,10 @@ def test_oracle_subcommand(capsys):
     for key in ("negativity", "gd_lower_paper", "gd_lower_raw", "gd_exact",
                 "residual"):
         assert key in payload
+    # unlike run --oracle's column, the subcommand reports the raw distance
+    assert payload["gd_exact_convention"] == "raw"
+    rho = evolve(make_bell_state(3), "depolarizing", "depolarizing", 0.5, 0.5, 1.0)
+    assert payload["gd_exact"] == gd_exact(rho, restarts=2, seed=0).value
     assert payload["gd_lower_raw"] <= payload["gd_exact"] + 1e-6
     p = np.exp(-1.0)
     assert payload["negativity"] == pytest.approx((4 * p - 1) / 3, abs=1e-10)

@@ -5,6 +5,7 @@ from qutritcorr import (DensityMatrix, ValidationError, evolve, hermitian_eigenv
                         make_bell_state, partial_trace, partial_transpose,
                         random_density_matrix, random_unitary, su_generators,
                         tensor, trace_norm, validate_density_matrix)
+from qutritcorr import linalg, oracle
 from qutritcorr.linalg import PSD_TOL
 
 RNG = np.random.default_rng(2024)
@@ -208,8 +209,10 @@ def test_validate_density_matrix_accepts_and_rejects():
             DensityMatrix(np.full((9, 9), entry), (3, 3))
     with pytest.raises(ValueError, match="expected a 9x9"):
         DensityMatrix(np.eye(3) / 3.0, (3, 3))
-    with pytest.raises(ValueError, match="must be positive"):
-        DensityMatrix(np.eye(3) / 3.0, (0, 3))
+    for dims in ((0, 3), (2.9, 2.1), (True, 4)):
+        with pytest.raises(ValueError, match="must be positive"):
+            DensityMatrix(np.eye(4) / 4.0, dims)
+    assert DensityMatrix(np.eye(9) / 9.0, (np.int64(3), 3)).dims == (3, 3)
 
 
 @pytest.mark.parametrize("entries", [
@@ -314,16 +317,66 @@ def test_valid_states_are_certified_without_eigvalsh(monkeypatch):
         DensityMatrix(mat, (3, 3))
 
 
-def test_stack_with_one_bad_member_names_its_violation():
+def stack_with_one_bad_member():
+    """Nine states of ranks 1-9, the seventh with smallest eigenvalue -3e-9."""
     rng = np.random.default_rng(5)
     stack = np.stack([random_density_matrix(3, 3, rank=1 + k % 9, rng=rng).matrix
                       for k in range(9)])
     stack[6] = state_with_spectrum(-3e-9, rng)
+    return stack
+
+
+def test_stack_with_one_bad_member_names_its_violation():
+    stack = stack_with_one_bad_member()
     with pytest.raises(ValidationError) as exc:
         DensityMatrix(stack, (3, 3))
     assert set(exc.value.violations) == {"psd"}
     low = np.linalg.eigvalsh(stack[6])[0]
     assert abs(exc.value.violations["psd"] + low) <= 1e-15
+
+
+def test_only_unproven_states_reach_eigvalsh(monkeypatch):
+    stack = stack_with_one_bad_member()
+    shapes = []
+
+    def spy(mat):
+        shapes.append(mat.shape)
+        return eigvalsh(mat)
+
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    with pytest.raises(ValidationError):
+        DensityMatrix(stack, (3, 3))
+    assert shapes == [(1, 9, 9)]
+
+
+def test_positive_definite_decides_each_matrix_on_its_own():
+    assert oracle._positive_definite is linalg._positive_definite
+    rng = np.random.default_rng(71)
+    a = rng.standard_normal((5, 6, 6))
+    stack = a @ a.swapaxes(-1, -2) + 0.1 * np.eye(6)
+    assert linalg._positive_definite(stack).all()
+    stack[[1, 3]] -= 2.0 * np.linalg.eigvalsh(stack[[1, 3]])[:, -1, None, None] * np.eye(6)
+    expected = [True, False, True, False, True]
+    np.testing.assert_array_equal(linalg._positive_definite(stack), expected)
+    for n in range(5):
+        np.testing.assert_array_equal(linalg._positive_definite(stack[n:n + 1]), expected[n])
+    # the same decisions on a complex Hermitian stack
+    a = rng.standard_normal((5, 6, 6)) + 1j * rng.standard_normal((5, 6, 6))
+    stack = a @ a.conj().swapaxes(-1, -2) + 0.1 * np.eye(6)
+    stack[[0, 4]] -= 2.0 * np.linalg.eigvalsh(stack[[0, 4]])[:, -1, None, None] * np.eye(6)
+    np.testing.assert_array_equal(linalg._positive_definite(stack),
+                                  [False, True, True, True, False])
+    # one indefinite matrix among 32, also as the strided [:, :6, :6] view of
+    # larger matrices that the oracle's Newton steps pass (NaN outside the view)
+    rng = np.random.default_rng(72)
+    a = rng.standard_normal((32, 6, 6))
+    stack = a @ a.swapaxes(-1, -2) + 0.1 * np.eye(6)
+    stack[19] -= 2.0 * np.linalg.eigvalsh(stack[19])[-1] * np.eye(6)
+    full = np.full((32, 8, 8), np.nan)
+    full[:, :6, :6] = stack
+    for hess in (stack, full[:, :6, :6]):
+        np.testing.assert_array_equal(linalg._positive_definite(hess), np.arange(32) != 19)
 
 
 def test_trace_and_psd_violations_reported_together():

@@ -344,28 +344,6 @@ def test_gauge_coordinates_of_gradient_and_hessian_vanish():
         assert np.abs(hess[6:, :6]).max() <= 1e-12 * norm_sq
 
 
-def test_positive_definite_decides_each_matrix_on_its_own():
-    rng = np.random.default_rng(71)
-    a = rng.standard_normal((5, 6, 6))
-    stack = a @ a.swapaxes(-1, -2) + 0.1 * np.eye(6)
-    assert oracle._positive_definite(stack).all()
-    stack[[1, 3]] -= 2.0 * np.linalg.eigvalsh(stack[[1, 3]])[:, -1, None, None] * np.eye(6)
-    expected = [True, False, True, False, True]
-    np.testing.assert_array_equal(oracle._positive_definite(stack), expected)
-    for n in range(5):
-        np.testing.assert_array_equal(oracle._positive_definite(stack[n:n + 1]), expected[n])
-    # one indefinite matrix among 32, also as the strided [:, :6, :6] view of
-    # larger matrices that _newton_steps passes (NaN outside the view)
-    rng = np.random.default_rng(72)
-    a = rng.standard_normal((32, 6, 6))
-    stack = a @ a.swapaxes(-1, -2) + 0.1 * np.eye(6)
-    stack[19] -= 2.0 * np.linalg.eigvalsh(stack[19])[-1] * np.eye(6)
-    full = np.full((32, 8, 8), np.nan)
-    full[:, :6, :6] = stack
-    for hess in (stack, full[:, :6, :6]):
-        np.testing.assert_array_equal(oracle._positive_definite(hess), np.arange(32) != 19)
-
-
 def _depolarized_bell(t):
     return evolve(make_bell_state(3), "depolarizing", "depolarizing", 0.5, 0.5, t)
 
