@@ -49,8 +49,8 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _psd_shift(dim: int) -> np.ndarray:
-    return _read_only((PSD_TOL / 2) * np.eye(dim))
+def _psd_shift(dim: int, tol: float = PSD_TOL) -> np.ndarray:
+    return _read_only((tol / 2) * np.eye(dim))
 
 
 def _positive_definite(mats: np.ndarray) -> np.ndarray:
@@ -59,6 +59,15 @@ def _positive_definite(mats: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         factor = _umath_linalg.cholesky_lo(mats)
     return ~np.isnan(factor[..., -1, -1])
+
+
+def _eigvalsh(mats: np.ndarray) -> np.ndarray:
+    """numpy's eigvalsh kernel without its Python wrapper, the same bits on float64 and complex128
+    stacks; NaN, the kernel's non-convergence (which also warns), raises."""
+    eigs = _umath_linalg.eigvalsh_lo(mats)
+    if np.isnan(eigs).any():
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return eigs
 
 
 def _density_violations(mat: np.ndarray, dim: int) -> dict[str, float]:
@@ -84,7 +93,7 @@ def _density_violations(mat: np.ndarray, dim: int) -> dict[str, float]:
         mat = mat[~_positive_definite(mat + _psd_shift(dim))]
         if not mat.size:
             return out
-    low = float(np.linalg.eigvalsh(mat)[..., 0].min())
+    low = float(_eigvalsh(mat)[..., 0].min())
     if low < -PSD_TOL:
         out["psd"] = -low
     return out
@@ -106,9 +115,9 @@ class DensityMatrix:
     dims: tuple[int, int]
 
     def __post_init__(self):
-        if not all(_integer_at_least(d, 1) for d in self.dims):
-            raise ValueError(f"subsystem dimensions must be positive integers, got {self.dims}")
-        d1, d2 = map(int, self.dims)
+        d1, d2 = self.dims if np.iterable(self.dims) and len(self.dims) == 2 else (None, None)
+        if not (_integer_at_least(d1, 1) and _integer_at_least(d2, 1)):
+            raise ValueError(f"subsystem dimensions must be positive integers (d1, d2), got {self.dims}")
         # A copy, complex128 for complex input, else float64: complex objects raise
         mat = np.asarray(self.matrix)
         mat = mat.astype(complex if mat.dtype.kind == "c" else float)
@@ -117,7 +126,7 @@ class DensityMatrix:
             detail = ", ".join(f"{k} off by {v:.3e}" for k, v in violations.items())
             raise ValidationError(f"not a density matrix: {detail}", violations)
         object.__setattr__(self, "matrix", _read_only(mat))
-        object.__setattr__(self, "dims", (d1, d2))
+        object.__setattr__(self, "dims", (int(d1), int(d2)))
 
 
 def validate_density_matrix(matrix: np.ndarray, dims: tuple[int, int]) -> DensityMatrix:
@@ -143,12 +152,11 @@ def partial_transpose(rho: DensityMatrix, subsystem: str = "A") -> np.ndarray:
     """Transpose one subsystem in place; the result is generally not a state.
     A stack of states gives a stack of partial transposes."""
     d1, d2 = rho.dims
-    lead = rho.matrix.shape[:-2]
-    r4 = rho.matrix.reshape(lead + (d1, d2, d1, d2))
+    r4 = rho.matrix.reshape(rho.matrix.shape[:-2] + (d1, d2, d1, d2))
     if subsystem not in ("A", "B"):
         raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
     out = r4.swapaxes(-4, -2) if subsystem == "A" else r4.swapaxes(-3, -1)
-    return out.copy().reshape(lead + (d1 * d2, d1 * d2))
+    return out.copy().reshape(rho.matrix.shape)
 
 
 def partial_trace(rho: DensityMatrix, keep: str = "A") -> np.ndarray:
@@ -172,7 +180,7 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     dev = float(np.abs(mat - mat.conj().swapaxes(-1, -2)).max())
     if not dev <= EIGENVALUE_HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
-    return np.linalg.eigvalsh(mat)[..., ::-1]
+    return _eigvalsh(mat.astype(np.result_type(mat, np.float64), copy=False))[..., ::-1]
 
 
 def trace_norm(matrix: np.ndarray) -> float:

@@ -8,7 +8,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import DensityMatrix, _read_only, make_bell_state, partial_transpose, su_generators
+from .linalg import (DensityMatrix, _eigvalsh, _positive_definite, _psd_shift, _read_only,
+                     make_bell_state, partial_transpose, su_generators)
 
 NEGATIVITY_EIG_TOL = 1e-12
 IMAG_TOL = 1e-10
@@ -96,10 +97,13 @@ def negativity(rho: DensityMatrix) -> float | np.ndarray:
     Equals (trace_norm(rho^T_A) - 1) / 2; eigenvalues within 1e-12 of zero
     are not counted as negative. A stack of states gives an array.
     """
-    # A certified state's partial transpose only permutes its entries, so it needs no
-    # check; summing in descending order, as hermitian_eigenvalues does, fixes the last bit.
-    eigs = np.linalg.eigvalsh(partial_transpose(rho, "A"))[..., ::-1]
-    neg = np.where(eigs < -NEGATIVITY_EIG_TOL, -eigs, 0.0).sum(axis=-1)
+    # A certified state's PT only permutes its entries, so needs no check. A row whose PT factors
+    # with a (NEGATIVITY_EIG_TOL / 2) I shift has no eigenvalue below -NEGATIVITY_EIG_TOL, as in
+    # _density_violations, and reads 0; eigvalsh sums the rest descending, fixing the last bit.
+    pt = partial_transpose(rho, "A")
+    npt = ~_positive_definite(pt + _psd_shift(pt.shape[-1], NEGATIVITY_EIG_TOL))
+    eigs, neg = _eigvalsh(pt[npt])[..., ::-1], np.zeros(npt.shape)
+    neg[npt] = np.where(eigs < -NEGATIVITY_EIG_TOL, -eigs, 0.0).sum(axis=-1)
     return float(neg) if rho.matrix.ndim == 2 else neg
 
 
@@ -120,7 +124,7 @@ def gd_lower_bound(rho: DensityMatrix,
     dec = bloch_decomposition(rho)
     y = dec.y_a[..., :, None]
     g = y * y.swapaxes(-1, -2) + (2.0 / d2) * (dec.corr @ dec.corr.swapaxes(-1, -2))
-    bracket = np.linalg.eigvalsh(g)[..., : d1 * (d1 - 1)].sum(axis=-1)
+    bracket = _eigvalsh(g)[..., : d1 * (d1 - 1)].sum(axis=-1)
     value = np.maximum(0.0, convention.prefactor(d1, d2) * bracket)
     return float(value) if rho.matrix.ndim == 2 else value
 

@@ -1,10 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from qutritcorr import (DensityMatrix, ValidationError, evolve, hermitian_eigenvalues,
-                        make_bell_state, partial_trace, partial_transpose,
-                        random_density_matrix, random_unitary, su_generators,
-                        tensor, trace_norm, validate_density_matrix)
+from qutritcorr import (DensityMatrix, ExperimentConfig, SweepRange, ValidationError, evolve,
+                        gd_lower_bound, hermitian_eigenvalues, make_bell_state, negativity,
+                        partial_trace, partial_transpose, random_density_matrix,
+                        random_unitary, run_sweep, su_generators, tensor, trace_norm,
+                        validate_density_matrix)
 from qutritcorr import linalg, oracle
 from qutritcorr.linalg import PSD_TOL
 
@@ -139,6 +142,14 @@ def test_hermitian_eigenvalues_sorted_and_checked():
     # inf is refused before inf - inf can raise a RuntimeWarning
     with pytest.raises(ValueError, match="non-finite"):
         hermitian_eigenvalues(np.full((3, 3), np.inf))
+    # integer and single-precision input is diagonalised in double precision
+    a = np.random.default_rng(3).standard_normal((2, 5, 5))
+    b = a[0] + 1j * a[1]
+    for mat in ((a + a.swapaxes(-1, -2)).astype(np.float32), np.diag([3, -1, 2, 0]),
+                np.eye(4, dtype=np.int16), (b + b.conj().T).astype(np.complex64)):
+        eigs = hermitian_eigenvalues(mat)
+        expected = np.linalg.eigvalsh(mat.astype(np.result_type(mat, np.float64)))[..., ::-1]
+        assert eigs.dtype == np.float64 and (eigs == expected).all()
 
 
 def test_trace_norm_values():
@@ -209,7 +220,7 @@ def test_validate_density_matrix_accepts_and_rejects():
             DensityMatrix(np.full((9, 9), entry), (3, 3))
     with pytest.raises(ValueError, match="expected a 9x9"):
         DensityMatrix(np.eye(3) / 3.0, (3, 3))
-    for dims in ((0, 3), (2.9, 2.1), (True, 4)):
+    for dims in ((0, 3), (2.9, 2.1), (True, 4), (3, 3, 1), (9,), 9):
         with pytest.raises(ValueError, match="must be positive"):
             DensityMatrix(np.eye(4) / 4.0, dims)
     assert DensityMatrix(np.eye(9) / 9.0, (np.int64(3), 3)).dims == (3, 3)
@@ -312,7 +323,7 @@ def test_valid_states_are_certified_without_eigvalsh(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("valid states should pass the Cholesky check")
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(linalg, "_eigvalsh", refuse)
     for mat in (rank1, make_bell_state(3).matrix, stack):
         DensityMatrix(mat, (3, 3))
 
@@ -343,11 +354,59 @@ def test_only_unproven_states_reach_eigvalsh(monkeypatch):
         shapes.append(mat.shape)
         return eigvalsh(mat)
 
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    eigvalsh = linalg._eigvalsh
+    monkeypatch.setattr(linalg, "_eigvalsh", spy)
     with pytest.raises(ValidationError):
         DensityMatrix(stack, (3, 3))
     assert shapes == [(1, 9, 9)]
+
+
+def test_eigvalsh_gives_the_bits_of_np_linalg_eigvalsh():
+    rng = np.random.default_rng(73)
+    a = rng.standard_normal((6, 9, 9))
+    b = a + 1j * rng.standard_normal((6, 9, 9))
+    for stack in (a + a.swapaxes(-1, -2), b + b.conj().swapaxes(-1, -2)):
+        for mats in (stack, stack[2]):
+            eigs = linalg._eigvalsh(mats)
+            assert eigs.dtype == np.float64 and (eigs == np.linalg.eigvalsh(mats)).all()
+
+
+def test_eigvalsh_refuses_a_result_holding_nan(monkeypatch):
+    # NaN is how the kernel reports non-convergence, for one matrix of a stack or all
+    def kernel(mats):
+        eigs = np.linalg.eigvalsh(mats)
+        eigs.reshape(-1)[-1] = np.nan
+        return eigs
+
+    monkeypatch.setattr(linalg, "_umath_linalg", SimpleNamespace(eigvalsh_lo=kernel))
+    for mats in (np.eye(9), np.stack([np.eye(9)] * 4)):
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            linalg._eigvalsh(mats)
+
+
+def test_src_never_calls_np_linalg_eigvalsh(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigenvalues go through linalg._eigvalsh")
+
+    rng = np.random.default_rng(74)
+    stack = DensityMatrix(np.stack([random_density_matrix(3, 3, rng=rng).matrix
+                                    for _ in range(4)]), (3, 3))
+    cfg = ExperimentConfig(family_a="dephasing", family_b="depolarizing", q_a=0.5, q_b=0.5,
+                           t=SweepRange(0.0, 3.0, 7))
+    expected = (negativity(stack), gd_lower_bound(stack), hermitian_eigenvalues(stack.matrix),
+                run_sweep(cfg).columns)
+    bad = stack_with_one_bad_member()
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    assert (negativity(stack) == expected[0]).all()
+    assert (gd_lower_bound(stack) == expected[1]).all()
+    assert (hermitian_eigenvalues(stack.matrix) == expected[2]).all()
+    assert negativity(DensityMatrix(stack.matrix[0], (3, 3))) == expected[0][0]
+    columns = run_sweep(cfg).columns
+    for name in ("negativity", "gd_lower"):
+        assert (columns[name] == expected[3][name]).all()
+    with pytest.raises(ValidationError) as exc:
+        DensityMatrix(bad, (3, 3))
+    assert set(exc.value.violations) == {"psd"}
 
 
 def test_positive_definite_decides_each_matrix_on_its_own():

@@ -9,6 +9,7 @@ from qutritcorr import (CHANNEL_FAMILIES, DensityMatrix, GdConvention, PAPER_CON
                         gd_lower_bound, hermitian_eigenvalues, isotropic_family,
                         make_bell_state, negativity, partial_transpose,
                         random_density_matrix, random_unitary, tensor, trace_norm)
+from qutritcorr import measures
 from qutritcorr.measures import NEGATIVITY_EIG_TOL
 
 RNG = np.random.default_rng(512)
@@ -66,6 +67,47 @@ def test_negativity_matches_the_checked_eigenvalue_route_bit_for_bit(family_a, f
     expected = np.where(eigs < -NEGATIVITY_EIG_TOL, -eigs, 0.0).sum(axis=-1)
     assert (negativity(rho) == expected).all()
     assert [negativity(DensityMatrix(row, (3, 3))) for row in rho.matrix] == list(expected)
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_negativity_screen_keeps_every_decision_at_the_threshold(stacked):
+    # The PT of the isotropic state p |Phi><Phi| + (1 - p) I/9 has smallest eigenvalue
+    # (1 - 4p)/9: just past -NEGATIVITY_EIG_TOL, just inside it, between it and the
+    # screen's shift of half of it, and inside the shift
+    lows = np.array([-1.1e-12, -0.9e-12, -0.6e-12, -0.4e-12])
+    states = [isotropic_family((1.0 - 9.0 * low) / 4.0) for low in lows]
+    rhos = [DensityMatrix(np.stack([rho.matrix for rho in states]), (3, 3))] if stacked else states
+    eigs = hermitian_eigenvalues(np.stack([partial_transpose(rho, "A") for rho in states]))
+    np.testing.assert_allclose(eigs[:, -1], lows, rtol=1e-3)
+    expected = np.where(eigs < -NEGATIVITY_EIG_TOL, -eigs, 0.0).sum(axis=-1)
+    assert expected[0] > 0.0 and (expected[1:] == 0.0).all()
+    got = np.hstack([negativity(rho) for rho in rhos])
+    assert (got == expected).all() and not np.signbit(got).any()
+
+
+def test_negativity_diagonalises_only_the_npt_rows(monkeypatch):
+    # a 256-row stack of random states and product states, shuffled
+    rng = np.random.default_rng(513)
+    mats = [random_density_matrix(3, 3, rng=rng).matrix for _ in range(128)]
+    mats += [product_state(rng).matrix for _ in range(128)]
+    rho = DensityMatrix(np.stack(mats)[rng.permutation(256)], (3, 3))
+    pt = partial_transpose(rho, "A")
+    low = hermitian_eigenvalues(pt)[:, -1]
+    assert (np.abs(low) > 1e-6).all()  # no row near the threshold
+    npt = low < 0.0
+    assert 50 < npt.sum() < 206
+    calls = []
+
+    def spy(mats):
+        calls.append(mats.copy())
+        return eigvalsh(mats)
+
+    eigvalsh = measures._eigvalsh
+    monkeypatch.setattr(measures, "_eigvalsh", spy)
+    neg = negativity(rho)
+    assert len(calls) == 1 and calls[0].shape == (npt.sum(), 9, 9)
+    assert (calls[0] == pt[npt]).all()
+    assert (neg[~npt] == 0.0).all() and (neg[npt] > 0.0).all()
 
 
 def test_negativity_local_unitary_invariance():
