@@ -175,12 +175,13 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix (or of each matrix in a stack),
     sorted non-increasing."""
     mat = np.asarray(matrix)
+    mat = mat.astype(np.result_type(mat, np.float64), copy=False)  # first: bool cannot subtract
     if not np.isfinite(mat).all():  # before any arithmetic, which would warn on inf
         raise ValueError("matrix is not Hermitian (non-finite entries)")
     dev = float(np.abs(mat - mat.conj().swapaxes(-1, -2)).max())
     if not dev <= EIGENVALUE_HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
-    return _eigvalsh(mat.astype(np.result_type(mat, np.float64), copy=False))[..., ::-1]
+    return _eigvalsh(mat)[..., ::-1]
 
 
 def trace_norm(matrix: np.ndarray) -> float:

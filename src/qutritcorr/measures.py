@@ -9,7 +9,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import (DensityMatrix, _eigvalsh, _positive_definite, _psd_shift, _read_only,
-                     make_bell_state, partial_transpose, su_generators)
+                     make_bell_state, su_generators)
 
 NEGATIVITY_EIG_TOL = 1e-12
 IMAG_TOL = 1e-10
@@ -91,19 +91,35 @@ def bloch_synthesis(dec: BlochDecomposition, dims: tuple[int, int]) -> np.ndarra
     return (np.eye(d) + (coeffs @ _generator_table(*dims)[0].conj()).reshape(lead + (d, d))) / d
 
 
+@lru_cache(maxsize=None)
+def _sector_pt_index(d1: int, d2: int) -> np.ndarray:
+    """Flat indices into rho that read its partial transpose over A with rows and columns in the
+    order of ((i + j) mod d2, i d2 + j) for basis state (i, j); read-only."""
+    d = d1 * d2
+    order = sorted(range(d), key=lambda n: ((n // d2 + n % d2) % d2, n))
+    natural = np.arange(d * d).reshape(d1, d2, d1, d2).swapaxes(0, 2).reshape(d, d)
+    return _read_only(natural[np.ix_(order, order)])
+
+
 def negativity(rho: DensityMatrix) -> float | np.ndarray:
     """Sum of |negative eigenvalues| of the partial transpose over A.
 
     Equals (trace_norm(rho^T_A) - 1) / 2; eigenvalues within 1e-12 of zero
     are not counted as negative. A stack of states gives an array.
     """
-    # A certified state's PT only permutes its entries, so needs no check. A row whose PT factors
-    # with a (NEGATIVITY_EIG_TOL / 2) I shift has no eigenvalue below -NEGATIVITY_EIG_TOL, as in
-    # _density_violations, and reads 0; eigvalsh sums the rest descending, fixing the last bit.
-    pt = partial_transpose(rho, "A")
-    npt = ~_positive_definite(pt + _psd_shift(pt.shape[-1], NEGATIVITY_EIG_TOL))
-    eigs, neg = _eigvalsh(pt[npt])[..., ::-1], np.zeros(npt.shape)
-    neg[npt] = np.where(eigs < -NEGATIVITY_EIG_TOL, -eigs, 0.0).sum(axis=-1)
+    # A certified state's PT only permutes its entries, so needs no check. Read in (i + j) mod 3
+    # order, the PT of a state commuting with Z x Z^dagger (every Bell sweep state) is three
+    # exact 3x3 blocks, which eigvalsh splits; a permutation leaves the spectrum alone. A row
+    # whose PT factors with a (NEGATIVITY_EIG_TOL / 2) I shift has no eigenvalue below
+    # -NEGATIVITY_EIG_TOL, as in _density_violations, and reads 0; eigvalsh sums the rest
+    # descending, fixing the last bit.
+    d1, d2 = rho.dims
+    pt = rho.matrix.reshape(rho.matrix.shape[:-2] + (-1,))[..., _sector_pt_index(d1, d2)]
+    npt = ~_positive_definite(pt + _psd_shift(d1 * d2, NEGATIVITY_EIG_TOL))
+    neg = np.zeros(npt.shape)
+    if npt.any():
+        eigs = _eigvalsh(pt[npt])[..., ::-1]
+        neg[npt] = np.where(eigs < -NEGATIVITY_EIG_TOL, -eigs, 0.0).sum(axis=-1)
     return float(neg) if rho.matrix.ndim == 2 else neg
 
 

@@ -9,7 +9,7 @@ from qutritcorr import (CHANNEL_FAMILIES, PAPER_CONVENTION, RAW_CONVENTION, Dens
                         dephasing_kraus, depolarizing_kraus, evolve,
                         gamma_of, gd_lower_bound, identity_kraus, isotropic_family,
                         kraus_for_family, make_bell_state, negativity,
-                        random_density_matrix, shift_matrix, tensor,
+                        partial_transpose, random_density_matrix, shift_matrix, tensor,
                         trit_flip_kraus, trit_flip_kraus_unnormalized,
                         trit_phase_flip_kraus, validate_kraus)
 
@@ -248,6 +248,22 @@ def test_evolve_matches_manual_channel_application(family_a, family_b):
         ref = apply_local_channels(bell, kraus_for_family(family_a, gamma_of(qa[i], t[i])),
                                    kraus_for_family(family_b, gamma_of(qb[i], t[i])))
         assert np.abs(out.matrix[i] - ref.matrix).max() <= 1e-14, i
+
+
+@pytest.mark.parametrize("family_a", CHANNEL_FAMILIES)
+@pytest.mark.parametrize("family_b", CHANNEL_FAMILIES)
+def test_evolved_bell_states_are_block_diagonal_in_the_clock_sectors(family_a, family_b):
+    # Every family's Kraus set is covariant under the clock matrix Z and the Bell state
+    # is invariant under Z x Z*, so each evolved state commutes with Z x Z^dagger: entry
+    # ((i, j), (k, l)) vanishes unless i - j = k - l mod 3, and the partial transpose
+    # over A is exactly 0.0 outside the (i + j) mod 3 blocks that negativity reads
+    difference = np.array([0, 2, 1, 1, 0, 2, 2, 1, 0])  # (i - j) mod 3 at index 3i + j
+    total = np.array([0, 1, 2, 1, 2, 0, 2, 0, 1])  # (i + j) mod 3
+    times = [0.0, 0.05, 0.3, 1.0, 2.5, 1e3]
+    q_a, t = (grid.ravel() for grid in np.meshgrid(np.linspace(0.0, 2.0, 9), times, indexing="ij"))
+    rho = evolve(make_bell_state(3), family_a, family_b, q_a, 0.7, t)
+    assert (rho.matrix[:, difference[:, None] != difference] == 0.0).all()
+    assert (partial_transpose(rho, "A")[:, total[:, None] != total] == 0.0).all()
 
 
 @pytest.mark.parametrize("family_a", CHANNEL_FAMILIES)

@@ -13,6 +13,13 @@ from qutritcorr import measures
 from qutritcorr.measures import NEGATIVITY_EIG_TOL
 
 RNG = np.random.default_rng(512)
+# basis states 3i + j of two qutrits ordered by ((i + j) mod 3, 3i + j)
+SECTOR_ORDER = [0, 5, 7, 1, 3, 8, 2, 4, 6]
+
+
+def sector_ordered(mats):
+    """The matrix, or each matrix of a stack, with rows and columns in SECTOR_ORDER."""
+    return mats[..., SECTOR_ORDER, :][..., SECTOR_ORDER]
 
 
 def product_state(rng):
@@ -57,13 +64,16 @@ def test_negativity_two_routes_agree():
 @pytest.mark.parametrize("family_a", CHANNEL_FAMILIES)
 @pytest.mark.parametrize("family_b", CHANNEL_FAMILIES)
 def test_negativity_matches_the_checked_eigenvalue_route_bit_for_bit(family_a, family_b):
-    # negativity reads the spectrum of the partial transpose directly; the
-    # checked hermitian_eigenvalues route, summed in the same descending order,
-    # gives the same bits for the stack and for each row alone
+    # negativity reads the spectrum of the sector-ordered partial transpose directly;
+    # the checked hermitian_eigenvalues route on that matrix, summed in the same
+    # descending order, gives the same bits for the stack and for each row alone,
+    # and the natural order the same spectrum to rounding
     q_a, t = (grid.ravel() for grid in np.meshgrid(np.linspace(0.0, 2.0, 6),
                                                      [0.1, 0.3, 0.6, 1.0, 1.5], indexing="ij"))
     rho = evolve(make_bell_state(3), family_a, family_b, q_a, 0.5, t)
-    eigs = hermitian_eigenvalues(partial_transpose(rho, "A"))
+    pt = partial_transpose(rho, "A")
+    eigs = hermitian_eigenvalues(sector_ordered(pt))
+    np.testing.assert_allclose(eigs, hermitian_eigenvalues(pt), rtol=0, atol=2e-15)
     expected = np.where(eigs < -NEGATIVITY_EIG_TOL, -eigs, 0.0).sum(axis=-1)
     assert (negativity(rho) == expected).all()
     assert [negativity(DensityMatrix(row, (3, 3))) for row in rho.matrix] == list(expected)
@@ -77,7 +87,8 @@ def test_negativity_screen_keeps_every_decision_at_the_threshold(stacked):
     lows = np.array([-1.1e-12, -0.9e-12, -0.6e-12, -0.4e-12])
     states = [isotropic_family((1.0 - 9.0 * low) / 4.0) for low in lows]
     rhos = [DensityMatrix(np.stack([rho.matrix for rho in states]), (3, 3))] if stacked else states
-    eigs = hermitian_eigenvalues(np.stack([partial_transpose(rho, "A") for rho in states]))
+    eigs = hermitian_eigenvalues(sector_ordered(np.stack([partial_transpose(rho, "A")
+                                                          for rho in states])))
     np.testing.assert_allclose(eigs[:, -1], lows, rtol=1e-3)
     expected = np.where(eigs < -NEGATIVITY_EIG_TOL, -eigs, 0.0).sum(axis=-1)
     assert expected[0] > 0.0 and (expected[1:] == 0.0).all()
@@ -91,7 +102,7 @@ def test_negativity_diagonalises_only_the_npt_rows(monkeypatch):
     mats = [random_density_matrix(3, 3, rng=rng).matrix for _ in range(128)]
     mats += [product_state(rng).matrix for _ in range(128)]
     rho = DensityMatrix(np.stack(mats)[rng.permutation(256)], (3, 3))
-    pt = partial_transpose(rho, "A")
+    pt = sector_ordered(partial_transpose(rho, "A"))
     low = hermitian_eigenvalues(pt)[:, -1]
     assert (np.abs(low) > 1e-6).all()  # no row near the threshold
     npt = low < 0.0
@@ -108,6 +119,37 @@ def test_negativity_diagonalises_only_the_npt_rows(monkeypatch):
     assert len(calls) == 1 and calls[0].shape == (npt.sum(), 9, 9)
     assert (calls[0] == pt[npt]).all()
     assert (neg[~npt] == 0.0).all() and (neg[npt] > 0.0).all()
+    # an all-PPT stack and a PPT state alone never reach eigvalsh
+    ppt = DensityMatrix(rho.matrix[~npt], (3, 3))
+    assert (negativity(ppt) == 0.0).all()
+    assert negativity(DensityMatrix(ppt.matrix[0], (3, 3))) == 0.0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_sector_order_is_a_permutation_of_the_partial_transpose(dims):
+    # negativity gathers the PT with rows and columns permuted alike, so its
+    # spectrum, and the natural-order negativity to rounding, are unchanged
+    d = dims[0] * dims[1]
+    rng = np.random.default_rng([514, *dims])
+    # pure, rank-2 and noise-mixed full-rank states: NPT and PPT rows
+    rhos = [random_density_matrix(*dims, rank=r, rng=rng) for r in (1, 2, d) * 8]
+    rhos[2::3] = [DensityMatrix(0.1 * rho.matrix + 0.9 * np.eye(d) / d, dims)
+                  for rho in rhos[2::3]]
+    index = measures._sector_pt_index(*dims)
+    order = np.diagonal(index) // (d + 1)  # diagonal entries stay on the diagonal
+    assert sorted(order) == list(range(d))
+    if dims == (3, 3):
+        assert list(order) == SECTOR_ORDER
+    for rho in rhos:
+        pt = partial_transpose(rho, "A")
+        assert (rho.matrix.ravel()[index] == pt[np.ix_(order, order)]).all()
+    stack = DensityMatrix(np.stack([rho.matrix for rho in rhos]), dims)
+    eigs = hermitian_eigenvalues(partial_transpose(stack, "A"))
+    expected = np.where(eigs < -NEGATIVITY_EIG_TOL, -eigs, 0.0).sum(axis=-1)
+    assert (expected > 0.0).any() and (expected == 0.0).any()
+    np.testing.assert_allclose(negativity(stack), expected, rtol=0, atol=2e-15)
+    np.testing.assert_allclose([negativity(rho) for rho in rhos], expected, rtol=0, atol=2e-15)
 
 
 def test_negativity_local_unitary_invariance():
