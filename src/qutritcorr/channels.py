@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import DensityMatrix, _read_only
+from .linalg import DensityMatrix, _finite_nonnegative, _read_only
 
 COMPLETENESS_TOL = 1e-12
 BASIS_IMAG_TOL = 1e-15  # the clock phases leave 8.3e-17 on depolarizing, 0 elsewhere
@@ -60,8 +60,11 @@ def validate_kraus(channel: KrausChannel) -> KrausDiagnostics:
 
 def _gammas(t, *rates) -> np.ndarray:
     """1 - exp(-q t) per rate q, on a new first axis; all broadcast, finite and >= 0."""
-    tq = np.array(np.broadcast_arrays(t, *rates), dtype=float)
-    if not ((tq >= 0.0) & (tq < np.inf)).all():  # NaN fails both
+    tq = np.broadcast_arrays(t, *rates)
+    real = all(a.dtype.kind in "iuf" for a in tq)  # strings, bools and objects are refused
+    if real:
+        tq = np.array(tq, dtype=float)
+    if not (real and ((tq >= 0.0) & (tq < np.inf)).all()):  # NaN fails both
         raise ValueError(f"decay rate and time must be finite and non-negative, got "
                          f"q={', '.join(map(str, tq[1:]))}, t={tq[0]}")
     # 1 - exp(-q t) lies in [0, 1] unclamped; -q t overflowing to -inf gives exactly 1
@@ -77,7 +80,7 @@ def gamma_of(q, t):
 
 
 def _check_gamma(gamma: float) -> None:
-    if not 0.0 <= gamma <= 1.0:
+    if not (_finite_nonnegative(gamma) and gamma <= 1.0):
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
 
 
@@ -176,48 +179,38 @@ def kraus_for_family(family: str, gamma: float) -> KrausChannel:
 
 
 def apply_channel(channel: KrausChannel, matrix: np.ndarray) -> np.ndarray:
-    """Single-system Kraus action sum_i E_i M E_i^dag."""
-    mat = np.asarray(matrix, dtype=complex)
-    return (_liouville(np.stack(channel.operators)) @ mat.reshape(-1)).reshape(mat.shape)
+    """Single-system Kraus action sum_i E_i M E_i^dag, on one matrix or a stack."""
+    return _kraus_sum(np.asarray(matrix, dtype=complex), (channel.dim, 1), channel.operators, "A")
 
 
-def _liouville(ops: np.ndarray) -> np.ndarray:
-    """S = sum_i E_i (x) E_i^* of a (k, d, d) operator stack, so that
-    vec(sum_i E_i X E_i^dag) = S vec(X) with row-major vec."""
-    d = ops.shape[-1]
-    return np.einsum("kab,kcd->acbd", ops, ops.conj()).reshape(d * d, d * d)
+def _kraus_sum(matrix: np.ndarray, dims: tuple[int, int], ops, side: str) -> np.ndarray:
+    """sum_i (E_i x I) M (E_i x I)^dag for side "A", with I x E_i for side "B", of a
+    (d1 d2)-square matrix M or a stack of them; ops is the (k, d, d) Kraus stack."""
+    ops = np.asarray(ops)
+    m = matrix.reshape(matrix.shape[:-2] + 2 * tuple(dims))
+    into, mid, out = ("...bxcy", "...iaxcy", "...axdy") if side == "A" else (
+        "...xbyc", "...ixayc", "...xayd")
+    left = np.einsum(f"iab,{into}->{mid}", ops, m)
+    return np.einsum(f"{mid},idc->{out}", left, ops.conj()).reshape(matrix.shape)
 
 
-def _checked_liouville(channel: KrausChannel, what: str) -> np.ndarray:
+def _checked_complete(channel: KrausChannel, what: str) -> KrausChannel:
     diag = validate_kraus(channel)
     if not diag.ok:
         raise IncompleteKrausError(f"{what} is not trace preserving "
                                    f"(completeness deviation {diag.max_deviation:.3e})", diag)
-    return _liouville(np.stack(channel.operators))
-
-
-def _apply_superoperators(matrix: np.ndarray, dims: tuple[int, int],
-                          s_a: np.ndarray, s_b: np.ndarray) -> np.ndarray:
-    """Two-sided local action R -> S_A R S_B^T on the realigned state
-    R[(a a'), (b b')] = rho[(a b), (a' b')]. Leading axes broadcast, so any
-    of matrix, S_A and S_B may be a stack."""
-    d1, d2 = dims
-    for side, s, d in (("A", s_a, d1), ("B", s_b, d2)):
-        if s.shape[-1] != d * d:
-            raise ValueError(f"{side}-side channel does not act on a {d}-level subsystem")
-    lead = matrix.shape[:-2]
-    r = matrix.reshape(lead + (d1, d2, d1, d2)).swapaxes(-3, -2)
-    out = s_a @ r.reshape(lead + (d1 * d1, d2 * d2)) @ s_b.swapaxes(-1, -2)
-    out = out.reshape(out.shape[:-2] + (d1, d1, d2, d2)).swapaxes(-3, -2)
-    return out.reshape(out.shape[:-4] + (d1 * d2, d1 * d2))
+    return channel
 
 
 def apply_local_channels(rho: DensityMatrix, channel_a: KrausChannel,
                          channel_b: KrausChannel) -> DensityMatrix:
     """Apply channel_a to subsystem A and channel_b to subsystem B."""
-    s_a = _checked_liouville(channel_a, "A-side Kraus set")
-    s_b = _checked_liouville(channel_b, "B-side Kraus set")
-    return DensityMatrix(_apply_superoperators(rho.matrix, rho.dims, s_a, s_b), rho.dims)
+    out = rho.matrix
+    for side, channel, d in zip("AB", (channel_a, channel_b), rho.dims):
+        if _checked_complete(channel, f"{side}-side Kraus set").dim != d:
+            raise ValueError(f"{side}-side channel does not act on a {d}-level subsystem")
+        out = _kraus_sum(out, rho.dims, channel.operators, side)
+    return DensityMatrix(out, rho.dims)
 
 
 @lru_cache(maxsize=None)
@@ -231,9 +224,10 @@ def _family_superoperator_basis(family: str, dtype=np.dtype(complex)) -> np.ndar
     set is closed under conjugation, so the stack is real: an imaginary part above
     BASIS_IMAG_TOL is refused, not dropped, and dtype float64 gives the real part.
     """
-    s0, s34, s1 = (_checked_liouville(kraus_for_family(family, g),
-                                      f"{family} Kraus set at gamma={g}")
-                   for g in (0.0, 0.75, 1.0))
+    units = np.eye(9).reshape(9, 3, 3)  # |b><d| at 3b + d, so S[:, 3b + d] = vec(Phi(|b><d|))
+    kraus = (_checked_complete(kraus_for_family(family, g), f"{family} Kraus set at gamma={g}")
+             for g in (0.0, 0.75, 1.0))
+    s0, s34, s1 = (apply_channel(channel, units).reshape(9, 9).T for channel in kraus)
     c0 = 2.0 * s0 + 3.0 * s1 - 4.0 * s34
     basis = np.stack((c0, s0 - c0, s1 - c0))
     imag = float(np.abs(basis.imag).max())

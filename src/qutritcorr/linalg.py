@@ -175,7 +175,7 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix (or of each matrix in a stack),
     sorted non-increasing."""
     mat = np.asarray(matrix)
-    mat = mat.astype(np.result_type(mat, np.float64), copy=False)  # first: bool cannot subtract
+    mat = mat.astype(complex if mat.dtype.kind == "c" else float, copy=False)  # as DensityMatrix
     if not np.isfinite(mat).all():  # before any arithmetic, which would warn on inf
         raise ValueError("matrix is not Hermitian (non-finite entries)")
     dev = float(np.abs(mat - mat.conj().swapaxes(-1, -2)).max())

@@ -8,8 +8,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import (DensityMatrix, _eigvalsh, _positive_definite, _psd_shift, _read_only,
-                     make_bell_state, su_generators)
+from .linalg import (DensityMatrix, _eigvalsh, _finite_nonnegative, _positive_definite, _psd_shift,
+                     _read_only, make_bell_state, su_generators)
 
 NEGATIVITY_EIG_TOL = 1e-12
 IMAG_TOL = 1e-10
@@ -148,7 +148,7 @@ def gd_lower_bound(rho: DensityMatrix,
 def isotropic_family(p: float) -> DensityMatrix:
     """Mixture p |Phi><Phi| + (1 - p) I/9 of the qutrit Bell state with
     white noise."""
-    if not 0.0 <= p <= 1.0:
+    if not (_finite_nonnegative(p) and p <= 1.0):
         raise ValueError(f"mixing parameter must lie in [0, 1], got {p}")
     bell = make_bell_state(3).matrix
     return DensityMatrix(p * bell + (1.0 - p) * np.eye(9) / 9.0, (3, 3))

@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import _apply_superoperators, _liouville
+from .channels import _kraus_sum
 from .linalg import (DensityMatrix, _finite_nonnegative, _integer_at_least,
                      _positive_definite, _read_only, su_generators)
 from .measures import GdConvention, PAPER_CONVENTION
@@ -62,10 +62,7 @@ def project_measurement(rho: DensityMatrix, basis: np.ndarray, side: str = "A") 
     if not dev <= UNITARITY_TOL:
         raise ValueError(f"basis matrix is not unitary (deviation {dev:.3e})")
     projectors = np.einsum("ik,jk->kij", basis, basis.conj())
-    measured = _liouville(projectors)
-    untouched = np.eye((d2 if side == "A" else d1) ** 2)
-    s_a, s_b = (measured, untouched) if side == "A" else (untouched, measured)
-    return DensityMatrix(_apply_superoperators(rho.matrix, rho.dims, s_a, s_b), rho.dims)
+    return DensityMatrix(_kraus_sum(rho.matrix, rho.dims, projectors, side), rho.dims)
 
 
 @lru_cache(maxsize=4)
@@ -287,7 +284,7 @@ def analytic_negativity_depolarizing(q_a: float, q_b: float, t: float) -> float:
 def analytic_gd_isotropic(p: float, convention: GdConvention = PAPER_CONVENTION) -> float:
     """Discord of the isotropic family p Bell + (1-p) I/9; the closed-form
     lower bound is tight here, (2/3) p^2 in the raw convention."""
-    if not 0.0 <= p <= 1.0:
+    if not (_finite_nonnegative(p) and p <= 1.0):
         raise ValueError(f"mixing parameter must lie in [0, 1], got {p}")
     base = 2.0 * p * p / 3.0
     return 2.0 * base if convention.prefactor_mode == "paper" else base

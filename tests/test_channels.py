@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from qutritcorr import channels
 from qutritcorr import (CHANNEL_FAMILIES, PAPER_CONVENTION, RAW_CONVENTION, DensityMatrix,
-                        IncompleteKrausError, KrausChannel, apply_channel,
+                        IncompleteKrausError, KrausChannel, analytic_gd_isotropic, apply_channel,
                         apply_local_channels, bloch_decomposition, clock_matrix,
                         dephasing_kraus, depolarizing_kraus, evolve,
                         gamma_of, gd_lower_bound, identity_kraus, isotropic_family,
@@ -46,10 +46,25 @@ def test_gamma_of_stays_in_the_unit_interval_unclamped():
 
 
 @pytest.mark.parametrize("q,t", [(-0.1, 1.0), (1.0, -0.5), (float("nan"), 1.0),
-                                 (1.0, float("inf"))])
+                                 (1.0, float("inf")), ("1", 1.0), (1.0, "1"), (True, 1.0),
+                                 (1.0, np.array([True, False])), (None, 1.0), (1.0, [0.5, "2"])])
 def test_gamma_of_rejects_negative(q, t):
-    with pytest.raises(ValueError):
+    # strings and bools are refused, not parsed, also on evolve's path
+    with pytest.raises(ValueError, match="finite and non-negative"):
         gamma_of(q, t)
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        evolve(make_bell_state(3), "dephasing", "trit-flip", q, 0.5, t)
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        evolve(make_bell_state(3), "dephasing", "trit-flip", 0.5, q, t)
+
+
+@pytest.mark.parametrize("check", [dephasing_kraus, trit_flip_kraus, trit_phase_flip_kraus,
+                                   depolarizing_kraus, isotropic_family, analytic_gd_isotropic])
+@pytest.mark.parametrize("value", ["0.5", None, True, False, np.True_, [0.5], 0.5 + 0j,
+                                   float("nan"), float("-inf"), -0.1, 1.5])
+def test_unit_interval_parameters_refuse_non_numbers_by_name(check, value):
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        check(value)
 
 
 @pytest.mark.parametrize("family", CHANNEL_FAMILIES)
@@ -69,6 +84,51 @@ def test_three_term_superoperator_matches_kraus(family):
         got = np.tensordot((1.0, np.sqrt(1.0 - g), g),
                            channels._family_superoperator_basis(family), axes=1)
         assert np.abs(got - want).max() <= 1e-14, g
+
+
+@pytest.mark.parametrize("family", CHANNEL_FAMILIES)
+@pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+def test_superoperator_basis_bits_follow_the_liouville_formula(family, dtype):
+    # evolve reads only this basis: equal bits here keep every dataset byte-identical
+    s0, s34, s1 = (np.einsum("kab,kcd->acbd", ops, ops.conj()).reshape(9, 9)
+                   for ops in (np.stack(kraus_for_family(family, g).operators)
+                               for g in (0.0, 0.75, 1.0)))
+    c0 = 2.0 * s0 + 3.0 * s1 - 4.0 * s34
+    want = np.stack((c0, s0 - c0, s1 - c0))
+    got = channels._family_superoperator_basis(family, np.dtype(dtype))
+    assert got.dtype == dtype
+    assert (got == (want.real if dtype == np.float64 else want)).all()
+
+
+def _amplitude_damping(p):
+    ops = np.zeros((3, 3, 3))
+    ops[0] = np.diag([1.0, np.sqrt(1.0 - p), np.sqrt(1.0 - p)])
+    ops[1, 0, 1] = ops[2, 0, 2] = np.sqrt(p)
+    return KrausChannel(3, tuple(ops))
+
+
+def _kraus_reference(ops, rho):
+    return sum(e @ rho @ e.conj().T for e in ops)
+
+
+def test_a_channel_that_is_not_its_own_adjoint_acts_as_its_kraus_sum():
+    # qutrit amplitude damping is complete but neither unital nor closed under the
+    # adjoint, unlike the four families: applying the adjoint map instead fails here
+    damping, other = _amplitude_damping(0.3), trit_phase_flip_kraus(0.6)
+    assert validate_kraus(damping).ok
+    single = random_density_matrix(3, rng=RNG).matrix
+    stack = np.array([random_density_matrix(3, rng=RNG).matrix for _ in range(3)])
+    for rho in (single, stack):
+        want = _kraus_reference(damping.operators, rho)
+        assert np.abs(apply_channel(damping, rho) - want).max() <= 1e-14
+    pair = random_density_matrix(3, 3, rng=RNG)
+    pairs = DensityMatrix(np.array([random_density_matrix(3, 3, rng=RNG).matrix
+                                    for _ in range(3)]), (3, 3))
+    for cha, chb in ((damping, other), (other, damping)):
+        lifted = [np.kron(e, f) for e in cha.operators for f in chb.operators]
+        for rho in (pair, pairs):
+            out = apply_local_channels(rho, cha, chb)
+            assert np.abs(out.matrix - _kraus_reference(lifted, rho.matrix)).max() <= 1e-14
 
 
 @pytest.mark.parametrize("family", CHANNEL_FAMILIES)

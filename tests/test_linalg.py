@@ -142,14 +142,15 @@ def test_hermitian_eigenvalues_sorted_and_checked():
     # inf is refused before inf - inf can raise a RuntimeWarning
     with pytest.raises(ValueError, match="non-finite"):
         hermitian_eigenvalues(np.full((3, 3), np.inf))
-    # bool, integer and single-precision input is diagonalised in double precision
+    # bool, integer, object and single-precision input is diagonalised in double precision
     a = np.random.default_rng(3).standard_normal((2, 5, 5))
     b = a[0] + 1j * a[1]
     for mat in ((a + a.swapaxes(-1, -2)).astype(np.float32), np.diag([3, -1, 2, 0]),
                 np.eye(4, dtype=np.int16), (b + b.conj().T).astype(np.complex64),
-                np.eye(4, dtype=bool)):
+                np.eye(4, dtype=bool), np.diag([2, -1, 0]).astype(object)):
         eigs = hermitian_eigenvalues(mat)
-        expected = np.linalg.eigvalsh(mat.astype(np.result_type(mat, np.float64)))[..., ::-1]
+        expected = np.linalg.eigvalsh(mat.astype(complex if mat.dtype.kind == "c" else float))
+        expected = expected[..., ::-1]
         assert eigs.dtype == np.float64 and (eigs == expected).all()
 
 
