@@ -7,10 +7,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import DensityMatrix, _finite_nonnegative, _read_only
+from .linalg import DensityMatrix, _finite_nonnegative, _read_only, _shown
 
 COMPLETENESS_TOL = 1e-12
-BASIS_IMAG_TOL = 1e-15  # the clock phases leave 8.3e-17 on depolarizing, 0 elsewhere
+BASIS_IMAG_TOL = 1e-15  # all four bases are exactly real; more flags a set not conjugation-closed
 # evolve's gather: block jk of the 27x27 (C_j R C_k^T) to row jk, un-realigned to rho's layout
 _UNREALIGN = _read_only(np.arange(729).reshape((3,) * 6).transpose(0, 3, 1, 4, 2, 5).reshape(9, 81))
 
@@ -65,8 +65,9 @@ def _gammas(t, *rates) -> np.ndarray:
     if real:
         tq = np.array(tq, dtype=float)
     if not (real and ((tq >= 0.0) & (tq < np.inf)).all()):  # NaN fails both
+        t_shown, *q_shown = map(str, tq) if real else map(_shown, (t, *rates))
         raise ValueError(f"decay rate and time must be finite and non-negative, got "
-                         f"q={', '.join(map(str, tq[1:]))}, t={tq[0]}")
+                         f"q={', '.join(q_shown)}, t={t_shown}")
     # 1 - exp(-q t) lies in [0, 1] unclamped; -q t overflowing to -inf gives exactly 1
     with np.errstate(over="ignore"):
         return 1.0 - np.exp(-tq[1:] * tq[0])
@@ -81,7 +82,7 @@ def gamma_of(q, t):
 
 def _check_gamma(gamma: float) -> None:
     if not (_finite_nonnegative(gamma) and gamma <= 1.0):
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
+        raise ValueError(f"gamma must lie in [0, 1], got {_shown(gamma)}")
 
 
 def shift_matrix(d: int = 3) -> np.ndarray:
@@ -106,10 +107,20 @@ def dephasing_kraus(gamma: float) -> KrausChannel:
     return KrausChannel(3, tuple(ops))
 
 
+def _weyl_kraus(keep: float, amp: float, shifts) -> KrausChannel:
+    """keep I, then amp X^k Z^l for each (k, l) in shifts: diag(w^(l j)) rolled down k rows,
+    w = exp(2 pi i / 3), with each phase read from the table (1, w, w*), never multiplied."""
+    w = np.exp(2j * np.pi / 3.0)
+    phases, j = np.array([1.0, w, np.conj(w)]), np.arange(3)
+    ops = [amp * np.roll(np.diag(phases[(l * j) % 3]), k, axis=0) for k, l in shifts]
+    return KrausChannel(3, (keep * np.eye(3, dtype=complex), *ops))
+
+
 def trit_flip_kraus(gamma: float) -> KrausChannel:
     """Cyclic level flips: identity with weight 1 - 2 gamma / 3, each
-    nontrivial shift with weight gamma / 3."""
-    return _trit_flip(gamma, 3.0)
+    nontrivial shift X, X^2 with weight gamma / 3."""
+    _check_gamma(gamma)
+    return _weyl_kraus(np.sqrt(1.0 - 2.0 * gamma / 3.0), np.sqrt(gamma / 3.0), ((1, 0), (2, 0)))
 
 
 def trit_flip_kraus_unnormalized(gamma: float) -> KrausChannel:
@@ -119,42 +130,25 @@ def trit_flip_kraus_unnormalized(gamma: float) -> KrausChannel:
     preserving for gamma > 0. Kept only as a regression target for
     validate_kraus; nothing else may consume it.
     """
-    return _trit_flip(gamma, 1.0)
-
-
-def _trit_flip(gamma: float, shift_divisor: float) -> KrausChannel:
     _check_gamma(gamma)
-    s = shift_matrix(3)
-    ops = (np.sqrt(1.0 - 2.0 * gamma / 3.0) * np.eye(3, dtype=complex),
-           np.sqrt(gamma / shift_divisor) * s, np.sqrt(gamma / shift_divisor) * (s @ s))
-    return KrausChannel(3, ops)
+    return _weyl_kraus(np.sqrt(1.0 - 2.0 * gamma / 3.0), np.sqrt(gamma), ((1, 0), (2, 0)))
 
 
 def trit_phase_flip_kraus(gamma: float) -> KrausChannel:
     """Cyclic flips dressed with third-root-of-unity phases: identity with
-    weight 1 - 2 gamma / 3 plus four phased permutations of weight gamma / 6."""
+    weight 1 - 2 gamma / 3 plus X Z^2, X Z, X^2 Z^2 and X^2 Z with weight gamma / 6."""
     _check_gamma(gamma)
-    w = np.exp(2j * np.pi / 3.0)
-    up = np.array([[0, 0, w], [1, 0, 0], [0, np.conj(w), 0]], dtype=complex)
-    down = np.array([[0, np.conj(w), 0], [0, 0, w], [1, 0, 0]], dtype=complex)
-    amp = np.sqrt(gamma / 6.0)
-    ops = (np.sqrt(1.0 - 2.0 * gamma / 3.0) * np.eye(3, dtype=complex),
-           amp * up, amp * up.conj(), amp * down, amp * down.conj())
-    return KrausChannel(3, ops)
+    return _weyl_kraus(np.sqrt(1.0 - 2.0 * gamma / 3.0), np.sqrt(gamma / 6.0),
+                       ((1, 2), (1, 1), (2, 2), (2, 1)))
 
 
 def depolarizing_kraus(gamma: float) -> KrausChannel:
     """Uniform contraction rho -> (1 - gamma) rho + gamma I/3, realized by the
     shift/clock unitary basis with weight sqrt(gamma)/3 on each nontrivial
-    element and sqrt(1 - 8 gamma / 9) on the identity."""
+    X^-a Z^b and sqrt(1 - 8 gamma / 9) on the identity."""
     _check_gamma(gamma)
-    down = shift_matrix(3).conj().T  # inverse shift |j> -> |j-1 mod 3>
-    clock = clock_matrix(3)
-    scale = np.sqrt(gamma) / 3.0
-    ops = [np.sqrt(1.0 - 8.0 * gamma / 9.0) * np.eye(3, dtype=complex)]
-    ops += [scale * (np.linalg.matrix_power(down, a) @ np.linalg.matrix_power(clock, b))
-            for a in range(3) for b in range(3) if (a, b) != (0, 0)]
-    return KrausChannel(3, tuple(ops))
+    return _weyl_kraus(np.sqrt(1.0 - 8.0 * gamma / 9.0), np.sqrt(gamma) / 3.0,
+                       [(-a % 3, b) for a in range(3) for b in range(3) if (a, b) != (0, 0)])
 
 
 def identity_kraus(d: int = 3) -> KrausChannel:
@@ -180,6 +174,9 @@ def kraus_for_family(family: str, gamma: float) -> KrausChannel:
 
 def apply_channel(channel: KrausChannel, matrix: np.ndarray) -> np.ndarray:
     """Single-system Kraus action sum_i E_i M E_i^dag, on one matrix or a stack."""
+    if np.shape(matrix)[-2:] != (channel.dim,) * 2:
+        raise ValueError(f"a dim-{channel.dim} channel acts on {channel.dim}x{channel.dim} matrices, "
+                         f"got shape {np.shape(matrix)}")
     return _kraus_sum(np.asarray(matrix, dtype=complex), (channel.dim, 1), channel.operators, "A")
 
 

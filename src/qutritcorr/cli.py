@@ -145,24 +145,33 @@ def write_text(text: str, path: str, force: bool = False) -> None:
     if path == "-":
         sys.stdout.write(text)
         return
-    _check_target(path, force)
-    # Write beside the target and rename into place, so the target is either
-    # left as it was or replaced whole.
-    directory, name = os.path.split(path)
-    tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+    _write_files({path: text}, force)
+
+
+def _write_files(texts: dict[str, str], force: bool) -> None:
+    """Write each text to its path, all or none: every text goes to a temporary file beside its
+    target, and only then are they renamed into place. A failure removes what this call made."""
+    for path in texts:
+        _check_target(path, force)
+    made = []  # the temporary files, each replaced by its target once renamed
     try:
-        with open(tmp, "x") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for path, text in texts.items():
+            directory, name = os.path.split(path)
+            made.append(os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp"))
+            with open(made[-1], "x") as fh:
+                fh.write(text)
+        for i, path in enumerate(texts):
+            os.replace(made[i], path)
+            made[i] = path
     except OSError as exc:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
+        for leftover in made:
+            with contextlib.suppress(OSError):
+                os.remove(leftover)
         raise OutputError(f"cannot write {path}: {exc}") from exc
 
 
-def write_dataset(ds: SweepDataset, fmt: str, path: str, force: bool = False) -> None:
-    text = format_dataset_csv(ds) if fmt == "csv" else format_dataset_json(ds)
-    write_text(text, path, force)
+def format_dataset(ds: SweepDataset, fmt: str) -> str:
+    return format_dataset_csv(ds) if fmt == "csv" else format_dataset_json(ds)
 
 
 def _cmd_run(args) -> int:
@@ -170,7 +179,7 @@ def _cmd_run(args) -> int:
         family_a=args.channel_a, family_b=args.channel_b, q_a=args.qa, q_b=args.qb, t=args.t,
         gd_convention=GdConvention(args.gd_convention),
         oracle_enabled=args.oracle, oracle_restarts=args.restarts, seed=args.seed)
-    write_dataset(run_sweep(cfg), args.format, args.output, args.force)
+    write_text(format_dataset(run_sweep(cfg), args.format), args.output, args.force)
     return EXIT_OK
 
 
@@ -186,9 +195,9 @@ def _cmd_preset(args) -> int:
         _check_target(path, args.force)
     datasets = run_preset(args.name, gd_convention=GdConvention(args.gd_convention),
                           seed=args.seed)
-    for key, ds in datasets.items():
-        write_dataset(ds, args.format, paths[key], args.force)
-        print(paths[key])
+    _write_files({paths[key]: format_dataset(ds, args.format) for key, ds in datasets.items()},
+                 args.force)
+    print("\n".join(paths.values()))
     return EXIT_OK
 
 

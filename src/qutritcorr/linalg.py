@@ -42,6 +42,11 @@ def _finite_nonnegative(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, numbers.Real) and 0 <= value < math.inf
 
 
+def _shown(value) -> str:
+    """A refused value for its message: a number as printed, anything else by repr ("0.5" quoted)."""
+    return str(value) if isinstance(value, numbers.Number) else repr(value)
+
+
 def _read_only(array: np.ndarray) -> np.ndarray:
     """The array, made read-only: for arrays that are cached or shared."""
     array.setflags(write=False)

@@ -9,7 +9,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import (DensityMatrix, _eigvalsh, _finite_nonnegative, _positive_definite, _psd_shift,
-                     _read_only, make_bell_state, su_generators)
+                     _read_only, _shown, make_bell_state, su_generators)
 
 NEGATIVITY_EIG_TOL = 1e-12
 IMAG_TOL = 1e-10
@@ -149,6 +149,6 @@ def isotropic_family(p: float) -> DensityMatrix:
     """Mixture p |Phi><Phi| + (1 - p) I/9 of the qutrit Bell state with
     white noise."""
     if not (_finite_nonnegative(p) and p <= 1.0):
-        raise ValueError(f"mixing parameter must lie in [0, 1], got {p}")
+        raise ValueError(f"mixing parameter must lie in [0, 1], got {_shown(p)}")
     bell = make_bell_state(3).matrix
     return DensityMatrix(p * bell + (1.0 - p) * np.eye(9) / 9.0, (3, 3))

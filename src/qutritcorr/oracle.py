@@ -10,7 +10,7 @@ import numpy as np
 
 from .channels import _kraus_sum
 from .linalg import (DensityMatrix, _finite_nonnegative, _integer_at_least,
-                     _positive_definite, _read_only, su_generators)
+                     _positive_definite, _read_only, _shown, su_generators)
 from .measures import GdConvention, PAPER_CONVENTION
 
 UNITARITY_TOL = 1e-10
@@ -258,7 +258,7 @@ def gd_exact(rho: DensityMatrix, restarts: int = 32, seed: int = 0,
 def _check_nonnegative(**kwargs: float) -> None:
     for name, value in kwargs.items():
         if not _finite_nonnegative(value):
-            raise ValueError(f"{name} must be finite and non-negative, got {value}")
+            raise ValueError(f"{name} must be finite and non-negative, got {_shown(value)}")
 
 
 def analytic_negativity_dephasing(q_a: float, q_b: float, t: float) -> float:
@@ -285,6 +285,6 @@ def analytic_gd_isotropic(p: float, convention: GdConvention = PAPER_CONVENTION)
     """Discord of the isotropic family p Bell + (1-p) I/9; the closed-form
     lower bound is tight here, (2/3) p^2 in the raw convention."""
     if not (_finite_nonnegative(p) and p <= 1.0):
-        raise ValueError(f"mixing parameter must lie in [0, 1], got {p}")
+        raise ValueError(f"mixing parameter must lie in [0, 1], got {_shown(p)}")
     base = 2.0 * p * p / 3.0
     return 2.0 * base if convention.prefactor_mode == "paper" else base

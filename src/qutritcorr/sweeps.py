@@ -172,20 +172,23 @@ def run_sweep(cfg: ExperimentConfig) -> SweepDataset:
     return SweepDataset(columns=columns, meta=config_meta(cfg))
 
 
-def time_sweep(cfg: ExperimentConfig) -> SweepDataset:
-    """Evolve the Bell state across a time grid (optionally crossed with one
-    swept rate) and record the measures at every row."""
-    if cfg.sweep_mode not in ("time", "rate_time"):
-        raise ConfigError("sweep_mode", f"time_sweep handles 'time' and 'rate_time', "
+def _sweep_in_mode(cfg: ExperimentConfig, caller: str, *modes: str) -> SweepDataset:
+    """run_sweep(cfg), refused unless cfg.sweep_mode is one of the caller's modes."""
+    if cfg.sweep_mode not in modes:
+        raise ConfigError("sweep_mode", f"{caller} handles {' and '.join(map(repr, modes))}, "
                                         f"got {cfg.sweep_mode!r}")
     return run_sweep(cfg)
 
 
+def time_sweep(cfg: ExperimentConfig) -> SweepDataset:
+    """Evolve the Bell state across a time grid (optionally crossed with one
+    swept rate) and record the measures at every row."""
+    return _sweep_in_mode(cfg, "time_sweep", "time", "rate_time")
+
+
 def rate_grid(cfg: ExperimentConfig) -> SweepDataset:
     """Measures over a (q_a, q_b) grid at fixed time."""
-    if cfg.sweep_mode != "rate_grid":
-        raise ConfigError("sweep_mode", f"rate_grid handles 'rate_grid', got {cfg.sweep_mode!r}")
-    return run_sweep(cfg)
+    return _sweep_in_mode(cfg, "rate_grid", "rate_grid")
 
 
 # Presets pair every family with itself and every distinct pair once.
@@ -284,9 +287,7 @@ def robustness_report(cfg: ExperimentConfig) -> RobustnessReport:
     A measure that starts at zero cannot be normalized; its curve is None and
     every winner entry becomes "undefined".
     """
-    if cfg.sweep_mode != "time":
-        raise ConfigError("sweep_mode", "the robustness comparison needs a plain time sweep")
-    ds = run_sweep(cfg)
+    ds = _sweep_in_mode(cfg, "robustness_report", "time")
     times = ds.columns["t"]
     curves = {"negativity": ds.columns["negativity"], "gd": ds.columns["gd_lower"]}
     initial = {name: float(col[0]) for name, col in curves.items()}

@@ -41,14 +41,11 @@ def run_validation(seed: int = 0, restarts: int = 32, oracle_states: int = 12,
             raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     checks: list[CheckResult] = []
 
-    builders = dict(_FAMILY_BUILDERS)
-    if unnormalized_trit_flip:
-        builders["trit-flip"] = trit_flip_kraus_unnormalized
-    for family, builder in builders.items():
+    for family, builder in _FAMILY_BUILDERS.items():
+        if family == "trit-flip" and unnormalized_trit_flip:
+            family, builder = "trit-flip (unnormalized weights)", trit_flip_kraus_unnormalized
         dev = max(validate_kraus(builder(g)).max_deviation for g in GAMMA_GRID)
-        label = family + (" (unnormalized weights)"
-                          if family == "trit-flip" and unnormalized_trit_flip else "")
-        checks.append(CheckResult(f"kraus completeness: {label}", COMPLETENESS_TOL,
+        checks.append(CheckResult(f"kraus completeness: {family}", COMPLETENESS_TOL,
                                   dev, dev <= COMPLETENESS_TOL))
 
     rng = np.random.default_rng(seed)

@@ -50,8 +50,13 @@ def test_gamma_of_stays_in_the_unit_interval_unclamped():
                                  (1.0, np.array([True, False])), (None, 1.0), (1.0, [0.5, "2"])])
 def test_gamma_of_rejects_negative(q, t):
     # strings and bools are refused, not parsed, also on evolve's path
-    with pytest.raises(ValueError, match="finite and non-negative"):
+    with pytest.raises(ValueError, match="finite and non-negative") as exc:
         gamma_of(q, t)
+    for name, value in (("q", q), ("t", t)):  # a refused string is quoted, not shown as a number
+        if isinstance(value, str):
+            assert f"{name}={value!r}" in str(exc.value)
+    if q == -0.1:  # a refused number is printed as it always was
+        assert str(exc.value).endswith("got q=-0.1, t=1.0")
     with pytest.raises(ValueError, match="finite and non-negative"):
         evolve(make_bell_state(3), "dephasing", "trit-flip", q, 0.5, t)
     with pytest.raises(ValueError, match="finite and non-negative"):
@@ -60,11 +65,13 @@ def test_gamma_of_rejects_negative(q, t):
 
 @pytest.mark.parametrize("check", [dephasing_kraus, trit_flip_kraus, trit_phase_flip_kraus,
                                    depolarizing_kraus, isotropic_family, analytic_gd_isotropic])
-@pytest.mark.parametrize("value", ["0.5", None, True, False, np.True_, [0.5], 0.5 + 0j,
-                                   float("nan"), float("-inf"), -0.1, 1.5])
+@pytest.mark.parametrize("value", ["0.5", np.str_("0.5"), None, True, False, np.True_, [0.5],
+                                   0.5 + 0j, float("nan"), float("-inf"), -0.1, 1.5, np.float64(1.5)])
 def test_unit_interval_parameters_refuse_non_numbers_by_name(check, value):
-    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]") as exc:
         check(value)
+    if isinstance(value, (str, float)):  # strings quoted, numbers printed as they always were
+        assert str(exc.value).endswith(f"got {repr(value) if isinstance(value, str) else value}")
 
 
 @pytest.mark.parametrize("family", CHANNEL_FAMILIES)
@@ -195,6 +202,37 @@ def test_trit_phase_flip_operators_are_phased_permutations():
         assert np.all(np.sum(np.abs(u) > 1e-12, axis=0) == 1)
 
 
+# The paper's operators, written out: an independent reference for the Weyl builder
+_W = np.exp(2j * np.pi / 3.0)
+_UP = np.array([[0, 0, _W], [1, 0, 0], [0, np.conj(_W), 0]])
+_DOWN = np.array([[0, np.conj(_W), 0], [0, 0, _W], [1, 0, 0]])
+_S = np.roll(np.eye(3), 1, 0)  # |j> -> |j + 1 mod 3>
+_PAPER_OPERATORS = {
+    trit_flip_kraus: lambda g: [np.sqrt(1 - 2 * g / 3) * np.eye(3)]
+    + [np.sqrt(g / 3) * u for u in (_S, _S @ _S)],
+    trit_phase_flip_kraus: lambda g: [np.sqrt(1 - 2 * g / 3) * np.eye(3)]
+    + [np.sqrt(g / 6) * u for u in (_UP, _UP.conj(), _DOWN, _DOWN.conj())],
+}
+
+
+@pytest.mark.parametrize("builder", list(_PAPER_OPERATORS))
+@pytest.mark.parametrize("gamma", [0.1, 0.37, 0.8, 1.0])
+def test_weyl_families_act_as_the_papers_operators(builder, gamma):
+    ops = _PAPER_OPERATORS[builder](gamma)
+    assert len(builder(gamma).operators) == len(ops)
+    for _ in range(3):
+        rho = random_density_matrix(3, rng=RNG).matrix
+        assert np.abs(apply_channel(builder(gamma), rho) - _kraus_reference(ops, rho)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("family", CHANNEL_FAMILIES)
+@pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+def test_every_superoperator_basis_is_exactly_real(family, dtype):
+    # each Kraus set is closed under conjugation and reads its phases from one table (1, w, w*),
+    # so the imaginary parts cancel exactly
+    assert np.abs(np.imag(channels._family_superoperator_basis(family, np.dtype(dtype)))).max() == 0.0
+
+
 @pytest.mark.parametrize("family", ["trit-flip", "trit-phase-flip", "depolarizing"])
 def test_unital_families_fix_maximally_mixed(family):
     out = apply_channel(kraus_for_family(family, 0.8), np.eye(3) / 3.0)
@@ -220,6 +258,13 @@ def test_depolarizing_operator_basis_is_shift_clock():
     scale = np.sqrt(0.9) / 3.0
     for op, ref in zip(ch.operators[1:], expected):
         np.testing.assert_allclose(op, scale * ref, atol=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(1, 9), (9,), (4, 4), (2, 3, 4), (3, 1, 3)])
+def test_apply_channel_refuses_matrices_of_another_size(shape):
+    # a (1, 9) array holds 9 entries but is no 3x3 matrix
+    with pytest.raises(ValueError, match=r"dim-3 channel acts on 3x3 matrices, got shape"):
+        apply_channel(dephasing_kraus(0.5), np.zeros(shape))
 
 
 def test_kraus_channel_rejects_empty_and_misshapen_sets():

@@ -221,6 +221,25 @@ def test_preset_checks_every_target_before_computing(tmp_path, monkeypatch):
     assert (tmp_path / "fig1_grid.csv").read_text() == "kept\n"
 
 
+def test_preset_failing_second_rename_leaves_neither_file(tmp_path, monkeypatch, capsys):
+    # both temporary files are written before either is renamed; a failed rename
+    # removes the target already in place, so no half of the pair is left behind
+    replace, calls = os.replace, []
+
+    def second_replace_fails(src, dst):
+        calls.append(dst)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        replace(src, dst)
+
+    monkeypatch.setattr(cli, "run_preset", lambda name, **kw: fake_datasets())
+    monkeypatch.setattr(cli.os, "replace", second_replace_fails)
+    rc = run_cli(["preset", "--name", "fig1", "--outdir", str(tmp_path)])
+    assert rc == 3 and len(calls) == 2
+    assert os.listdir(tmp_path) == []
+    assert "cannot write" in capsys.readouterr().err
+
+
 def test_preset_honors_outdir_env(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_preset", lambda name, **kw: fake_datasets())
     monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path / "fromenv"))

@@ -185,10 +185,12 @@ def test_time_sweep_rejects_grid_config():
     cfg = ExperimentConfig(family_a="dephasing", family_b="dephasing",
                            q_a=SweepRange(0, 1, 3), q_b=SweepRange(0, 1, 3),
                            t=1.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="time_sweep handles 'time' and 'rate_time'") as exc:
         time_sweep(cfg)
-    with pytest.raises(ConfigError):
+    assert exc.value.field == "sweep_mode"
+    with pytest.raises(ConfigError, match="rate_grid handles 'rate_grid', got 'time'") as exc:
         rate_grid(time_config("dephasing", "dephasing", 0.5, 0.5, SweepRange(0, 1, 4)))
+    assert exc.value.field == "sweep_mode"
 
 
 def test_rate_grid_layout_and_depolarizing_values():
@@ -280,8 +282,9 @@ def test_robustness_report_requires_time_mode():
     cfg = ExperimentConfig(family_a="dephasing", family_b="dephasing",
                            q_a=SweepRange(0, 1, 3), q_b=0.5,
                            t=SweepRange(0, 1, 3))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="handles 'time', got 'rate_time'") as exc:
         robustness_report(cfg)
+    assert exc.value.field == "sweep_mode"
 
 
 def test_robustness_report_serializes():
