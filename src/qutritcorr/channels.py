@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import DensityMatrix, _finite_nonnegative, _read_only, _shown
+from .linalg import DensityMatrix, _finite_nonnegative, _instance, _read_only, _shown
 
 COMPLETENESS_TOL = 1e-12
 BASIS_IMAG_TOL = 1e-15  # all four bases are exactly real; more flags a set not conjugation-closed
@@ -237,7 +237,7 @@ def evolve(rho0: DensityMatrix, family_a: str, family_b: str, q_a, q_b, t) -> De
     """Two-sided noise at gamma = 1 - exp(-q t) per side: one state for scalar rates and time,
     an (N, 9, 9) stack when they or rho0 are stacks (all broadcast). Realigned, the state is
     sum_jk a_j b_k C_j R C_k^T, a = (1, sqrt(1 - gamma_a), gamma_a), b alike, in rho0's dtype."""
-    if rho0.dims != (3, 3):
+    if _instance(rho0, DensityMatrix, "rho0").dims != (3, 3):
         raise ValueError(f"evolve acts on two qutrits, got dims {rho0.dims}")
     lead = rho0.matrix.shape[:-2]
     r = rho0.matrix.reshape(lead + (3, 3, 3, 3)).swapaxes(-3, -2).reshape(lead + (9, 9))

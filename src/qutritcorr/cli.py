@@ -148,18 +148,26 @@ def write_text(text: str, path: str, force: bool = False) -> None:
     _write_files({path: text}, force)
 
 
+def _beside(path: str) -> str:
+    directory, name = os.path.split(path)
+    return os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+
+
 def _write_files(texts: dict[str, str], force: bool) -> None:
     """Write each text to its path, all or none: every text goes to a temporary file beside its
-    target, and only then are they renamed into place. A failure removes what this call made."""
+    target, every existing target is moved aside, and only then are the texts renamed into place.
+    A failure removes what this call made and puts the old targets back."""
     for path in texts:
         _check_target(path, force)
-    made = []  # the temporary files, each replaced by its target once renamed
+    made, aside = [], {}  # temporaries, each replaced by its target once renamed; old targets
     try:
         for path, text in texts.items():
-            directory, name = os.path.split(path)
-            made.append(os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp"))
+            made.append(_beside(path))
             with open(made[-1], "x") as fh:
                 fh.write(text)
+        for path in filter(os.path.isfile, texts):
+            aside[path] = _beside(path)
+            os.replace(path, aside[path])
         for i, path in enumerate(texts):
             os.replace(made[i], path)
             made[i] = path
@@ -167,7 +175,13 @@ def _write_files(texts: dict[str, str], force: bool) -> None:
         for leftover in made:
             with contextlib.suppress(OSError):
                 os.remove(leftover)
+        for target, old in aside.items():  # an old target that cannot go back keeps its copy
+            with contextlib.suppress(OSError):
+                os.replace(old, target)
         raise OutputError(f"cannot write {path}: {exc}") from exc
+    for old in aside.values():
+        with contextlib.suppress(OSError):
+            os.remove(old)
 
 
 def format_dataset(ds: SweepDataset, fmt: str) -> str:

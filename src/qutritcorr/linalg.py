@@ -47,6 +47,13 @@ def _shown(value) -> str:
     return str(value) if isinstance(value, numbers.Number) else repr(value)
 
 
+def _instance(value, kind: type, name: str):
+    """value, if it is a kind; anything else is refused by its argument's name."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _read_only(array: np.ndarray) -> np.ndarray:
     """The array, made read-only: for arrays that are cached or shared."""
     array.setflags(write=False)

@@ -1,5 +1,5 @@
-"""Entanglement negativity and a geometric-discord lower bound from the
-Bloch decomposition."""
+"""Entanglement negativity, the Bloch decomposition, and the closed-form
+geometric-discord lower bound."""
 
 from __future__ import annotations
 
@@ -8,8 +8,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import (DensityMatrix, _eigvalsh, _finite_nonnegative, _positive_definite, _psd_shift,
-                     _read_only, _shown, make_bell_state, su_generators)
+from .linalg import (DensityMatrix, _eigvalsh, _finite_nonnegative, _instance, _positive_definite,
+                     _psd_shift, _read_only, _shown, make_bell_state, su_generators)
 
 NEGATIVITY_EIG_TOL = 1e-12
 IMAG_TOL = 1e-10
@@ -113,7 +113,7 @@ def negativity(rho: DensityMatrix) -> float | np.ndarray:
     # whose PT factors with a (NEGATIVITY_EIG_TOL / 2) I shift has no eigenvalue below
     # -NEGATIVITY_EIG_TOL, as in _density_violations, and reads 0; eigvalsh sums the rest
     # descending, fixing the last bit.
-    d1, d2 = rho.dims
+    d1, d2 = _instance(rho, DensityMatrix, "rho").dims
     pt = rho.matrix.reshape(rho.matrix.shape[:-2] + (-1,))[..., _sector_pt_index(d1, d2)]
     npt = ~_positive_definite(pt + _psd_shift(d1 * d2, NEGATIVITY_EIG_TOL))
     neg = np.zeros(npt.shape)
@@ -123,26 +123,44 @@ def negativity(rho: DensityMatrix) -> float | np.ndarray:
     return float(neg) if rho.matrix.ndim == 2 else neg
 
 
+@lru_cache(maxsize=None)
+def _bound_table(d1: int, d2: int, dtype: np.dtype) -> np.ndarray:
+    """Columns (k, 0) = (d1/2) g_k x I and (k, l) = sqrt(2/d2) (d1 d2/4) g_k x g_l of
+    `_generator_table`, so vec(rho) times it is S = [y | sqrt(2/d2) V]; read-only. For complex128
+    its rows alternate Re and -Im, so the float view of vec(rho) gives Re Tr(op rho)."""
+    table, scale = _generator_table(d1, d2)
+    n1, n2 = d1 * d1 - 1, d2 * d2 - 1
+    pick = np.c_[np.arange(n1), n1 + n2 + np.arange(n1 * n2).reshape(n1, n2)].ravel()
+    cols = (table[pick] * (scale[pick] * np.where(pick < n1, 1.0, np.sqrt(2.0 / d2)))[:, None]).T
+    parts = (cols.real,) if dtype == np.float64 else (cols.real, -cols.imag)
+    return _read_only(np.stack(parts, axis=1).reshape(-1, cols.shape[1]))
+
+
+def _gd_lower(mats: np.ndarray, dims: tuple[int, int], convention: GdConvention):
+    """The bound of any Hermitian (..., d, d) float64 or complex128 array, a float for one matrix:
+    the d1 (d1 - 1) smallest eigenvalues of G = S S^T summed (no cancellation, and the exact zero
+    rows of G on classical-quantum states give an exact 0), scaled and clamped at 0."""
+    d1, d2 = dims
+    flat = mats.reshape(-1, mats.shape[-1] ** 2)  # 2-D for one matrix too: a stack row's bits
+    s = flat.view(float) @ _bound_table(d1, d2, flat.dtype)
+    s = s.reshape(mats.shape[:-2] + (d1 * d1 - 1, d2 * d2))
+    bracket = _eigvalsh(s @ s.swapaxes(-1, -2))[..., : d1 * (d1 - 1)].sum(axis=-1)
+    value = np.maximum(0.0, convention.prefactor(d1, d2) * bracket)
+    return float(value) if mats.ndim == 2 else value
+
+
 def gd_lower_bound(rho: DensityMatrix,
                    convention: GdConvention = PAPER_CONVENTION) -> float | np.ndarray:
     """Closed-form lower bound on the geometric discord, measurement on A.
 
-    Builds G = y y^T + (2/d2) V V^T from the Bloch decomposition and subtracts
-    the d1 - 1 largest eigenvalues of G from its trace (which equals
-    |y|^2 + (2/d2) |V|^2), then scales by the convention prefactor. A negative
-    bracket (possible under floating point for zero-discord states) gives 0. A
-    stack of states gives an array.
+    G = y y^T + (2/d2) V V^T from the Bloch decomposition, read as S S^T with
+    S = [y | sqrt(2/d2) V] from one product with a cached table over vec(rho);
+    the trace of G less its d1 - 1 largest eigenvalues, scaled by the convention
+    prefactor. A negative bracket (possible under floating point for
+    zero-discord states) gives 0. A stack of states gives an array.
     """
-    # The bracket is summed over the d1 (d1 - 1) smallest eigenvalues rather
-    # than taken as a difference: no cancellation, and the exact zero rows of
-    # G on classical-quantum states give an exact 0.
-    d1, d2 = rho.dims
-    dec = bloch_decomposition(rho)
-    y = dec.y_a[..., :, None]
-    g = y * y.swapaxes(-1, -2) + (2.0 / d2) * (dec.corr @ dec.corr.swapaxes(-1, -2))
-    bracket = _eigvalsh(g)[..., : d1 * (d1 - 1)].sum(axis=-1)
-    value = np.maximum(0.0, convention.prefactor(d1, d2) * bracket)
-    return float(value) if rho.matrix.ndim == 2 else value
+    return _gd_lower(_instance(rho, DensityMatrix, "rho").matrix, rho.dims,
+                     _instance(convention, GdConvention, "convention"))
 
 
 def isotropic_family(p: float) -> DensityMatrix:

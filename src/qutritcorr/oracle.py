@@ -9,7 +9,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import _kraus_sum
-from .linalg import (DensityMatrix, _finite_nonnegative, _integer_at_least,
+from .linalg import (DensityMatrix, _finite_nonnegative, _instance, _integer_at_least,
                      _positive_definite, _read_only, _shown, su_generators)
 from .measures import GdConvention, PAPER_CONVENTION
 
@@ -82,9 +82,11 @@ def _hermitian_parts(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _operator_rows(rho4: np.ndarray) -> np.ndarray:
     """Rows vec(A_mu) of rho = sum_mu A_mu (x) B_mu, B_mu = H_mu / |H_mu| on the
-    unmeasured side (`_hermitian_parts`): (A_mu)_xy = Tr(<x|rho|y> B_mu)."""
+    unmeasured side (`_hermitian_parts`): (A_mu)_xy = Tr(<x|rho|y> B_mu). rho is cast to
+    complex in its one copy, so the product is not a mixed-dtype matmul."""
     d, d2 = rho4.shape[:2]
-    return _hermitian_parts(d2)[2] @ rho4.transpose(0, 2, 1, 3).reshape(d * d, d2 * d2).T
+    realigned = np.ascontiguousarray(rho4.transpose(0, 2, 1, 3), dtype=complex)
+    return _hermitian_parts(d2)[2] @ realigned.reshape(d * d, d2 * d2).T
 
 
 def _sandwiches(ops: np.ndarray, bases: np.ndarray) -> np.ndarray:
@@ -236,7 +238,7 @@ def gd_exact(rho: DensityMatrix, restarts: int = 32, seed: int = 0,
     restarts, seed = int(restarts), int(seed)
     if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    rho4 = rho.matrix.reshape(rho.dims * 2)  # measured side first
+    rho4 = _instance(rho, DensityMatrix, "rho").matrix.reshape(rho.dims * 2)  # measured side first
     ops = _operator_rows(rho4 if side == "A" else rho4.transpose(1, 0, 3, 2))
     d = rho.dims[0 if side == "A" else 1]
     norm_sq = float(np.vdot(rho.matrix, rho.matrix).real)

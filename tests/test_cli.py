@@ -240,6 +240,42 @@ def test_preset_failing_second_rename_leaves_neither_file(tmp_path, monkeypatch,
     assert "cannot write" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("failing_call", [1, 2, 3, 4])
+def test_preset_force_failing_rename_keeps_the_old_pair(tmp_path, monkeypatch, capsys, failing_call):
+    # with --force over an existing pair the calls are: move each old file aside, then rename
+    # each new one in; whichever fails, both old files are back, byte for byte, and no
+    # temporary file is left
+    old = {name: f"old {name}\n".encode() for name in ("fig1_time.csv", "fig1_grid.csv")}
+    for name, body in old.items():
+        (tmp_path / name).write_bytes(body)
+    replace, calls = os.replace, []
+
+    def one_replace_fails(src, dst):
+        calls.append(dst)
+        if len(calls) == failing_call:
+            raise OSError("disk full")
+        replace(src, dst)
+
+    monkeypatch.setattr(cli, "run_preset", lambda name, **kw: fake_datasets())
+    monkeypatch.setattr(cli.os, "replace", one_replace_fails)
+    rc = run_cli(["preset", "--name", "fig1", "--outdir", str(tmp_path), "--force"])
+    assert rc == 3 and len(calls) > failing_call
+    assert sorted(os.listdir(tmp_path)) == sorted(old)
+    for name, body in old.items():
+        assert (tmp_path / name).read_bytes() == body
+    assert "cannot write" in capsys.readouterr().err
+
+
+def test_preset_force_replaces_the_pair_and_leaves_no_temporary(tmp_path, monkeypatch, capsys):
+    for name in ("fig1_time.csv", "fig1_grid.csv"):
+        (tmp_path / name).write_text("old\n")
+    monkeypatch.setattr(cli, "run_preset", lambda name, **kw: fake_datasets())
+    assert run_cli(["preset", "--name", "fig1", "--outdir", str(tmp_path), "--force"]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["fig1_grid.csv", "fig1_time.csv"]
+    assert (tmp_path / "fig1_time.csv").read_text() == cli.format_dataset_csv(fake_datasets()["time"])
+    capsys.readouterr()
+
+
 def test_preset_honors_outdir_env(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_preset", lambda name, **kw: fake_datasets())
     monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path / "fromenv"))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qutritcorr import (CHANNEL_FAMILIES, DensityMatrix, GdConvention, PAPER_CONVENTION,
-                        RAW_CONVENTION, bloch_decomposition, bloch_synthesis, evolve,
+                        RAW_CONVENTION, bloch_decomposition, bloch_synthesis, evolve, gd_exact,
                         gd_lower_bound, hermitian_eigenvalues, isotropic_family,
                         make_bell_state, negativity, partial_transpose,
                         random_density_matrix, random_unitary, tensor, trace_norm)
@@ -208,6 +208,111 @@ def test_gd_convention_validation_and_prefactors():
         GdConvention("other")
     assert PAPER_CONVENTION.prefactor(3, 3) == pytest.approx(4.0 / 27.0)
     assert RAW_CONVENTION.prefactor(3, 3) == pytest.approx(2.0 / 27.0)
+
+
+def bloch_route_bound(rho, convention):
+    """The bound from the Bloch decomposition, G = y y^T + (2/d2) V V^T, its d1 (d1 - 1)
+    smallest eigenvalues summed by numpy's own eigvalsh, per state of the stack."""
+    d1, d2 = rho.dims
+    dec = bloch_decomposition(rho)
+    y = dec.y_a[..., :, None]
+    g = y @ y.swapaxes(-1, -2) + (2.0 / d2) * dec.corr @ dec.corr.swapaxes(-1, -2)
+    bracket = np.linalg.eigvalsh(g)[..., : d1 * (d1 - 1)].sum(axis=-1)
+    return np.maximum(0.0, convention.prefactor(d1, d2) * bracket)
+
+
+def bell_sweep_stack(family_a, family_b):
+    rng = np.random.default_rng([515, CHANNEL_FAMILIES.index(family_a),
+                                 CHANNEL_FAMILIES.index(family_b)])
+    qa, qb = rng.uniform(0.0, 2.0, size=(2, 64))
+    t = np.r_[0.0, rng.uniform(0.0, 5.0, size=63)]
+    return evolve(make_bell_state(3), family_a, family_b, qa, qb, t)
+
+
+def random_stacks():
+    # complex stacks of pure and full-rank states, on every split of 4, 6 and 9
+    rng = np.random.default_rng(516)
+    for dims in [(3, 3), (2, 3), (3, 2), (2, 2)]:
+        for rank in (1, dims[0] * dims[1]):
+            yield DensityMatrix(np.stack([random_density_matrix(*dims, rank=rank, rng=rng).matrix
+                                          for _ in range(32)]), dims)
+
+
+@pytest.mark.parametrize("family_a", CHANNEL_FAMILIES)
+@pytest.mark.parametrize("family_b", CHANNEL_FAMILIES)
+def test_bound_matches_the_bloch_route_on_bell_sweeps(family_a, family_b):
+    rho = bell_sweep_stack(family_a, family_b)
+    assert rho.matrix.dtype == np.float64
+    as_complex = DensityMatrix(rho.matrix.astype(complex), (3, 3))
+    for convention in (PAPER_CONVENTION, RAW_CONVENTION):
+        expected = bloch_route_bound(rho, convention)
+        for state in (rho, as_complex):
+            assert np.abs(gd_lower_bound(state, convention) - expected).max() <= 1e-14
+
+
+def test_bound_matches_the_bloch_route_on_random_complex_stacks():
+    for rho in random_stacks():
+        assert rho.matrix.dtype == np.complex128
+        for convention in (PAPER_CONVENTION, RAW_CONVENTION):
+            expected = bloch_route_bound(rho, convention)
+            assert (expected > 1e-3).all()
+            assert np.abs(gd_lower_bound(rho, convention) - expected).max() <= 1e-14
+            one = DensityMatrix(rho.matrix[0], rho.dims)
+            assert abs(gd_lower_bound(one, convention) - expected[0]) <= 1e-14
+
+
+def test_bound_never_calls_the_bloch_decomposition(monkeypatch):
+    states = [bell_sweep_stack("dephasing", "trit-flip"), *random_stacks(), make_bell_state(3)]
+    expected = [gd_lower_bound(rho) for rho in states]
+
+    def refuse(rho):
+        raise AssertionError("the bound reads its own table, not the Bloch decomposition")
+
+    monkeypatch.setattr(measures, "bloch_decomposition", refuse)
+    for rho, value in zip(states, expected):
+        assert np.array_equal(gd_lower_bound(rho), value)
+
+
+def test_bound_kernel_takes_any_hermitian_stack():
+    # the bound is a quadratic form in the matrix: scaling it by c scales the bound by c^2,
+    # and an unnormalized or non-positive Hermitian stack is read like a state
+    rho = next(random_stacks())
+    base = measures._gd_lower(rho.matrix, rho.dims, RAW_CONVENTION)
+    np.testing.assert_allclose(measures._gd_lower(3.0 * rho.matrix, rho.dims, RAW_CONVENTION),
+                               9.0 * base, rtol=1e-13, atol=0)
+    shifted = rho.matrix - 0.2 * np.eye(9)  # only the identity component moves: same bound
+    np.testing.assert_allclose(measures._gd_lower(shifted, rho.dims, RAW_CONVENTION), base,
+                               rtol=0, atol=1e-14)
+
+
+def test_bound_table_reads_y_and_v_from_the_float_view():
+    # the float view of vec(rho) times the table is S = [y | sqrt(2/d2) V], sign for sign: a
+    # table with +Im rows gives the bound of rho^T, which is the same, so only S shows it
+    real, cplx = (measures._bound_table(3, 3, np.dtype(t)) for t in (float, complex))
+    assert real.shape == (81, 72) and cplx.shape == (162, 72)
+    assert not real.flags.writeable and not cplx.flags.writeable
+    assert measures._bound_table(3, 3, np.dtype(complex)) is cplx
+    assert (cplx[0::2] == real).all()
+    for rho in [*random_stacks(), bell_sweep_stack("trit-phase-flip", "depolarizing")]:
+        (d1, d2), lead = rho.dims, rho.matrix.shape[:-2]
+        table = measures._bound_table(d1, d2, rho.matrix.dtype)
+        s = rho.matrix.reshape(lead + (-1,)).view(float) @ table
+        dec = bloch_decomposition(rho)
+        expected = np.concatenate([dec.y_a[..., None], np.sqrt(2.0 / d2) * dec.corr], axis=-1)
+        np.testing.assert_allclose(s.reshape(expected.shape), expected, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: gd_lower_bound(make_bell_state(3).matrix), "rho must be a DensityMatrix, got ndarray"),
+    (lambda: gd_lower_bound(make_bell_state(3), "raw"), "convention must be a GdConvention, got str"),
+    (lambda: negativity(make_bell_state(3).matrix), "rho must be a DensityMatrix, got ndarray"),
+    (lambda: evolve(make_bell_state(3).matrix, "dephasing", "dephasing", 0.5, 0.5, 1.0),
+     "rho0 must be a DensityMatrix, got ndarray"),
+    (lambda: gd_exact(make_bell_state(3).matrix), "rho must be a DensityMatrix, got ndarray"),
+])
+def test_state_entry_points_refuse_what_is_not_certified(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_gd_lower_bound_bell_values():
