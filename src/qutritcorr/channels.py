@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import DensityMatrix, _finite_nonnegative, _instance, _read_only, _shown
+from .linalg import DensityMatrix, _instance, _numbers, _read_only, _shown, _unit
 
 COMPLETENESS_TOL = 1e-12
 BASIS_IMAG_TOL = 1e-15  # all four bases are exactly real; more flags a set not conjugation-closed
@@ -53,7 +53,7 @@ class KrausDiagnostics:
 
 def validate_kraus(channel: KrausChannel) -> KrausDiagnostics:
     """Check trace preservation: max entry of |sum E^dag E - I| <= COMPLETENESS_TOL."""
-    total = sum(op.conj().T @ op for op in channel.operators)
+    total = sum(op.conj().T @ op for op in _instance(channel, KrausChannel, "channel").operators)
     dev = float(np.abs(total - np.eye(channel.dim)).max())
     return KrausDiagnostics(ok=dev <= COMPLETENESS_TOL, max_deviation=dev)
 
@@ -80,11 +80,6 @@ def gamma_of(q, t):
     return float(gamma) if gamma.ndim == 0 else gamma
 
 
-def _check_gamma(gamma: float) -> None:
-    if not (_finite_nonnegative(gamma) and gamma <= 1.0):
-        raise ValueError(f"gamma must lie in [0, 1], got {_shown(gamma)}")
-
-
 def shift_matrix(d: int = 3) -> np.ndarray:
     """Cyclic shift |j> -> |j+1 mod d>."""
     s = np.zeros((d, d), dtype=complex)
@@ -100,7 +95,7 @@ def clock_matrix(d: int = 3) -> np.ndarray:
 def dephasing_kraus(gamma: float) -> KrausChannel:
     """Pure dephasing: populations untouched, coherences to level 0 damped by
     sqrt(1 - gamma), the coherence between levels 1 and 2 by (1 - gamma)."""
-    _check_gamma(gamma)
+    _unit(gamma, "gamma")
     keep = np.eye(3, dtype=complex)
     keep[1:, 1:] *= np.sqrt(1.0 - gamma)
     ops = [keep] + [np.sqrt(gamma) * np.diag(np.eye(3, dtype=complex)[k]) for k in (1, 2)]
@@ -119,7 +114,7 @@ def _weyl_kraus(keep: float, amp: float, shifts) -> KrausChannel:
 def trit_flip_kraus(gamma: float) -> KrausChannel:
     """Cyclic level flips: identity with weight 1 - 2 gamma / 3, each
     nontrivial shift X, X^2 with weight gamma / 3."""
-    _check_gamma(gamma)
+    _unit(gamma, "gamma")
     return _weyl_kraus(np.sqrt(1.0 - 2.0 * gamma / 3.0), np.sqrt(gamma / 3.0), ((1, 0), (2, 0)))
 
 
@@ -130,14 +125,14 @@ def trit_flip_kraus_unnormalized(gamma: float) -> KrausChannel:
     preserving for gamma > 0. Kept only as a regression target for
     validate_kraus; nothing else may consume it.
     """
-    _check_gamma(gamma)
+    _unit(gamma, "gamma")
     return _weyl_kraus(np.sqrt(1.0 - 2.0 * gamma / 3.0), np.sqrt(gamma), ((1, 0), (2, 0)))
 
 
 def trit_phase_flip_kraus(gamma: float) -> KrausChannel:
     """Cyclic flips dressed with third-root-of-unity phases: identity with
     weight 1 - 2 gamma / 3 plus X Z^2, X Z, X^2 Z^2 and X^2 Z with weight gamma / 6."""
-    _check_gamma(gamma)
+    _unit(gamma, "gamma")
     return _weyl_kraus(np.sqrt(1.0 - 2.0 * gamma / 3.0), np.sqrt(gamma / 6.0),
                        ((1, 2), (1, 1), (2, 2), (2, 1)))
 
@@ -146,7 +141,7 @@ def depolarizing_kraus(gamma: float) -> KrausChannel:
     """Uniform contraction rho -> (1 - gamma) rho + gamma I/3, realized by the
     shift/clock unitary basis with weight sqrt(gamma)/3 on each nontrivial
     X^-a Z^b and sqrt(1 - 8 gamma / 9) on the identity."""
-    _check_gamma(gamma)
+    _unit(gamma, "gamma")
     return _weyl_kraus(np.sqrt(1.0 - 8.0 * gamma / 9.0), np.sqrt(gamma) / 3.0,
                        [(-a % 3, b) for a in range(3) for b in range(3) if (a, b) != (0, 0)])
 
@@ -165,19 +160,23 @@ _FAMILY_BUILDERS = {
 CHANNEL_FAMILIES = tuple(_FAMILY_BUILDERS)
 
 
-def kraus_for_family(family: str, gamma: float) -> KrausChannel:
-    if family not in _FAMILY_BUILDERS:
+def _family(family) -> str:
+    if not (isinstance(family, str) and family in _FAMILY_BUILDERS):  # before any cache hashes it
         known = ", ".join(CHANNEL_FAMILIES)
         raise ValueError(f"unknown channel family {family!r}; known families: {known}")
-    return _FAMILY_BUILDERS[family](gamma)
+    return family
+
+
+def kraus_for_family(family: str, gamma: float) -> KrausChannel:
+    return _FAMILY_BUILDERS[_family(family)](gamma)
 
 
 def apply_channel(channel: KrausChannel, matrix: np.ndarray) -> np.ndarray:
     """Single-system Kraus action sum_i E_i M E_i^dag, on one matrix or a stack."""
-    if np.shape(matrix)[-2:] != (channel.dim,) * 2:
+    if np.shape(matrix)[-2:] != (_instance(channel, KrausChannel, "channel").dim,) * 2:
         raise ValueError(f"a dim-{channel.dim} channel acts on {channel.dim}x{channel.dim} matrices, "
                          f"got shape {np.shape(matrix)}")
-    return _kraus_sum(np.asarray(matrix, dtype=complex), (channel.dim, 1), channel.operators, "A")
+    return _kraus_sum(_numbers(matrix, "matrix"), (channel.dim, 1), channel.operators, "A")
 
 
 def _kraus_sum(matrix: np.ndarray, dims: tuple[int, int], ops, side: str) -> np.ndarray:
@@ -192,7 +191,7 @@ def _kraus_sum(matrix: np.ndarray, dims: tuple[int, int], ops, side: str) -> np.
 
 
 def _checked_complete(channel: KrausChannel, what: str) -> KrausChannel:
-    diag = validate_kraus(channel)
+    diag = validate_kraus(_instance(channel, KrausChannel, what))
     if not diag.ok:
         raise IncompleteKrausError(f"{what} is not trace preserving "
                                    f"(completeness deviation {diag.max_deviation:.3e})", diag)
@@ -202,7 +201,7 @@ def _checked_complete(channel: KrausChannel, what: str) -> KrausChannel:
 def apply_local_channels(rho: DensityMatrix, channel_a: KrausChannel,
                          channel_b: KrausChannel) -> DensityMatrix:
     """Apply channel_a to subsystem A and channel_b to subsystem B."""
-    out = rho.matrix
+    out = _instance(rho, DensityMatrix, "rho").matrix
     for side, channel, d in zip("AB", (channel_a, channel_b), rho.dims):
         if _checked_complete(channel, f"{side}-side Kraus set").dim != d:
             raise ValueError(f"{side}-side channel does not act on a {d}-level subsystem")
@@ -241,8 +240,8 @@ def evolve(rho0: DensityMatrix, family_a: str, family_b: str, q_a, q_b, t) -> De
         raise ValueError(f"evolve acts on two qutrits, got dims {rho0.dims}")
     lead = rho0.matrix.shape[:-2]
     r = rho0.matrix.reshape(lead + (3, 3, 3, 3)).swapaxes(-3, -2).reshape(lead + (9, 9))
-    c_a, c_b = (_family_superoperator_basis(f, r.dtype).reshape(27, 9) for f in (family_a, family_b))
-    m = (c_a @ r @ c_b.T).reshape(lead + (729,))[..., _UNREALIGN]  # row jk: C_j R C_k^T
+    c_a, c_b = (_family_superoperator_basis(_family(f), r.dtype) for f in (family_a, family_b))
+    m = (c_a.reshape(27, 9) @ r @ c_b.reshape(27, 9).T).reshape(lead + (729,))[..., _UNREALIGN]
     g = _gammas(t, q_a, q_b)  # (gamma_a, gamma_b)
     w = np.empty(g.shape + (3,))
     w[..., 0], w[..., 1], w[..., 2] = 1.0, np.sqrt(1.0 - g), g

@@ -54,6 +54,35 @@ def _instance(value, kind: type, name: str):
     return value
 
 
+def _integer(value, least: int, name: str) -> int:
+    """value as an int, if it is an integer (not a bool) of at least least; else refused by name."""
+    if not _integer_at_least(value, least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def _unit(value, name: str) -> None:
+    """Refuse value by name unless it is a real number (not a bool) in [0, 1]."""
+    if not (_finite_nonnegative(value) and value <= 1.0):
+        raise ValueError(f"{name} must lie in [0, 1], got {_shown(value)}")
+
+
+def _side(value, name: str) -> bool:
+    """Whether value, which must be the string 'A' or 'B', is 'A'."""
+    if not (isinstance(value, str) and value in ("A", "B")):
+        raise ValueError(f"{name} must be 'A' or 'B', got {value!r}")
+    return value == "A"
+
+
+def _numbers(value, name: str) -> np.ndarray:
+    """value as a new float64 array, complex128 for complex input; never cut to its real part."""
+    mat = np.asarray(value)
+    try:
+        return mat.astype(complex if mat.dtype.kind == "c" else float)
+    except TypeError:  # objects, complex numbers among them, that do not cast to float
+        raise ValueError(f"{name} must hold real numbers or be complex, got {mat.dtype}") from None
+
+
 def _read_only(array: np.ndarray) -> np.ndarray:
     """The array, made read-only: for arrays that are cached or shared."""
     array.setflags(write=False)
@@ -130,9 +159,7 @@ class DensityMatrix:
         d1, d2 = self.dims if np.iterable(self.dims) and len(self.dims) == 2 else (None, None)
         if not (_integer_at_least(d1, 1) and _integer_at_least(d2, 1)):
             raise ValueError(f"subsystem dimensions must be positive integers (d1, d2), got {self.dims}")
-        # A copy, complex128 for complex input, else float64: complex objects raise
-        mat = np.asarray(self.matrix)
-        mat = mat.astype(complex if mat.dtype.kind == "c" else float)
+        mat = _numbers(self.matrix, "matrix")
         violations = _density_violations(mat, d1 * d2)
         if violations:
             detail = ", ".join(f"{k} off by {v:.3e}" for k, v in violations.items())
@@ -148,8 +175,7 @@ def validate_density_matrix(matrix: np.ndarray, dims: tuple[int, int]) -> Densit
 
 def make_bell_state(d: int) -> DensityMatrix:
     """Maximally entangled state (1/sqrt(d)) sum_i |ii> as a density matrix."""
-    if d < 2:
-        raise ValueError(f"need subsystem dimension >= 2, got {d}")
+    d = _integer(d, 2, "d")
     amp = np.zeros(d * d)
     amp[(d + 1) * np.arange(d)] = 1.0 / np.sqrt(d)
     return DensityMatrix(np.outer(amp, amp), (d, d))
@@ -163,31 +189,24 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def partial_transpose(rho: DensityMatrix, subsystem: str = "A") -> np.ndarray:
     """Transpose one subsystem in place; the result is generally not a state.
     A stack of states gives a stack of partial transposes."""
-    d1, d2 = rho.dims
+    d1, d2 = _instance(rho, DensityMatrix, "rho").dims
     r4 = rho.matrix.reshape(rho.matrix.shape[:-2] + (d1, d2, d1, d2))
-    if subsystem not in ("A", "B"):
-        raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    out = r4.swapaxes(-4, -2) if subsystem == "A" else r4.swapaxes(-3, -1)
+    out = r4.swapaxes(-4, -2) if _side(subsystem, "subsystem") else r4.swapaxes(-3, -1)
     return out.copy().reshape(rho.matrix.shape)
 
 
 def partial_trace(rho: DensityMatrix, keep: str = "A") -> np.ndarray:
     """Reduced state of one subsystem. A stack of states gives a stack of
     reduced states."""
-    d1, d2 = rho.dims
+    d1, d2 = _instance(rho, DensityMatrix, "rho").dims
     r4 = rho.matrix.reshape(rho.matrix.shape[:-2] + (d1, d2, d1, d2))
-    if keep == "A":
-        return np.einsum("...abcb->...ac", r4)
-    if keep == "B":
-        return np.einsum("...abad->...bd", r4)
-    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
+    return np.einsum("...abcb->...ac" if _side(keep, "keep") else "...abad->...bd", r4)
 
 
 def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix (or of each matrix in a stack),
     sorted non-increasing."""
-    mat = np.asarray(matrix)
-    mat = mat.astype(complex if mat.dtype.kind == "c" else float, copy=False)  # as DensityMatrix
+    mat = _numbers(matrix, "matrix")
     if not np.isfinite(mat).all():  # before any arithmetic, which would warn on inf
         raise ValueError("matrix is not Hermitian (non-finite entries)")
     dev = float(np.abs(mat - mat.conj().swapaxes(-1, -2)).max())
@@ -198,7 +217,7 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
 
 def trace_norm(matrix: np.ndarray) -> float:
     """Sum of singular values."""
-    mat = np.asarray(matrix)
+    mat = _numbers(matrix, "matrix")
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     return float(np.linalg.svd(mat, compute_uv=False).sum())
@@ -213,8 +232,7 @@ def su_generators(d: int) -> tuple[np.ndarray, ...]:
     matching antisymmetric pairs, then the d - 1 diagonal generators. For
     d = 2 this is exactly Pauli X, Y, Z.
     """
-    if d < 2:
-        raise ValueError(f"need dimension >= 2, got {d}")
+    d = _integer(d, 2, "d")
     gens: list[np.ndarray] = []
     pairs = [(j, k) for j in range(d) for k in range(j + 1, d)]
     for upper in (1.0, -1.0j):  # the symmetric, then the antisymmetric pairs
@@ -236,7 +254,7 @@ def random_density_matrix(d1: int, d2: int = 1, rank: int | None = None,
     rng = np.random.default_rng(rng)
     dim = d1 * d2
     rank = dim if rank is None else rank
-    if not 1 <= rank <= dim:
+    if not (_integer_at_least(rank, 1) and rank <= dim):
         raise ValueError(f"rank must be in 1..{dim}, got {rank}")
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     mat = g @ g.conj().T

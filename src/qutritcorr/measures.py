@@ -8,8 +8,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import (DensityMatrix, _eigvalsh, _finite_nonnegative, _instance, _positive_definite,
-                     _psd_shift, _read_only, _shown, make_bell_state, su_generators)
+from .linalg import (DensityMatrix, _eigvalsh, _instance, _positive_definite, _psd_shift,
+                     _read_only, _unit, make_bell_state, su_generators)
 
 NEGATIVITY_EIG_TOL = 1e-12
 IMAG_TOL = 1e-10
@@ -50,17 +50,15 @@ class BlochDecomposition:
 
 
 @lru_cache(maxsize=None)
-def _generator_table(d1: int, d2: int, dtype=np.dtype(complex)) -> tuple[np.ndarray, np.ndarray]:
+def _generator_table(d1: int, d2: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows vec(op^T) of the operators g_k x I, then I x g_l, then g_k x g_l,
     so that Tr(op rho) = row . vec(rho), and the factor d1/2, d2/2 or d1 d2/4
-    that scales each row's trace to a Bloch coefficient; read-only. For float64,
-    the rows' real parts: their antisymmetric imaginary parts give 0 on a real rho."""
+    that scales each row's trace to a Bloch coefficient; read-only."""
     gen_a, gen_b = su_generators(d1), su_generators(d2)
     eye_a, eye_b = np.eye(d1), np.eye(d2)
     ops = ([np.kron(g, eye_b) for g in gen_a] + [np.kron(eye_a, g) for g in gen_b]
            + [np.kron(ga, gb) for ga in gen_a for gb in gen_b])
     table = np.stack(ops).swapaxes(-1, -2).reshape(len(ops), -1)
-    table = np.ascontiguousarray(table.real) if dtype == np.float64 else table
     n1, n2 = len(gen_a), len(gen_b)
     scale = np.repeat([0.5 * d1, 0.5 * d2, 0.25 * d1 * d2], [n1, n2, n1 * n2])
     return _read_only(table), _read_only(scale)
@@ -69,9 +67,9 @@ def _generator_table(d1: int, d2: int, dtype=np.dtype(complex)) -> tuple[np.ndar
 def bloch_decomposition(rho: DensityMatrix) -> BlochDecomposition:
     """Expansion coefficients y_k = (d1/2) Tr(rho g_k x I),
     z_l = (d2/2) Tr(rho I x g_l), v_kl = (d1 d2/4) Tr(rho g_k x g_l)."""
-    d1, d2 = rho.dims
+    d1, d2 = _instance(rho, DensityMatrix, "rho").dims
     n1, n2 = d1 * d1 - 1, d2 * d2 - 1
-    table, scale = _generator_table(d1, d2, rho.matrix.dtype)
+    table, scale = _generator_table(d1, d2)
     lead = rho.matrix.shape[:-2]
     coeffs = (rho.matrix.reshape(-1, table.shape[1]) @ table.T) * scale
     resid = float(np.abs(coeffs.imag).max())
@@ -86,7 +84,7 @@ def bloch_synthesis(dec: BlochDecomposition, dims: tuple[int, int]) -> np.ndarra
     """Inverse of bloch_decomposition: rebuild the density matrix (or stack)."""
     # The operators are Hermitian, so a conjugated table row is vec(op).
     d = dims[0] * dims[1]
-    lead = dec.y_a.shape[:-1]
+    lead = _instance(dec, BlochDecomposition, "dec").y_a.shape[:-1]
     coeffs = np.concatenate([dec.y_a, dec.z_b, dec.corr.reshape(lead + (-1,))], axis=-1)
     return (np.eye(d) + (coeffs @ _generator_table(*dims)[0].conj()).reshape(lead + (d, d))) / d
 
@@ -166,7 +164,5 @@ def gd_lower_bound(rho: DensityMatrix,
 def isotropic_family(p: float) -> DensityMatrix:
     """Mixture p |Phi><Phi| + (1 - p) I/9 of the qutrit Bell state with
     white noise."""
-    if not (_finite_nonnegative(p) and p <= 1.0):
-        raise ValueError(f"mixing parameter must lie in [0, 1], got {_shown(p)}")
-    bell = make_bell_state(3).matrix
-    return DensityMatrix(p * bell + (1.0 - p) * np.eye(9) / 9.0, (3, 3))
+    _unit(p, "mixing parameter")
+    return DensityMatrix(p * make_bell_state(3).matrix + (1.0 - p) * np.eye(9) / 9.0, (3, 3))

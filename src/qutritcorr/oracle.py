@@ -9,8 +9,8 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import _kraus_sum
-from .linalg import (DensityMatrix, _finite_nonnegative, _instance, _integer_at_least,
-                     _positive_definite, _read_only, _shown, su_generators)
+from .linalg import (DensityMatrix, _finite_nonnegative, _instance, _integer, _numbers,
+                     _positive_definite, _read_only, _shown, _side, _unit, su_generators)
 from .measures import GdConvention, PAPER_CONVENTION
 
 UNITARITY_TOL = 1e-10
@@ -49,11 +49,8 @@ def _expi(h: np.ndarray) -> np.ndarray:
 def project_measurement(rho: DensityMatrix, basis: np.ndarray, side: str = "A") -> DensityMatrix:
     """Dephase one subsystem in an orthonormal basis:
     rho -> sum_k (P_k x I) rho (P_k x I) with P_k = |u_k><u_k|."""
-    if side not in ("A", "B"):
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    d1, d2 = rho.dims
-    d = d1 if side == "A" else d2
-    basis = np.asarray(basis, dtype=complex)
+    d = _instance(rho, DensityMatrix, "rho").dims[0 if _side(side, "side") else 1]
+    basis = _numbers(basis, "basis").astype(complex)
     if basis.shape != (d, d):
         raise ValueError(f"basis must be {d}x{d}, got shape {basis.shape}")
     if not np.isfinite(basis).all():  # before any arithmetic, which would warn on inf
@@ -232,15 +229,10 @@ def gd_exact(rho: DensityMatrix, restarts: int = 32, seed: int = 0,
     others take two Jacobi sweeps of plane turns, then damped Newton steps, all
     restarts as one stack. The backtracking halves a step down to MIN_STEP
     (1e-6), the smallest step it tries."""
-    for name, value, least in (("restarts", restarts, 1), ("seed", seed, 0)):
-        if not _integer_at_least(value, least):
-            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    restarts, seed = int(restarts), int(seed)
-    if side not in ("A", "B"):
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    rho4 = _instance(rho, DensityMatrix, "rho").matrix.reshape(rho.dims * 2)  # measured side first
-    ops = _operator_rows(rho4 if side == "A" else rho4.transpose(1, 0, 3, 2))
-    d = rho.dims[0 if side == "A" else 1]
+    restarts, seed = _integer(restarts, 1, "restarts"), _integer(seed, 0, "seed")
+    d = _instance(rho, DensityMatrix, "rho").dims[0 if _side(side, "side") else 1]
+    rho4 = rho.matrix.reshape(rho.dims * 2)
+    ops = _operator_rows(rho4 if side == "A" else rho4.transpose(1, 0, 3, 2))  # measured side first
     norm_sq = float(np.vdot(rho.matrix, rho.matrix).real)
     starts, views = _starts(d, seed, restarts)
     vals, _, norms, _ = _readout(ops, norm_sq, starts, hessian=False)
@@ -286,7 +278,6 @@ def analytic_negativity_depolarizing(q_a: float, q_b: float, t: float) -> float:
 def analytic_gd_isotropic(p: float, convention: GdConvention = PAPER_CONVENTION) -> float:
     """Discord of the isotropic family p Bell + (1-p) I/9; the closed-form
     lower bound is tight here, (2/3) p^2 in the raw convention."""
-    if not (_finite_nonnegative(p) and p <= 1.0):
-        raise ValueError(f"mixing parameter must lie in [0, 1], got {_shown(p)}")
+    _unit(p, "mixing parameter")
     base = 2.0 * p * p / 3.0
-    return 2.0 * base if convention.prefactor_mode == "paper" else base
+    return 2.0 * base if _instance(convention, GdConvention, "convention") == PAPER_CONVENTION else base

@@ -9,7 +9,7 @@ import numpy as np
 
 from ._version import __version__
 from .channels import CHANNEL_FAMILIES, evolve
-from .linalg import DensityMatrix, _finite_nonnegative, _integer_at_least, make_bell_state
+from .linalg import DensityMatrix, _finite_nonnegative, _instance, _integer_at_least, make_bell_state
 from .measures import GdConvention, PAPER_CONVENTION, RAW_CONVENTION, gd_lower_bound, negativity
 from .oracle import gd_exact
 
@@ -150,7 +150,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepDataset:
     measures at every row. Rows run q_a outer, q_b middle, t inner, which
     with scalar axes of length 1 is _ROW_ORDER for every mode."""
     axes = [np.atleast_1d(axis.grid() if isinstance(axis, SweepRange) else float(axis))
-            for axis in (cfg.q_a, cfg.q_b, cfg.t)]
+            for axis in (_instance(cfg, ExperimentConfig, "cfg").q_a, cfg.q_b, cfg.t)]
     qa, qb, t = (grid.ravel() for grid in np.meshgrid(*axes, indexing="ij"))
     bell = make_bell_state(3)
     columns = {"t": t, "q1": qa, "q2": qb,
@@ -174,7 +174,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepDataset:
 
 def _sweep_in_mode(cfg: ExperimentConfig, caller: str, *modes: str) -> SweepDataset:
     """run_sweep(cfg), refused unless cfg.sweep_mode is one of the caller's modes."""
-    if cfg.sweep_mode not in modes:
+    if _instance(cfg, ExperimentConfig, "cfg").sweep_mode not in modes:
         raise ConfigError("sweep_mode", f"{caller} handles {' and '.join(map(repr, modes))}, "
                                         f"got {cfg.sweep_mode!r}")
     return run_sweep(cfg)
@@ -217,11 +217,9 @@ PRESET_FIXED_TIME = 1.0
 
 def preset_configs(name: str, gd_convention: GdConvention = PAPER_CONVENTION,
                    seed: int = 0) -> dict[str, ExperimentConfig]:
-    try:
-        family_a, family_b = PRESET_CHANNELS[name]
-    except KeyError:
-        raise ConfigError("preset", f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}") \
-            from None
+    if not (isinstance(name, str) and name in PRESET_CHANNELS):  # before a lookup, which hashes it
+        raise ConfigError("preset", f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
+    family_a, family_b = PRESET_CHANNELS[name]
     common = dict(family_a=family_a, family_b=family_b,
                   gd_convention=gd_convention, seed=seed)
     return {

@@ -8,7 +8,7 @@ import numpy as np
 
 from .channels import (CHANNEL_FAMILIES, COMPLETENESS_TOL, _FAMILY_BUILDERS, clock_matrix,
                        evolve, shift_matrix, trit_flip_kraus_unnormalized, validate_kraus)
-from .linalg import (PSD_TOL, DensityMatrix, ValidationError, _integer_at_least,
+from .linalg import (PSD_TOL, DensityMatrix, ValidationError, _integer,
                      make_bell_state, random_density_matrix)
 from .measures import RAW_CONVENTION, gd_lower_bound, isotropic_family, negativity
 from .oracle import (analytic_gd_isotropic, analytic_negativity_dephasing,
@@ -36,9 +36,7 @@ class CheckResult:
 
 def run_validation(seed: int = 0, restarts: int = 32, oracle_states: int = 12,
                    unnormalized_trit_flip: bool = False) -> list[CheckResult]:
-    for name, value, least in (("seed", seed, 0), ("oracle_states", oracle_states, 1)):
-        if not _integer_at_least(value, least):
-            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    seed, oracle_states = _integer(seed, 0, "seed"), _integer(oracle_states, 1, "oracle_states")
     checks: list[CheckResult] = []
 
     for family, builder in _FAMILY_BUILDERS.items():

@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 from qutritcorr import (CHANNEL_FAMILIES, DensityMatrix, GdConvention, PAPER_CONVENTION,
                         RAW_CONVENTION, bloch_decomposition, bloch_synthesis, evolve, gd_exact,
                         gd_lower_bound, hermitian_eigenvalues, isotropic_family,
-                        make_bell_state, negativity, partial_transpose,
-                        random_density_matrix, random_unitary, tensor, trace_norm)
+                        make_bell_state, negativity, partial_trace, partial_transpose,
+                        project_measurement, random_density_matrix, random_unitary, tensor,
+                        trace_norm)
 from qutritcorr import measures
 from qutritcorr.measures import NEGATIVITY_EIG_TOL
 
@@ -181,18 +180,26 @@ def test_bloch_decomposition_of_product_state_factorizes():
     np.testing.assert_allclose(dec.corr, np.outer(dec.y_a, dec.z_b), atol=1e-12)
 
 
+def swapped_in(raw):
+    """A certified state of raw's shape whose frozen matrix is then replaced by raw."""
+    rho = DensityMatrix(np.broadcast_to(np.eye(9) / 9.0, raw.shape), (3, 3))
+    object.__setattr__(rho, "matrix", raw)
+    return rho
+
+
 def test_bloch_decomposition_refuses_an_imaginary_residual():
-    # DensityMatrix refuses non-Hermitian input first, so an uncertified
-    # duck-typed state is the way to reach this refusal; the largest scaled
-    # imaginary part here sits in the correlation block
+    # DensityMatrix refuses non-Hermitian input first and bloch_decomposition
+    # anything but a DensityMatrix, so a certified state with its matrix
+    # swapped is the way to reach this refusal; the largest scaled imaginary
+    # part here sits in the correlation block
     mat = np.eye(9, dtype=complex) / 9.0
     mat[0, 1] = 1e-6
     for raw in (mat, np.stack([np.eye(9) / 9.0, mat])):
         with pytest.raises(ValueError, match=r"^Bloch coefficients carry residual "
                                              r"imaginary part 2\.250e-06$"):
-            bloch_decomposition(SimpleNamespace(matrix=raw, dims=(3, 3)))
+            bloch_decomposition(swapped_in(raw))
     mat[0, 1] = 1e-11  # 2.25e-11, below the 1e-10 tolerance
-    bloch_decomposition(SimpleNamespace(matrix=mat, dims=(3, 3)))
+    bloch_decomposition(swapped_in(mat))
 
 
 def test_bloch_roundtrip():
@@ -309,6 +316,12 @@ def test_bound_table_reads_y_and_v_from_the_float_view():
     (lambda: evolve(make_bell_state(3).matrix, "dephasing", "dephasing", 0.5, 0.5, 1.0),
      "rho0 must be a DensityMatrix, got ndarray"),
     (lambda: gd_exact(make_bell_state(3).matrix), "rho must be a DensityMatrix, got ndarray"),
+    (lambda: bloch_decomposition(make_bell_state(3).matrix),
+     "rho must be a DensityMatrix, got ndarray"),
+    (lambda: partial_transpose(make_bell_state(3).matrix), "rho must be a DensityMatrix, got ndarray"),
+    (lambda: partial_trace(make_bell_state(3).matrix), "rho must be a DensityMatrix, got ndarray"),
+    (lambda: project_measurement(make_bell_state(3).matrix, np.eye(3)),
+     "rho must be a DensityMatrix, got ndarray"),
 ])
 def test_state_entry_points_refuse_what_is_not_certified(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

@@ -1,0 +1,172 @@
+"""The refusal contract in one table: every argument of every public callable,
+given a hostile value, either raises a ValueError (or a subclass) or returns a
+certified result, and never any other exception or a warning."""
+
+import dataclasses
+import warnings
+
+import numpy as np
+import pytest
+
+import qutritcorr as qc
+
+BELL = qc.make_bell_state(3)
+HOSTILE = {
+    "raw array": np.eye(9) / 9.0,
+    "nan": float("nan"),
+    "inf": float("inf"),
+    "-inf": float("-inf"),
+    "bool": True,
+    "np.True_": np.True_,
+    "None": None,
+    "str": "0.5",
+    "complex": 0.5 + 0.5j,
+    "object array": np.array([object(), object()], dtype=object),
+    "empty array": np.array([]),
+}
+UNHASHABLE = ("raw array", "object array", "empty array")
+
+TIMES = qc.SweepRange(0.0, 1.0, 2)
+CFG = qc.ExperimentConfig("dephasing", "dephasing", 0.5, 0.5, TIMES, oracle_restarts=1)
+GRID = qc.ExperimentConfig("dephasing", "dephasing", TIMES, TIMES, 1.0, oracle_restarts=1)
+# Each public callable with cheap valid arguments. Only one argument at a time
+# is made hostile, so every call is refused early or runs on cheap inputs.
+TABLE = {
+    "DensityMatrix": dict(matrix=BELL.matrix, dims=(3, 3)),
+    "validate_density_matrix": dict(matrix=BELL.matrix, dims=(3, 3)),
+    "hermitian_eigenvalues": dict(matrix=BELL.matrix),
+    "make_bell_state": dict(d=3),
+    "partial_trace": dict(rho=BELL, keep="A"),
+    "partial_transpose": dict(rho=BELL, subsystem="A"),
+    "random_density_matrix": dict(d1=3, d2=3, rank=2, rng=0),
+    "su_generators": dict(d=3),
+    "trace_norm": dict(matrix=BELL.matrix),
+    "apply_channel": dict(channel=qc.dephasing_kraus(0.5), matrix=np.eye(3) / 3.0),
+    "apply_local_channels": dict(rho=BELL, channel_a=qc.dephasing_kraus(0.5),
+                                 channel_b=qc.trit_flip_kraus(0.5)),
+    "dephasing_kraus": dict(gamma=0.5),
+    "trit_flip_kraus": dict(gamma=0.5),
+    "trit_flip_kraus_unnormalized": dict(gamma=0.5),
+    "trit_phase_flip_kraus": dict(gamma=0.5),
+    "depolarizing_kraus": dict(gamma=0.5),
+    "kraus_for_family": dict(family="dephasing", gamma=0.5),
+    "validate_kraus": dict(channel=qc.dephasing_kraus(0.5)),
+    "gamma_of": dict(q=0.5, t=1.0),
+    "evolve": dict(rho0=BELL, family_a="dephasing", family_b="depolarizing",
+                   q_a=0.5, q_b=0.3, t=1.0),
+    "GdConvention": dict(prefactor_mode="paper"),
+    "bloch_decomposition": dict(rho=BELL),
+    "bloch_synthesis": dict(dec=qc.bloch_decomposition(BELL), dims=(3, 3)),
+    "gd_lower_bound": dict(rho=BELL, convention=qc.RAW_CONVENTION),
+    "isotropic_family": dict(p=0.5),
+    "negativity": dict(rho=BELL),
+    "analytic_gd_isotropic": dict(p=0.5, convention=qc.RAW_CONVENTION),
+    "analytic_negativity_dephasing": dict(q_a=0.5, q_b=0.3, t=1.0),
+    "analytic_negativity_depolarizing": dict(q_a=0.5, q_b=0.3, t=1.0),
+    "gd_exact": dict(rho=BELL, restarts=1, seed=0, side="A"),
+    "project_measurement": dict(rho=BELL, basis=np.eye(3), side="A"),
+    "SweepRange": dict(start=0.0, stop=1.0, steps=2),
+    "ExperimentConfig": dict(family_a="dephasing", family_b="dephasing", q_a=0.5, q_b=0.5,
+                             t=TIMES, gd_convention=qc.PAPER_CONVENTION,
+                             oracle_enabled=False, oracle_restarts=1, seed=0),
+    "infer_sweep_mode": dict(q_a=0.5, q_b=0.5, t=TIMES),
+    "preset_configs": dict(name="fig1", gd_convention=qc.PAPER_CONVENTION, seed=0),
+    "run_preset": dict(name="fig1", gd_convention=qc.PAPER_CONVENTION, seed=0),
+    "run_sweep": dict(cfg=CFG),
+    "time_sweep": dict(cfg=CFG),
+    "rate_grid": dict(cfg=GRID),
+    "robustness_report": dict(cfg=CFG),
+    "run_validation": dict(seed=0, restarts=1, oracle_states=1, unnormalized_trit_flip=False),
+}
+
+EXCLUDED = {
+    "random_unitary": "takes only a dimension and an rng, which are not covered",
+    "shift_matrix": "takes only a dimension, which is not covered",
+    "clock_matrix": "takes only a dimension, which is not covered",
+    "identity_kraus": "takes only a dimension, which is not covered",
+    "tensor": "an alias of np.kron, which takes any array",
+    "KrausChannel": "keeps defective operator sets constructible; validate_kraus judges them",
+    "ValidationError": "an exception type",
+    "IncompleteKrausError": "an exception type",
+    "ConfigError": "an exception type",
+    "BlochDecomposition": "a plain record of arrays; bloch_synthesis takes it by type",
+    "KrausDiagnostics": "a plain record of validate_kraus's result",
+    "OracleResult": "a plain record of gd_exact's result",
+    "SweepDataset": "a plain record of run_sweep's result",
+    "RobustnessReport": "a plain record of robustness_report's result",
+    "CheckResult": "a plain record of run_validation's result",
+}
+SLOT_EXCLUDED = {
+    ("random_density_matrix", "d1"): "a dimension",
+    ("random_density_matrix", "d2"): "a dimension",
+    ("random_density_matrix", "rng"): "an rng or seed, read by numpy",
+    ("validate_density_matrix", "dims"): "a dimension pair, read by tuple()",
+    ("bloch_synthesis", "dims"): "a dimension pair",
+    ("run_validation", "unnormalized_trit_flip"): "a flag read by truth value; each call runs the "
+                                                  "whole suite",
+}
+VALUE_EXCLUDED = {("su_generators", label): "its lru_cache hashes the argument first"
+                  for label in UNHASHABLE}
+
+
+def certified(value) -> bool:
+    """Whether a returned value holds only finite numbers, strings, flags and None."""
+    if value is None or isinstance(value, (str, bool, np.bool_)):
+        return True
+    if dataclasses.is_dataclass(value):
+        return all(certified(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, dict):
+        return all(map(certified, value.values()))
+    if isinstance(value, (tuple, list)):
+        return all(map(certified, value))
+    arr = np.asarray(value)
+    return arr.dtype.kind in "biufc" and bool(np.isfinite(arr).all())
+
+
+CASES = [pytest.param(name, slot, label, id=f"{name}-{slot}-{label}")
+         for name, args in TABLE.items() for slot in args if (name, slot) not in SLOT_EXCLUDED
+         for label in HOSTILE if (name, label) not in VALUE_EXCLUDED]
+
+
+@pytest.mark.parametrize("name, slot, label", CASES)
+def test_every_hostile_argument_is_refused_or_gives_a_certified_result(name, slot, label):
+    kwargs = {**TABLE[name], slot: HOSTILE[label]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = getattr(qc, name)(**kwargs)
+        except ValueError:
+            return
+    assert certified(result), f"{name}({slot}={label}) returned {result!r}"
+
+
+@pytest.mark.parametrize("name", TABLE)
+def test_the_tables_own_arguments_give_a_certified_result(name):
+    # so that no hostile case passes only because another argument is refused
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert certified(getattr(qc, name)(**TABLE[name]))
+
+
+def test_every_public_callable_is_in_the_table_or_excluded_with_a_reason():
+    public = {name for name in qc.__all__ if callable(getattr(qc, name))}
+    assert not set(TABLE) & set(EXCLUDED)
+    assert public == set(TABLE) | set(EXCLUDED)
+    for name, slot in SLOT_EXCLUDED:
+        assert slot in TABLE[name]
+    assert all({**EXCLUDED, **SLOT_EXCLUDED, **VALUE_EXCLUDED}.values())
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: qc.DensityMatrix(m, (3, 3)), qc.hermitian_eigenvalues, qc.trace_norm,
+    lambda m: qc.apply_channel(qc.dephasing_kraus(0.5), m[:3, :3]),
+    lambda m: qc.project_measurement(BELL, m[:3, :3]),
+], ids=["DensityMatrix", "hermitian_eigenvalues", "trace_norm", "apply_channel",
+        "project_measurement"])
+def test_square_arrays_of_objects_are_refused_by_name(call):
+    # the contract's object array is one-dimensional and so refused by shape
+    # where one is checked first; these have the shape the reader wants
+    objects = np.array([[object()] * 9] * 9, dtype=object)
+    with pytest.raises(ValueError, match=r"^(matrix|basis) must hold real numbers or be complex, "
+                                         r"got object$"):
+        call(objects)
