@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import DensityMatrix, _instance, _numbers, _read_only, _shown, _unit
+from .linalg import DensityMatrix, _instance, _integer, _numbers, _read_only, _shown, _unit
 
 COMPLETENESS_TOL = 1e-12
 BASIS_IMAG_TOL = 1e-15  # all four bases are exactly real; more flags a set not conjugation-closed
@@ -36,12 +36,17 @@ class KrausChannel:
     operators: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if not self.operators:
-            raise ValueError("channel needs at least one Kraus operator")
-        frozen = tuple(_read_only(np.array(op, dtype=complex)) for op in self.operators)
+        d = _integer(self.dim, 1, "dim")
+        if not (isinstance(self.operators, (tuple, list)) and self.operators):
+            raise ValueError("operators must be a tuple or list of at least one Kraus operator, "
+                             f"got {_shown(self.operators)}")
+        frozen = tuple(_read_only(_numbers(op, "operators").astype(complex, copy=False))
+                       for op in self.operators)
         for arr in frozen:
-            if arr.shape != (self.dim, self.dim):
-                raise ValueError(f"operator shape {arr.shape} does not match dim {self.dim}")
+            if arr.shape != (d, d):
+                raise ValueError(f"operator shape {arr.shape} does not match dim {d}")
+            if not np.isfinite(arr).all():
+                raise ValueError("operators must hold finite numbers")
         object.__setattr__(self, "operators", frozen)
 
 

@@ -111,6 +111,22 @@ def _eigvalsh(mats: np.ndarray) -> np.ndarray:
     return eigs
 
 
+def _eigh(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors from numpy's eigh kernel, as `_eigvalsh` reads eigenvalues."""
+    eigs, vecs = _umath_linalg.eigh_lo(mats)
+    if np.isnan(eigs).any():
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return eigs, vecs
+
+
+def _solve(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x with mats @ x = rhs from numpy's solve kernel, as `_eigvalsh`; NaN (singular) raises."""
+    x = _umath_linalg.solve(mats, rhs)
+    if np.isnan(x).any():
+        raise np.linalg.LinAlgError("Singular matrix")
+    return x
+
+
 def _density_violations(mat: np.ndarray, dim: int) -> dict[str, float]:
     out: dict[str, float] = {}
     if mat.ndim not in (2, 3) or mat.shape[-2:] != (dim, dim):

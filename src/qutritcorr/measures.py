@@ -27,7 +27,7 @@ class GdConvention:
     prefactor_mode: str = "paper"
 
     def __post_init__(self):
-        if self.prefactor_mode not in ("paper", "raw"):
+        if not (isinstance(self.prefactor_mode, str) and self.prefactor_mode in ("paper", "raw")):
             raise ValueError(f"prefactor_mode must be 'paper' or 'raw', got {self.prefactor_mode!r}")
 
     def prefactor(self, d1: int, d2: int) -> float:

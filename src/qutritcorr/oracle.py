@@ -3,14 +3,15 @@ closed-form references for the channel dynamics."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .channels import _kraus_sum
-from .linalg import (DensityMatrix, _finite_nonnegative, _instance, _integer, _numbers,
-                     _positive_definite, _read_only, _shown, _side, _unit, su_generators)
+from .linalg import (DensityMatrix, _eigh, _finite_nonnegative, _instance, _integer, _numbers,
+                     _positive_definite, _read_only, _shown, _side, _solve, _unit, su_generators)
 from .measures import GdConvention, PAPER_CONVENTION
 
 UNITARITY_TOL = 1e-10
@@ -42,7 +43,7 @@ class OracleResult:
 
 def _expi(h: np.ndarray) -> np.ndarray:
     """exp(i h) for a Hermitian h, or for each matrix of a stack."""
-    w, v = np.linalg.eigh(h)
+    w, v = _eigh(h)
     return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
@@ -86,12 +87,17 @@ def _operator_rows(rho4: np.ndarray) -> np.ndarray:
     return _hermitian_parts(d2)[2] @ realigned.reshape(d * d, d2 * d2).T
 
 
-def _sandwiches(ops: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    """Real coordinates (n, mu, d^2) of M_mu = U^H A_mu U for each basis U of
-    the stack: the rows of ops @ kron(conj(U), U) are the vec(M_mu)."""
+def _krons(bases: np.ndarray) -> np.ndarray:
+    """kron(conj(U), U) for each basis U of the stack, (n, d^2, d^2)."""
     n, d = bases.shape[0], bases.shape[-1]
-    w = (bases.conj()[:, :, None, :, None] * bases[:, None, :, None, :]).reshape(n, d * d, d * d)
-    return (ops @ w).view(float)[..., _hermitian_parts(d)[0]]
+    return (bases.conj()[:, :, None, :, None] * bases[:, None, :, None, :]).reshape(n, d * d, d * d)
+
+
+def _sandwiches(ops: np.ndarray, krons: np.ndarray) -> np.ndarray:
+    """Real coordinates (n, mu, d^2) of M_mu = U^H A_mu U for each basis U of the
+    stack, given by its `_krons`: the rows of ops @ kron(conj(U), U) are the vec(M_mu),
+    one product per basis, so no restart's bits depend on the rest of the stack."""
+    return (ops @ krons).view(float)[..., _hermitian_parts(math.isqrt(krons.shape[-1]))[0]]
 
 
 @lru_cache(maxsize=4)
@@ -116,18 +122,18 @@ def _readout_table(d: int) -> tuple[np.ndarray, np.ndarray]:
             _read_only((coef[:, rows, cols] + (rows != cols) * coef[:, cols, rows]).T.copy()))
 
 
-def _readout(ops: np.ndarray, norm_sq: float, bases: np.ndarray, hessian: bool = True):
-    """Objective, gradient coordinates, gradient norm |X|_F and Hessian of each
-    basis U of the stack in the right frame U -> U exp(i sum_j h_j g_j), read by
-    one product with `_readout_table` from the rotated Gram matrix Q = sum_mu
-    m_mu m_mu^T, m_mu the real coordinates of M_mu = U^H A_mu U. As Tr(g_j g_l)
-    = 2 delta_jl, |X|_F^2 = sum_j grad_j^2 / 2. f and grad read only Q's first d
-    rows, which lead its upper triangle: with hessian=False only those are built."""
-    n, d = bases.shape[0], bases.shape[-1]
+def _readout(ops: np.ndarray, norm_sq: float, krons: np.ndarray, hessian: bool = True):
+    """Objective, gradient coordinates, gradient norm |X|_F and Hessian of each basis U
+    of the stack, given by its `_krons`, in the right frame U -> U exp(i sum_j h_j g_j),
+    read by one product with `_readout_table` from the rotated Gram matrix Q = sum_mu
+    m_mu m_mu^T, m_mu the real coordinates of M_mu = U^H A_mu U. As Tr(g_j g_l) = 2
+    delta_jl, |X|_F^2 = sum_j grad_j^2 / 2. f and grad read only Q's first d rows,
+    which lead its upper triangle: with hessian=False only those are built."""
+    n, d = krons.shape[0], math.isqrt(krons.shape[-1])
     m, rows = d * d - 1, d * d if hessian else d
     upper, table = _readout_table(d)
     entries = upper[upper < rows * d * d]
-    coords = _sandwiches(ops, bases)
+    coords = _sandwiches(ops, krons)
     q = (coords[..., :rows].swapaxes(-1, -2) @ coords).reshape(n, 1, -1)[..., entries]
     out = (q @ table[:len(entries), :None if hessian else 1 + m])[:, 0]
     grads, hess = out[:, 1:1 + m], out[:, 1 + m:].reshape(n, m, m) if hessian else None
@@ -135,20 +141,21 @@ def _readout(ops: np.ndarray, norm_sq: float, bases: np.ndarray, hessian: bool =
 
 
 @lru_cache(maxsize=32)
-def _starts(d: int, seed: int, restarts: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+def _starts(d: int, seed: int, restarts: int) -> tuple[np.ndarray, tuple, np.ndarray]:
     """The seeded starts exp(i H_r), H_r a Gaussian Hermitian matrix drawn from
-    default_rng([seed, r]), as a read-only (restarts, d, d) stack, and one view per
-    start, so the results that keep a start share one basis object."""
+    default_rng([seed, r]), as a read-only (restarts, d, d) stack, one view per
+    start, so the results that keep a start share one basis object, and their
+    read-only `_krons`, which every stationary check reads."""
     rngs = [np.random.default_rng([seed, r]) for r in range(restarts)]
     raw = np.array([g.standard_normal((d, d)) + 1j * g.standard_normal((d, d)) for g in rngs])
     starts = _read_only(_expi((raw + raw.conj().swapaxes(-1, -2)) / 2.0))
-    return starts, tuple(starts)
+    return starts, tuple(starts), _read_only(_krons(starts))
 
 
 def _plane_matrix(ops: np.ndarray, bases: np.ndarray, p: int, q: int) -> np.ndarray:
     """G = sum_mu g_mu g_mu^T of each basis in the plane (p, q), read from the real
     coordinates of M_mu = U^H A_mu U as g_mu = [M_pp - M_qq, 2 Re M_pq, 2 Im M_pq]."""
-    d, m = bases.shape[-1], _sandwiches(ops, bases)
+    d, m = bases.shape[-1], _sandwiches(ops, _krons(bases))
     pq = d + [(k, l) for k in range(d) for l in range(k + 1, d)].index((p, q))
     g = np.stack([m[..., p] - m[..., q], 2.0 * m[..., pq], 2.0 * m[..., pq + d * (d - 1) // 2]], -1)
     return g.swapaxes(-1, -2) @ g
@@ -160,7 +167,7 @@ def _jacobi_turn(ops: np.ndarray, bases: np.ndarray, p: int, q: int) -> None:
     the turn sum_mu (M_pp - M_qq)^2 = v^T G v with v = [cos 2theta, ...], so
     the top eigenvector of G is the best turn (Cardoso & Souloumiac, SIAM J.
     Matrix Anal. Appl. 17 (1996) 161)."""
-    x, y, z = np.linalg.eigh(_plane_matrix(ops, bases, p, q))[1][..., -1].T
+    x, y, z = _eigh(_plane_matrix(ops, bases, p, q))[1][..., -1].T
     x, y, z = np.copysign(1.0, x) * np.array([x, y, z])
     c = np.sqrt((1.0 + x) / 2.0)[:, None]
     s = (y - 1j * z)[:, None] / (2.0 * c)
@@ -175,9 +182,9 @@ def _newton_steps(hess: np.ndarray, grads: np.ndarray) -> np.ndarray:
     pd = _positive_definite(hess)
     step = np.empty_like(grads)
     if pd.any():
-        step[pd] = -np.linalg.solve(hess[pd], grads[pd][..., None])[..., 0]
+        step[pd] = -_solve(hess[pd], grads[pd][..., None])[..., 0]
     if not pd.all():
-        w, v = np.linalg.eigh(hess[~pd])
+        w, v = _eigh(hess[~pd])
         w = np.abs(w)
         inv_w = np.divide(1.0, w, out=np.zeros_like(w),
                           where=w > 1e-4 * w.max(axis=-1, keepdims=True))
@@ -195,7 +202,7 @@ def _newton(ops, norm_sq, bases):
     d = bases.shape[-1]
     k = d * (d - 1)  # su_generators lists the off-diagonal generators first
     gens = np.array(su_generators(d)[:k])
-    vals, grads, norms, hess = _readout(ops, norm_sq, bases)
+    vals, grads, norms, hess = _readout(ops, norm_sq, _krons(bases))
     live = np.flatnonzero(norms > NEWTON_TOL)
     for _ in range(NEWTON_ITERATIONS):
         if not live.size:
@@ -206,11 +213,12 @@ def _newton(ops, norm_sq, bases):
         while pending.size and scale >= MIN_STEP:  # halve the step until it passes
             idx = live[pending]
             cand = bases[idx] @ _expi(np.einsum("nj,jab->nab", scale * step[pending], gens))
-            c_vals, c_grads, c_norms, c_hess = _readout(ops, norm_sq, cand)
+            c_vals, c_grads, c_norms, c_hess = _readout(ops, norm_sq, _krons(cand))
             ok = (c_vals <= vals[idx] + ROUNDING_SLACK * norm_sq) & (
                 (c_vals < vals[idx]) | (c_norms < norms[idx]))
-            bases[idx[ok]], vals[idx[ok]] = cand[ok], c_vals[ok]
-            grads[idx[ok]], hess[idx[ok]], norms[idx[ok]] = c_grads[ok], c_hess[ok], c_norms[ok]
+            took = idx[ok]
+            bases[took], vals[took], grads[took] = cand[ok], c_vals[ok], c_grads[ok]
+            hess[took], norms[took] = c_hess[ok], c_norms[ok]
             stepped[pending[ok]] = True
             pending = pending[~ok]
             scale *= 0.5
@@ -234,8 +242,8 @@ def gd_exact(rho: DensityMatrix, restarts: int = 32, seed: int = 0,
     rho4 = rho.matrix.reshape(rho.dims * 2)
     ops = _operator_rows(rho4 if side == "A" else rho4.transpose(1, 0, 3, 2))  # measured side first
     norm_sq = float(np.vdot(rho.matrix, rho.matrix).real)
-    starts, views = _starts(d, seed, restarts)
-    vals, _, norms, _ = _readout(ops, norm_sq, starts, hessian=False)
+    starts, views, krons = _starts(d, seed, restarts)
+    vals, _, norms, _ = _readout(ops, norm_sq, krons, hessian=False)
     moved = norms > NEWTON_TOL  # stationary starts stay where they are
     if moved.any():
         bases = starts[moved]  # a copy of the starts that descend

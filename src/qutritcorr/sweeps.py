@@ -60,7 +60,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name, fam in (("family_a", self.family_a), ("family_b", self.family_b)):
-            if fam not in CHANNEL_FAMILIES:
+            if not (isinstance(fam, str) and fam in CHANNEL_FAMILIES):
                 raise ConfigError(name, f"unknown channel family {fam!r}")
         object.__setattr__(self, "sweep_mode", infer_sweep_mode(self.q_a, self.q_b, self.t))
         if not isinstance(self.gd_convention, GdConvention):

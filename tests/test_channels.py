@@ -274,6 +274,31 @@ def test_kraus_channel_rejects_empty_and_misshapen_sets():
         KrausChannel(3, (np.eye(3, dtype=complex), np.eye(2, dtype=complex)))
 
 
+@pytest.mark.parametrize("dim,operators,message", [
+    (3, 0.5, r"^operators must be a tuple or list of at least one Kraus operator, got 0\.5$"),
+    (3, np.eye(3), r"^operators must be a tuple or list"),
+    (3, (np.full((3, 3), object()),),
+     r"^operators must hold real numbers or be complex, got object$"),
+    (3, (np.full((3, 3), None),), r"^operators must hold finite numbers$"),
+    (3, (np.eye(3), np.full((3, 3), np.inf)), r"^operators must hold finite numbers$"),
+    (True, (np.eye(1),), r"^dim must be an integer >= 1, got True$"),
+    (3.0, (np.eye(3),), r"^dim must be an integer >= 1, got 3\.0$"),
+])
+def test_kraus_channel_refuses_what_is_not_a_set_of_finite_operators(dim, operators, message):
+    with pytest.raises(ValueError, match=message):
+        KrausChannel(dim, operators)
+
+
+def test_kraus_channel_keeps_incomplete_sets_and_copies_its_operators():
+    op = np.eye(3) * 0.5
+    ch = KrausChannel(np.int64(3), [op])
+    assert ch.dim == 3
+    assert ch.operators[0].dtype == complex and not ch.operators[0].flags.writeable
+    op[0, 0] = 9.0
+    assert ch.operators[0][0, 0] == 0.5
+    assert not validate_kraus(ch).ok
+
+
 def test_validate_kraus_flags_missing_operator():
     ch = KrausChannel(3, (np.eye(3, dtype=complex) * 0.5,))
     diag = validate_kraus(ch)

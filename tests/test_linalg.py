@@ -1,3 +1,5 @@
+import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -385,6 +387,42 @@ def test_eigvalsh_refuses_a_result_holding_nan(monkeypatch):
     for mats in (np.eye(9), np.stack([np.eye(9)] * 4)):
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
             linalg._eigvalsh(mats)
+
+
+def test_eigh_and_solve_give_the_bits_of_np_linalg():
+    rng = np.random.default_rng(75)
+    a = rng.standard_normal((6, 8, 8))
+    b = a + 1j * rng.standard_normal((6, 8, 8))
+    rhs = rng.standard_normal((6, 8, 1))
+    for stack in (a + a.swapaxes(-1, -2), b + b.conj().swapaxes(-1, -2)):
+        for mats in (stack, stack[2]):
+            eigs, vecs = linalg._eigh(mats)
+            expected = np.linalg.eigh(mats)
+            assert eigs.dtype == np.float64 and (eigs == expected[0]).all()
+            assert vecs.dtype == stack.dtype and (vecs == expected[1]).all()
+        x = linalg._solve(stack, rhs)
+        assert x.dtype == stack.dtype and (x == np.linalg.solve(stack, rhs)).all()
+
+
+def test_eigh_and_solve_refuse_a_result_holding_nan():
+    # NaN is how the kernels report non-convergence and a singular matrix (and warn)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            linalg._eigh(np.stack([np.eye(4), np.full((4, 4), np.nan)]))
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            linalg._solve(np.stack([np.eye(3), np.zeros((3, 3))]), np.ones((2, 3, 1)))
+
+
+def test_src_calls_numpy_decompositions_only_in_linalg():
+    # every eigh, eigvalsh, solve and Cholesky goes through one helper in linalg,
+    # which calls numpy's kernel without its Python wrapper
+    pattern = re.compile(r"\b(linalg\.(eigh|eigvalsh|solve|cholesky)\b|_umath_linalg"
+                         r"|from numpy\.linalg import)")
+    src = Path(linalg.__file__).parent
+    found = {path.name: [line for line in path.read_text().splitlines() if pattern.search(line)]
+             for path in sorted(src.glob("*.py")) if path.name != "linalg.py"}
+    assert len(found) >= 8
+    assert not any(found.values()), found
 
 
 def test_src_never_calls_np_linalg_eigvalsh(monkeypatch):

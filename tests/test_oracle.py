@@ -158,14 +158,14 @@ GENERATORS = np.array(su_generators(3))
 
 
 def _values(ops, norm_sq, bases):
-    return oracle._readout(ops, norm_sq, bases)[0]
+    return oracle._readout(ops, norm_sq, oracle._krons(bases))[0]
 
 
 def _gradient_at(rho, basis):
     """The right-frame gradient matrix Y, f(U exp(i s H)) = f(U) + s Tr(H Y) +
     O(s^2), from the gradient coordinates Tr(g_j Y) (Tr(g_j g_l) = 2 delta_jl)."""
     ops, norm_sq = _landscape(rho)
-    grads = oracle._readout(ops, norm_sq, np.asarray(basis)[None])[1][0]
+    grads = oracle._readout(ops, norm_sq, oracle._krons(np.asarray(basis)[None]))[1][0]
     return np.einsum("j,jab->ab", grads, GENERATORS) / 2.0
 
 
@@ -179,7 +179,7 @@ def test_riemannian_gradient_matches_central_differences():
         grad = _gradient_at(rho, basis)
         np.testing.assert_allclose(grad, grad.conj().T, atol=1e-15)
         # each coordinate, along the right-frame turns U exp(+-i h g_j)
-        coords = oracle._readout(ops, norm_sq, basis[None])[1][0]
+        coords = oracle._readout(ops, norm_sq, oracle._krons(basis[None]))[1][0]
         turns = oracle._expi(np.concatenate([h * GENERATORS, -h * GENERATORS]))
         plus, minus = _values(ops, norm_sq, basis @ turns).reshape(2, -1)
         np.testing.assert_allclose(coords, (plus - minus) / (2.0 * h), rtol=0.0, atol=1e-9)
@@ -201,9 +201,9 @@ def test_first_order_readout_reads_only_the_diagonal_rows_of_q():
     rng = np.random.default_rng(13)
     ops, norm_sq = _landscape(random_density_matrix(3, 3, rng=rng))
     bases = np.array([random_unitary(3, rng=rng) for _ in range(6)])
-    vals, grads, norms, _ = oracle._readout(ops, norm_sq, bases)
-    first_vals, first_grads, first_norms, hess = oracle._readout(ops, norm_sq, bases,
-                                                                 hessian=False)
+    vals, grads, norms, _ = oracle._readout(ops, norm_sq, oracle._krons(bases))
+    first_vals, first_grads, first_norms, hess = oracle._readout(
+        ops, norm_sq, oracle._krons(bases), hessian=False)
     assert hess is None
     np.testing.assert_allclose(first_vals, vals, rtol=0.0, atol=1e-15)
     np.testing.assert_allclose(first_grads, grads, rtol=0.0, atol=1e-15)
@@ -291,7 +291,7 @@ def test_hessian_matches_second_differences_of_objective():
         rho = random_density_matrix(3, 3, rng=rng)
         ops, norm_sq = _landscape(rho)
         bases = np.array([random_unitary(3, rng=rng) for _ in range(2)])
-        hess = oracle._readout(ops, norm_sq, bases)[3]
+        hess = oracle._readout(ops, norm_sq, oracle._krons(bases))[3]
         # f(U exp(i h (a g_j + b g_k))) for (a, b) = (+,+), (+,-), (-,+), (-,-)
         a, b = np.array([(1, 1), (1, -1), (-1, 1), (-1, -1)]).T.reshape(2, 4, 1, 1, 1, 1)
         pairs = a * GENERATORS[:, None] + b * GENERATORS[None, :]
@@ -329,7 +329,7 @@ def test_gauge_coordinates_of_gradient_and_hessian_vanish():
         rho = random_density_matrix(3, 3, rng=rng)
         ops, norm_sq = _landscape(rho)
         bases = np.array([random_unitary(3, rng=rng) for _ in range(6)])
-        _, grads, _, hess = oracle._readout(ops, norm_sq, bases)
+        _, grads, _, hess = oracle._readout(ops, norm_sq, oracle._krons(bases))
         assert np.abs(grads[:, 6:]).max() <= 1e-13 * norm_sq
         assert np.abs(hess[:, 6:, 6:]).max() <= 1e-13 * norm_sq
         cross = np.einsum("ajl,nl->naj", structure, grads) / 2.0
@@ -339,7 +339,7 @@ def test_gauge_coordinates_of_gradient_and_hessian_vanish():
         # so at a converged basis the gauge decouples from the six coordinates
         # Newton steps along
         result = gd_exact(rho, restarts=8, seed=0)
-        hess = oracle._readout(ops, norm_sq, np.asarray(result.basis)[None])[3][0]
+        hess = oracle._readout(ops, norm_sq, oracle._krons(np.asarray(result.basis)[None]))[3][0]
         assert result.residual <= 1e-10
         assert np.abs(hess[6:, :6]).max() <= 1e-12 * norm_sq
 
@@ -444,6 +444,39 @@ def test_start_bases_cache_is_read_only_and_unchanged():
     np.testing.assert_array_equal(starts, before)
     with pytest.raises(ValueError):
         starts[0, 0, 0] = 0.0
+
+
+def test_start_table_is_read_only_and_the_krons_of_the_starts():
+    starts, _, krons = oracle._starts(3, 5, 8)
+    assert not krons.flags.writeable
+    np.testing.assert_array_equal(krons, oracle._krons(starts.copy()))
+    for start, table in zip(starts, krons):
+        np.testing.assert_allclose(table, np.kron(start.conj(), start), rtol=0.0, atol=1e-16)
+
+
+@pytest.mark.parametrize("make_state", [
+    lambda: random_density_matrix(3, 3, rng=9), lambda: isotropic_family(0.5),
+    lambda: evolve(make_bell_state(3), "dephasing", "trit-phase-flip", 0.7, 1.3, 1.0)])
+def test_gd_exact_gives_the_same_bits_from_a_cold_and_a_warm_start_table(make_state):
+    rho = make_state()
+    oracle._starts.cache_clear()
+    cold = gd_exact(rho, restarts=32, seed=2, side="B")
+    warm = gd_exact(rho, restarts=32, seed=2, side="B")
+    assert oracle._starts.cache_info().hits >= 1
+    assert (cold.value, cold.residual) == (warm.value, warm.residual)
+    assert cold.basis.tobytes() == warm.basis.tobytes()
+
+
+def test_a_flat_state_with_a_warm_start_table_builds_no_kron_stack(monkeypatch):
+    calls = []
+    krons = oracle._krons
+    monkeypatch.setattr(oracle, "_krons", lambda bases: calls.append(len(bases)) or krons(bases))
+    oracle._starts(3, 0, 32)
+    calls.clear()
+    gd_exact(isotropic_family(0.5), restarts=32, seed=0)
+    assert calls == []
+    gd_exact(random_density_matrix(3, 3, rng=9), restarts=32, seed=0)
+    assert calls  # the counter sees the stacks that descending bases build
 
 
 def test_mub_bases_are_unitary_and_mutually_unbiased(mub_bases):

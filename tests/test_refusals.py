@@ -44,6 +44,7 @@ TABLE = {
     "apply_channel": dict(channel=qc.dephasing_kraus(0.5), matrix=np.eye(3) / 3.0),
     "apply_local_channels": dict(rho=BELL, channel_a=qc.dephasing_kraus(0.5),
                                  channel_b=qc.trit_flip_kraus(0.5)),
+    "KrausChannel": dict(dim=3, operators=(np.eye(3),)),
     "dephasing_kraus": dict(gamma=0.5),
     "trit_flip_kraus": dict(gamma=0.5),
     "trit_flip_kraus_unnormalized": dict(gamma=0.5),
@@ -85,7 +86,6 @@ EXCLUDED = {
     "clock_matrix": "takes only a dimension, which is not covered",
     "identity_kraus": "takes only a dimension, which is not covered",
     "tensor": "an alias of np.kron, which takes any array",
-    "KrausChannel": "keeps defective operator sets constructible; validate_kraus judges them",
     "ValidationError": "an exception type",
     "IncompleteKrausError": "an exception type",
     "ConfigError": "an exception type",

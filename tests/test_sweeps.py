@@ -41,6 +41,12 @@ def test_config_validation_names_fields():
                          t=SweepRange(0, 1, 5))
     assert exc.value.field == "family_a"
 
+    for field in ("family_a", "family_b"):  # an array, not numpy's ambiguous truth value
+        families = {"family_a": "dephasing", "family_b": "dephasing",
+                    field: np.array(["dephasing", "x"])}
+        with pytest.raises(ConfigError, match=rf"^{field}: unknown channel family array"):
+            ExperimentConfig(**families, q_a=0.5, q_b=0.5, t=SweepRange(0, 1, 5))
+
     with pytest.raises(ConfigError) as exc:
         ExperimentConfig(family_a="dephasing", family_b="dephasing", q_a=0.5,
                          q_b=0.5, t=1.0)
