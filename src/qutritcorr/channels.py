@@ -45,8 +45,6 @@ class KrausChannel:
         for arr in frozen:
             if arr.shape != (d, d):
                 raise ValueError(f"operator shape {arr.shape} does not match dim {d}")
-            if not np.isfinite(arr).all():
-                raise ValueError("operators must hold finite numbers")
         object.__setattr__(self, "operators", frozen)
 
 

@@ -78,9 +78,12 @@ def _numbers(value, name: str) -> np.ndarray:
     """value as a new float64 array, complex128 for complex input; never cut to its real part."""
     mat = np.asarray(value)
     try:
-        return mat.astype(complex if mat.dtype.kind == "c" else float)
+        mat = mat.astype(complex if mat.dtype.kind == "c" else float)
     except TypeError:  # objects, complex numbers among them, that do not cast to float
         raise ValueError(f"{name} must hold real numbers or be complex, got {mat.dtype}") from None
+    if not np.isfinite(mat).all():  # NaN, inf or None: refused before arithmetic can warn
+        raise ValueError(f"{name} must hold finite numbers")
+    return mat
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -102,29 +105,27 @@ def _positive_definite(mats: np.ndarray) -> np.ndarray:
     return ~np.isnan(factor[..., -1, -1])
 
 
+def _converged(first: np.ndarray, message: str) -> np.ndarray:
+    """A LAPACK kernel's first output; NaN, its report of a failure (which also warns), raises."""
+    if np.isnan(first).any():
+        raise np.linalg.LinAlgError(message)
+    return first
+
+
 def _eigvalsh(mats: np.ndarray) -> np.ndarray:
-    """numpy's eigvalsh kernel without its Python wrapper, the same bits on float64 and complex128
-    stacks; NaN, the kernel's non-convergence (which also warns), raises."""
-    eigs = _umath_linalg.eigvalsh_lo(mats)
-    if np.isnan(eigs).any():
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    return eigs
+    """numpy's eigvalsh kernel without its Python wrapper, the same bits on float64 and complex128."""
+    return _converged(_umath_linalg.eigvalsh_lo(mats), "Eigenvalues did not converge")
 
 
 def _eigh(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors from numpy's eigh kernel, as `_eigvalsh` reads eigenvalues."""
     eigs, vecs = _umath_linalg.eigh_lo(mats)
-    if np.isnan(eigs).any():
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    return eigs, vecs
+    return _converged(eigs, "Eigenvalues did not converge"), vecs
 
 
 def _solve(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """x with mats @ x = rhs from numpy's solve kernel, as `_eigvalsh`; NaN (singular) raises."""
-    x = _umath_linalg.solve(mats, rhs)
-    if np.isnan(x).any():
-        raise np.linalg.LinAlgError("Singular matrix")
-    return x
+    """x with mats @ x = rhs from numpy's solve kernel, as `_eigvalsh`; a singular matrix raises."""
+    return _converged(_umath_linalg.solve(mats, rhs), "Singular matrix")
 
 
 def _density_violations(mat: np.ndarray, dim: int) -> dict[str, float]:
@@ -133,8 +134,6 @@ def _density_violations(mat: np.ndarray, dim: int) -> dict[str, float]:
         raise ValueError(f"expected a {dim}x{dim} matrix or a stack of them, got shape {mat.shape}")
     if mat.size == 0:
         raise ValueError(f"cannot certify an empty stack of shape {mat.shape}")
-    if not np.isfinite(mat).all():
-        raise ValueError("matrix contains non-finite entries")
     herm = float(np.abs(mat - mat.conj().swapaxes(-1, -2)).max())
     if herm > HERMITICITY_TOL:
         out["hermiticity"] = herm
@@ -203,8 +202,7 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def partial_transpose(rho: DensityMatrix, subsystem: str = "A") -> np.ndarray:
-    """Transpose one subsystem in place; the result is generally not a state.
-    A stack of states gives a stack of partial transposes."""
+    """Transpose one subsystem of a state or of each in a stack; the result is generally not a state."""
     d1, d2 = _instance(rho, DensityMatrix, "rho").dims
     r4 = rho.matrix.reshape(rho.matrix.shape[:-2] + (d1, d2, d1, d2))
     out = r4.swapaxes(-4, -2) if _side(subsystem, "subsystem") else r4.swapaxes(-3, -1)
@@ -212,19 +210,15 @@ def partial_transpose(rho: DensityMatrix, subsystem: str = "A") -> np.ndarray:
 
 
 def partial_trace(rho: DensityMatrix, keep: str = "A") -> np.ndarray:
-    """Reduced state of one subsystem. A stack of states gives a stack of
-    reduced states."""
+    """Reduced state of one subsystem. A stack of states gives a stack of reduced states."""
     d1, d2 = _instance(rho, DensityMatrix, "rho").dims
     r4 = rho.matrix.reshape(rho.matrix.shape[:-2] + (d1, d2, d1, d2))
     return np.einsum("...abcb->...ac" if _side(keep, "keep") else "...abad->...bd", r4)
 
 
 def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix (or of each matrix in a stack),
-    sorted non-increasing."""
+    """Real eigenvalues of a Hermitian matrix (or of each matrix in a stack), sorted non-increasing."""
     mat = _numbers(matrix, "matrix")
-    if not np.isfinite(mat).all():  # before any arithmetic, which would warn on inf
-        raise ValueError("matrix is not Hermitian (non-finite entries)")
     dev = float(np.abs(mat - mat.conj().swapaxes(-1, -2)).max())
     if not dev <= EIGENVALUE_HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")

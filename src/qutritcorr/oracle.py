@@ -54,8 +54,6 @@ def project_measurement(rho: DensityMatrix, basis: np.ndarray, side: str = "A") 
     basis = _numbers(basis, "basis").astype(complex)
     if basis.shape != (d, d):
         raise ValueError(f"basis must be {d}x{d}, got shape {basis.shape}")
-    if not np.isfinite(basis).all():  # before any arithmetic, which would warn on inf
-        raise ValueError("basis matrix is not unitary (non-finite entries)")
     dev = float(np.abs(basis.conj().T @ basis - np.eye(d)).max())
     if not dev <= UNITARITY_TOL:
         raise ValueError(f"basis matrix is not unitary (deviation {dev:.3e})")
@@ -132,10 +130,10 @@ def _readout(ops: np.ndarray, norm_sq: float, krons: np.ndarray, hessian: bool =
     n, d = krons.shape[0], math.isqrt(krons.shape[-1])
     m, rows = d * d - 1, d * d if hessian else d
     upper, table = _readout_table(d)
-    entries = upper[upper < rows * d * d]
+    k = rows * d * d - rows * (rows - 1) // 2  # the upper triangle's entries in Q's first rows
     coords = _sandwiches(ops, krons)
-    q = (coords[..., :rows].swapaxes(-1, -2) @ coords).reshape(n, 1, -1)[..., entries]
-    out = (q @ table[:len(entries), :None if hessian else 1 + m])[:, 0]
+    q = (coords[..., :rows].swapaxes(-1, -2) @ coords).reshape(n, 1, -1)[..., upper[:k]]
+    out = (q @ table[:k, :None if hessian else 1 + m])[:, 0]
     grads, hess = out[:, 1:1 + m], out[:, 1 + m:].reshape(n, m, m) if hessian else None
     return norm_sq - out[:, 0], grads, np.sqrt((grads * grads).sum(axis=-1) / 2.0), hess
 

@@ -1,3 +1,4 @@
+import ast
 import re
 from pathlib import Path
 from types import SimpleNamespace
@@ -138,11 +139,11 @@ def test_hermitian_eigenvalues_sorted_and_checked():
     np.testing.assert_allclose(eigs, [0.9, 0.1, -0.3], atol=1e-15)
     with pytest.raises(ValueError):
         hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    # the deviation of a NaN matrix is NaN, which must not pass the check
-    with pytest.raises(ValueError, match="not Hermitian"):
+    # a NaN matrix is refused before its NaN deviation can slip past the check
+    with pytest.raises(ValueError, match="^matrix must hold finite numbers$"):
         hermitian_eigenvalues(np.full((3, 3), np.nan))
     # inf is refused before inf - inf can raise a RuntimeWarning
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match="^matrix must hold finite numbers$"):
         hermitian_eigenvalues(np.full((3, 3), np.inf))
     # bool, integer, object and single-precision input is diagonalised in double precision
     a = np.random.default_rng(3).standard_normal((2, 5, 5))
@@ -220,7 +221,7 @@ def test_validate_density_matrix_accepts_and_rejects():
     assert abs(exc.value.violations["psd"] - 0.1) < 1e-12
 
     for entry in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="^matrix must hold finite numbers$"):
             DensityMatrix(np.full((9, 9), entry), (3, 3))
     with pytest.raises(ValueError, match="expected a 9x9"):
         DensityMatrix(np.eye(3) / 3.0, (3, 3))
@@ -423,6 +424,23 @@ def test_src_calls_numpy_decompositions_only_in_linalg():
              for path in sorted(src.glob("*.py")) if path.name != "linalg.py"}
     assert len(found) >= 8
     assert not any(found.values()), found
+
+
+def test_src_crosses_each_numpy_boundary_in_one_place():
+    # a matrix from outside is read, and refused if non-finite, only by linalg._numbers;
+    # only linalg calls numpy's LAPACK kernels, and one helper turns their NaN into LinAlgError
+    src = {path.name: path.read_text() for path in Path(linalg.__file__).parent.glob("*.py")}
+    assert len(src) >= 8
+
+    def count(needle):
+        return {name: text.count(needle) for name, text in src.items() if needle in text}
+
+    assert set(count("_umath_linalg")) == {"linalg.py"}
+    assert count("np.isfinite(") == {"linalg.py": 1} and count("LinAlgError(") == {"linalg.py": 1}
+    tree = ast.parse(src["linalg.py"])
+    body = {node.name: ast.get_source_segment(src["linalg.py"], node)
+            for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "np.isfinite(" in body["_numbers"] and "LinAlgError(" in body["_converged"]
 
 
 def test_src_never_calls_np_linalg_eigvalsh(monkeypatch):

@@ -157,16 +157,25 @@ def test_every_public_callable_is_in_the_table_or_excluded_with_a_reason():
     assert all({**EXCLUDED, **SLOT_EXCLUDED, **VALUE_EXCLUDED}.values())
 
 
-@pytest.mark.parametrize("call", [
-    lambda m: qc.DensityMatrix(m, (3, 3)), qc.hermitian_eigenvalues, qc.trace_norm,
-    lambda m: qc.apply_channel(qc.dephasing_kraus(0.5), m[:3, :3]),
-    lambda m: qc.project_measurement(BELL, m[:3, :3]),
-], ids=["DensityMatrix", "hermitian_eigenvalues", "trace_norm", "apply_channel",
-        "project_measurement"])
-def test_square_arrays_of_objects_are_refused_by_name(call):
+SQUARE_READERS = {
+    "DensityMatrix": lambda m: qc.DensityMatrix(m, (3, 3)),
+    "hermitian_eigenvalues": qc.hermitian_eigenvalues, "trace_norm": qc.trace_norm,
+    "apply_channel": lambda m: qc.apply_channel(qc.dephasing_kraus(0.5), m[:3, :3]),
+    "project_measurement": lambda m: qc.project_measurement(BELL, m[:3, :3]),
+}
+# the entry, the prefix of its test id, and what it is refused for
+SQUARE_ENTRIES = [(object(), "", "real numbers or be complex, got object"),
+                  (np.nan, "nan-", "finite numbers"), (np.inf, "inf-", "finite numbers"),
+                  (-np.inf, "-inf-", "finite numbers"), (None, "None-", "finite numbers")]
+
+
+@pytest.mark.parametrize("call, entry, refusal", [
+    pytest.param(call, entry, refusal, id=prefix + name)
+    for entry, prefix, refusal in SQUARE_ENTRIES for name, call in SQUARE_READERS.items()])
+def test_square_arrays_of_objects_are_refused_by_name(call, entry, refusal):
     # the contract's object array is one-dimensional and so refused by shape
-    # where one is checked first; these have the shape the reader wants
-    objects = np.array([[object()] * 9] * 9, dtype=object)
-    with pytest.raises(ValueError, match=r"^(matrix|basis) must hold real numbers or be complex, "
-                                         r"got object$"):
-        call(objects)
+    # where one is checked first; these have the shape the reader wants. None
+    # objects cast to NaN; NaN and inf are refused before arithmetic can warn
+    matrix = np.full((9, 9), entry, dtype=float if isinstance(entry, float) else object)
+    with pytest.raises(ValueError, match=rf"^(matrix|basis) must hold {refusal}$"):
+        call(matrix)
