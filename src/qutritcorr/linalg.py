@@ -93,7 +93,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _psd_shift(dim: int, tol: float = PSD_TOL) -> np.ndarray:
+def _psd_shift(dim: int, tol: float) -> np.ndarray:
     return _read_only((tol / 2) * np.eye(dim))
 
 
@@ -128,6 +128,14 @@ def _solve(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return _converged(_umath_linalg.solve(mats, rhs), "Singular matrix")
 
 
+def _eigvalsh_below(mats: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Which Hermitian unit-trace matrices may have an eigenvalue below -tol, and the ascending
+    `_eigvalsh` of those alone (not called for none): Cholesky's backward error at unit trace is
+    ~ dim * eps, so a matrix that factors with a (tol / 2) I shift has every eigenvalue above -tol."""
+    maybe = ~_positive_definite(mats + _psd_shift(mats.shape[-1], tol))
+    return maybe, _eigvalsh(mats[maybe]) if maybe.any() else np.zeros((0, mats.shape[-1]))
+
+
 def _density_violations(mat: np.ndarray, dim: int) -> dict[str, float]:
     out: dict[str, float] = {}
     if mat.ndim not in (2, 3) or mat.shape[-2:] != (dim, dim):
@@ -140,18 +148,10 @@ def _density_violations(mat: np.ndarray, dim: int) -> dict[str, float]:
     trace = float(np.abs(mat.trace(axis1=-2, axis2=-1) - 1.0).max())
     if trace > TRACE_TOL:
         out["trace"] = trace
-    if "hermiticity" in out:  # eigvalsh is only meaningful once Hermiticity holds
-        return out
-    if not out:
-        # At unit trace, Cholesky's backward error is ~ dim * eps, so a state whose
-        # mat + (PSD_TOL / 2) I factors has every eigenvalue above -PSD_TOL; eigvalsh
-        # decides the rest, whose minimum is the stack's whenever one violates.
-        mat = mat[~_positive_definite(mat + _psd_shift(dim))]
-        if not mat.size:
-            return out
-    low = float(_eigvalsh(mat)[..., 0].min())
-    if low < -PSD_TOL:
-        out["psd"] = -low
+    if "hermiticity" not in out:  # eigvalsh is only meaningful once Hermiticity holds
+        eigs = _eigvalsh(mat) if out else _eigvalsh_below(mat, PSD_TOL)[1]
+        if eigs.size and eigs[..., 0].min() < -PSD_TOL:
+            out["psd"] = -float(eigs[..., 0].min())
     return out
 
 
@@ -185,7 +185,7 @@ class DensityMatrix:
 
 def validate_density_matrix(matrix: np.ndarray, dims: tuple[int, int]) -> DensityMatrix:
     """Certify a raw matrix as a density matrix or raise ValidationError."""
-    return DensityMatrix(matrix, tuple(dims))
+    return DensityMatrix(matrix, dims)
 
 
 def make_bell_state(d: int) -> DensityMatrix:
@@ -219,6 +219,8 @@ def partial_trace(rho: DensityMatrix, keep: str = "A") -> np.ndarray:
 def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix (or of each matrix in a stack), sorted non-increasing."""
     mat = _numbers(matrix, "matrix")
+    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2] or not mat.size:
+        raise ValueError(f"matrix must be a square matrix or a stack of them, got shape {mat.shape}")
     dev = float(np.abs(mat - mat.conj().swapaxes(-1, -2)).max())
     if not dev <= EIGENVALUE_HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")

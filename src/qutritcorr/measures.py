@@ -8,8 +8,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import (DensityMatrix, _eigvalsh, _instance, _positive_definite, _psd_shift,
-                     _read_only, _unit, make_bell_state, su_generators)
+from .linalg import (DensityMatrix, _eigvalsh, _eigvalsh_below, _instance, _read_only, _unit,
+                     make_bell_state, su_generators)
 
 NEGATIVITY_EIG_TOL = 1e-12
 IMAG_TOL = 1e-10
@@ -108,16 +108,13 @@ def negativity(rho: DensityMatrix) -> float | np.ndarray:
     # A certified state's PT only permutes its entries, so needs no check. Read in (i + j) mod 3
     # order, the PT of a state commuting with Z x Z^dagger (every Bell sweep state) is three
     # exact 3x3 blocks, which eigvalsh splits; a permutation leaves the spectrum alone. A row
-    # whose PT factors with a (NEGATIVITY_EIG_TOL / 2) I shift has no eigenvalue below
-    # -NEGATIVITY_EIG_TOL, as in _density_violations, and reads 0; eigvalsh sums the rest
-    # descending, fixing the last bit.
+    # the screen clears reads 0; the rest are summed descending, fixing the last bit.
     d1, d2 = _instance(rho, DensityMatrix, "rho").dims
     pt = rho.matrix.reshape(rho.matrix.shape[:-2] + (-1,))[..., _sector_pt_index(d1, d2)]
-    npt = ~_positive_definite(pt + _psd_shift(d1 * d2, NEGATIVITY_EIG_TOL))
+    npt, eigs = _eigvalsh_below(pt, NEGATIVITY_EIG_TOL)
     neg = np.zeros(npt.shape)
-    if npt.any():
-        eigs = _eigvalsh(pt[npt])[..., ::-1]
-        neg[npt] = np.where(eigs < -NEGATIVITY_EIG_TOL, -eigs, 0.0).sum(axis=-1)
+    if eigs.size:
+        neg[npt] = np.where(eigs[..., ::-1] < -NEGATIVITY_EIG_TOL, -eigs[..., ::-1], 0.0).sum(axis=-1)
     return float(neg) if rho.matrix.ndim == 2 else neg
 
 

@@ -157,6 +157,14 @@ def test_hermitian_eigenvalues_sorted_and_checked():
         assert eigs.dtype == np.float64 and (eigs == expected).all()
 
 
+@pytest.mark.parametrize("shape", [(3,), (2, 3, 4), (0, 0), (0, 3, 3)])
+def test_hermitian_eigenvalues_refuses_a_bad_shape_by_name(shape):
+    # not an axis or broadcast error from numpy, nor its "zero-size array" message
+    with pytest.raises(ValueError, match=r"^matrix must be a square matrix or a stack of them, "
+                                         rf"got shape {re.escape(str(shape))}$"):
+        hermitian_eigenvalues(np.zeros(shape))
+
+
 def test_trace_norm_values():
     assert abs(trace_norm(np.diag([1.0, -2.0])) - 3.0) < 1e-14
     rho = random_density_matrix(3, 3, rng=RNG)
@@ -225,9 +233,10 @@ def test_validate_density_matrix_accepts_and_rejects():
             DensityMatrix(np.full((9, 9), entry), (3, 3))
     with pytest.raises(ValueError, match="expected a 9x9"):
         DensityMatrix(np.eye(3) / 3.0, (3, 3))
-    for dims in ((0, 3), (2.9, 2.1), (True, 4), (3, 3, 1), (9,), 9):
-        with pytest.raises(ValueError, match="must be positive"):
-            DensityMatrix(np.eye(4) / 4.0, dims)
+    for make in (DensityMatrix, validate_density_matrix):  # dims is passed on as given
+        for dims in ((0, 3), (2.9, 2.1), (True, 4), (3, 3, 1), (9,), 9):
+            with pytest.raises(ValueError, match="must be positive"):
+                make(np.eye(4) / 4.0, dims)
     assert DensityMatrix(np.eye(9) / 9.0, (np.int64(3), 3)).dims == (3, 3)
 
 
@@ -428,7 +437,8 @@ def test_src_calls_numpy_decompositions_only_in_linalg():
 
 def test_src_crosses_each_numpy_boundary_in_one_place():
     # a matrix from outside is read, and refused if non-finite, only by linalg._numbers;
-    # only linalg calls numpy's LAPACK kernels, and one helper turns their NaN into LinAlgError
+    # only linalg calls numpy's LAPACK kernels, and one helper turns their NaN into LinAlgError;
+    # the Cholesky-shift eigenvalue screen is written once, in linalg._eigvalsh_below
     src = {path.name: path.read_text() for path in Path(linalg.__file__).parent.glob("*.py")}
     assert len(src) >= 8
 
@@ -437,6 +447,8 @@ def test_src_crosses_each_numpy_boundary_in_one_place():
 
     assert set(count("_umath_linalg")) == {"linalg.py"}
     assert count("np.isfinite(") == {"linalg.py": 1} and count("LinAlgError(") == {"linalg.py": 1}
+    assert set(count("_psd_shift")) == {"linalg.py"}
+    assert set(count("_positive_definite")) == {"linalg.py", "oracle.py"}  # the Newton step
     tree = ast.parse(src["linalg.py"])
     body = {node.name: ast.get_source_segment(src["linalg.py"], node)
             for node in tree.body if isinstance(node, ast.FunctionDef)}

@@ -8,7 +8,7 @@ from qutritcorr import (CHANNEL_FAMILIES, DensityMatrix, GdConvention, PAPER_CON
                         make_bell_state, negativity, partial_trace, partial_transpose,
                         project_measurement, random_density_matrix, random_unitary, tensor,
                         trace_norm)
-from qutritcorr import measures
+from qutritcorr import linalg, measures
 from qutritcorr.measures import NEGATIVITY_EIG_TOL
 
 RNG = np.random.default_rng(512)
@@ -112,8 +112,8 @@ def test_negativity_diagonalises_only_the_npt_rows(monkeypatch):
         calls.append(mats.copy())
         return eigvalsh(mats)
 
-    eigvalsh = measures._eigvalsh
-    monkeypatch.setattr(measures, "_eigvalsh", spy)
+    eigvalsh = linalg._eigvalsh
+    monkeypatch.setattr(linalg, "_eigvalsh", spy)
     neg = negativity(rho)
     assert len(calls) == 1 and calls[0].shape == (npt.sum(), 9, 9)
     assert (calls[0] == pt[npt]).all()

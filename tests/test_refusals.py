@@ -100,7 +100,6 @@ SLOT_EXCLUDED = {
     ("random_density_matrix", "d1"): "a dimension",
     ("random_density_matrix", "d2"): "a dimension",
     ("random_density_matrix", "rng"): "an rng or seed, read by numpy",
-    ("validate_density_matrix", "dims"): "a dimension pair, read by tuple()",
     ("bloch_synthesis", "dims"): "a dimension pair",
     ("run_validation", "unnormalized_trit_flip"): "a flag read by truth value; each call runs the "
                                                   "whole suite",
