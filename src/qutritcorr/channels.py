@@ -40,11 +40,8 @@ class KrausChannel:
         if not (isinstance(self.operators, (tuple, list)) and self.operators):
             raise ValueError("operators must be a tuple or list of at least one Kraus operator, "
                              f"got {_shown(self.operators)}")
-        frozen = tuple(_read_only(_numbers(op, "operators").astype(complex, copy=False))
+        frozen = tuple(_read_only(_numbers(op, "operators", d, stack=False).astype(complex, copy=False))
                        for op in self.operators)
-        for arr in frozen:
-            if arr.shape != (d, d):
-                raise ValueError(f"operator shape {arr.shape} does not match dim {d}")
         object.__setattr__(self, "operators", frozen)
 
 
@@ -176,10 +173,8 @@ def kraus_for_family(family: str, gamma: float) -> KrausChannel:
 
 def apply_channel(channel: KrausChannel, matrix: np.ndarray) -> np.ndarray:
     """Single-system Kraus action sum_i E_i M E_i^dag, on one matrix or a stack."""
-    if np.shape(matrix)[-2:] != (_instance(channel, KrausChannel, "channel").dim,) * 2:
-        raise ValueError(f"a dim-{channel.dim} channel acts on {channel.dim}x{channel.dim} matrices, "
-                         f"got shape {np.shape(matrix)}")
-    return _kraus_sum(_numbers(matrix, "matrix"), (channel.dim, 1), channel.operators, "A")
+    d = _instance(channel, KrausChannel, "channel").dim
+    return _kraus_sum(_numbers(matrix, "matrix", d), (d, 1), channel.operators, "A")
 
 
 def _kraus_sum(matrix: np.ndarray, dims: tuple[int, int], ops, side: str) -> np.ndarray:

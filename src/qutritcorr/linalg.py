@@ -74,9 +74,16 @@ def _side(value, name: str) -> bool:
     return value == "A"
 
 
-def _numbers(value, name: str) -> np.ndarray:
-    """value as a new float64 array, complex128 for complex input; never cut to its real part."""
+def _numbers(value, name: str, dim: int | None = None, stack: bool = True) -> np.ndarray:
+    """value as a new float64 array, complex128 for complex input; never cut to its real part.
+    It must be one dim x dim matrix (any square one when dim is None) or, with stack, a
+    non-empty (N, dim, dim) stack of them; any other shape is refused by name."""
     mat = np.asarray(value)
+    if not (mat.ndim in ((2, 3) if stack else (2,)) and mat.size
+            and mat.shape[-1] == mat.shape[-2] and dim in (None, mat.shape[-1])):
+        kind = "square" if dim is None else f"{dim}x{dim}"
+        raise ValueError(f"{name} must be a {kind} matrix{' or a stack of them' if stack else ''}, "
+                         f"got shape {mat.shape}")
     try:
         mat = mat.astype(complex if mat.dtype.kind == "c" else float)
     except TypeError:  # objects, complex numbers among them, that do not cast to float
@@ -136,12 +143,8 @@ def _eigvalsh_below(mats: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarra
     return maybe, _eigvalsh(mats[maybe]) if maybe.any() else np.zeros((0, mats.shape[-1]))
 
 
-def _density_violations(mat: np.ndarray, dim: int) -> dict[str, float]:
+def _density_violations(mat: np.ndarray) -> dict[str, float]:
     out: dict[str, float] = {}
-    if mat.ndim not in (2, 3) or mat.shape[-2:] != (dim, dim):
-        raise ValueError(f"expected a {dim}x{dim} matrix or a stack of them, got shape {mat.shape}")
-    if mat.size == 0:
-        raise ValueError(f"cannot certify an empty stack of shape {mat.shape}")
     herm = float(np.abs(mat - mat.conj().swapaxes(-1, -2)).max())
     if herm > HERMITICITY_TOL:
         out["hermiticity"] = herm
@@ -174,8 +177,8 @@ class DensityMatrix:
         d1, d2 = self.dims if np.iterable(self.dims) and len(self.dims) == 2 else (None, None)
         if not (_integer_at_least(d1, 1) and _integer_at_least(d2, 1)):
             raise ValueError(f"subsystem dimensions must be positive integers (d1, d2), got {self.dims}")
-        mat = _numbers(self.matrix, "matrix")
-        violations = _density_violations(mat, d1 * d2)
+        mat = _numbers(self.matrix, "matrix", d1 * d2)
+        violations = _density_violations(mat)
         if violations:
             detail = ", ".join(f"{k} off by {v:.3e}" for k, v in violations.items())
             raise ValidationError(f"not a density matrix: {detail}", violations)
@@ -219,8 +222,6 @@ def partial_trace(rho: DensityMatrix, keep: str = "A") -> np.ndarray:
 def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix (or of each matrix in a stack), sorted non-increasing."""
     mat = _numbers(matrix, "matrix")
-    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2] or not mat.size:
-        raise ValueError(f"matrix must be a square matrix or a stack of them, got shape {mat.shape}")
     dev = float(np.abs(mat - mat.conj().swapaxes(-1, -2)).max())
     if not dev <= EIGENVALUE_HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
@@ -228,11 +229,8 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
 
 
 def trace_norm(matrix: np.ndarray) -> float:
-    """Sum of singular values."""
-    mat = _numbers(matrix, "matrix")
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    return float(np.linalg.svd(mat, compute_uv=False).sum())
+    """Sum of singular values of one square matrix."""
+    return float(np.linalg.svd(_numbers(matrix, "matrix", stack=False), compute_uv=False).sum())
 
 
 @lru_cache(maxsize=None)
@@ -264,7 +262,7 @@ def random_density_matrix(d1: int, d2: int = 1, rank: int | None = None,
                           rng: np.random.Generator | int | None = None) -> DensityMatrix:
     """Ginibre-sampled random state on a d1 x d2 system (full rank by default)."""
     rng = np.random.default_rng(rng)
-    dim = d1 * d2
+    dim = _integer(d1, 1, "d1") * _integer(d2, 1, "d2")
     rank = dim if rank is None else rank
     if not (_integer_at_least(rank, 1) and rank <= dim):
         raise ValueError(f"rank must be in 1..{dim}, got {rank}")

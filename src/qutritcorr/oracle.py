@@ -51,9 +51,7 @@ def project_measurement(rho: DensityMatrix, basis: np.ndarray, side: str = "A") 
     """Dephase one subsystem in an orthonormal basis:
     rho -> sum_k (P_k x I) rho (P_k x I) with P_k = |u_k><u_k|."""
     d = _instance(rho, DensityMatrix, "rho").dims[0 if _side(side, "side") else 1]
-    basis = _numbers(basis, "basis").astype(complex)
-    if basis.shape != (d, d):
-        raise ValueError(f"basis must be {d}x{d}, got shape {basis.shape}")
+    basis = _numbers(basis, "basis", d, stack=False).astype(complex)
     dev = float(np.abs(basis.conj().T @ basis - np.eye(d)).max())
     if not dev <= UNITARITY_TOL:
         raise ValueError(f"basis matrix is not unitary (deviation {dev:.3e})")

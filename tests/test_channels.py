@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -263,14 +265,15 @@ def test_depolarizing_operator_basis_is_shift_clock():
 @pytest.mark.parametrize("shape", [(1, 9), (9,), (4, 4), (2, 3, 4), (3, 1, 3)])
 def test_apply_channel_refuses_matrices_of_another_size(shape):
     # a (1, 9) array holds 9 entries but is no 3x3 matrix
-    with pytest.raises(ValueError, match=r"dim-3 channel acts on 3x3 matrices, got shape"):
+    with pytest.raises(ValueError, match=r"^matrix must be a 3x3 matrix or a stack of them, "
+                                         rf"got shape {re.escape(str(shape))}$"):
         apply_channel(dephasing_kraus(0.5), np.zeros(shape))
 
 
 def test_kraus_channel_rejects_empty_and_misshapen_sets():
     with pytest.raises(ValueError, match="at least one"):
         KrausChannel(3, ())
-    with pytest.raises(ValueError, match="does not match dim 3"):
+    with pytest.raises(ValueError, match=r"^operators must be a 3x3 matrix, got shape \(2, 2\)$"):
         KrausChannel(3, (np.eye(3, dtype=complex), np.eye(2, dtype=complex)))
 
 

@@ -231,7 +231,8 @@ def test_validate_density_matrix_accepts_and_rejects():
     for entry in (np.nan, np.inf):
         with pytest.raises(ValueError, match="^matrix must hold finite numbers$"):
             DensityMatrix(np.full((9, 9), entry), (3, 3))
-    with pytest.raises(ValueError, match="expected a 9x9"):
+    with pytest.raises(ValueError, match=r"^matrix must be a 9x9 matrix or a stack of them, "
+                                         r"got shape \(3, 3\)$"):
         DensityMatrix(np.eye(3) / 3.0, (3, 3))
     for make in (DensityMatrix, validate_density_matrix):  # dims is passed on as given
         for dims in ((0, 3), (2.9, 2.1), (True, 4), (3, 3, 1), (9,), 9):
@@ -436,9 +437,9 @@ def test_src_calls_numpy_decompositions_only_in_linalg():
 
 
 def test_src_crosses_each_numpy_boundary_in_one_place():
-    # a matrix from outside is read, and refused if non-finite, only by linalg._numbers;
-    # only linalg calls numpy's LAPACK kernels, and one helper turns their NaN into LinAlgError;
-    # the Cholesky-shift eigenvalue screen is written once, in linalg._eigvalsh_below
+    # a matrix from outside is read, and refused for its shape or if non-finite, only by
+    # linalg._numbers; only linalg calls numpy's LAPACK kernels, and one helper turns their
+    # NaN into LinAlgError; the Cholesky-shift eigenvalue screen is written once, in linalg._eigvalsh_below
     src = {path.name: path.read_text() for path in Path(linalg.__file__).parent.glob("*.py")}
     assert len(src) >= 8
 
@@ -447,12 +448,14 @@ def test_src_crosses_each_numpy_boundary_in_one_place():
 
     assert set(count("_umath_linalg")) == {"linalg.py"}
     assert count("np.isfinite(") == {"linalg.py": 1} and count("LinAlgError(") == {"linalg.py": 1}
+    assert count("got shape") == {"linalg.py": 1}
     assert set(count("_psd_shift")) == {"linalg.py"}
     assert set(count("_positive_definite")) == {"linalg.py", "oracle.py"}  # the Newton step
     tree = ast.parse(src["linalg.py"])
     body = {node.name: ast.get_source_segment(src["linalg.py"], node)
             for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert "np.isfinite(" in body["_numbers"] and "LinAlgError(" in body["_converged"]
+    assert "got shape" in body["_numbers"]
 
 
 def test_src_never_calls_np_linalg_eigvalsh(monkeypatch):
@@ -517,7 +520,8 @@ def test_trace_and_psd_violations_reported_together():
 
 
 def test_empty_stack_is_refused_by_shape():
-    with pytest.raises(ValueError, match=r"empty stack of shape \(0, 9, 9\)"):
+    refusal = r"^matrix must be a 9x9 matrix or a stack of them, got shape \(0, 9, 9\)$"
+    with pytest.raises(ValueError, match=refusal):
         DensityMatrix(np.zeros((0, 9, 9), dtype=complex), (3, 3))
-    with pytest.raises(ValueError, match=r"empty stack of shape \(0, 9, 9\)"):
+    with pytest.raises(ValueError, match=refusal):
         evolve(make_bell_state(3), "dephasing", "dephasing", np.array([]), 0.5, 1.0)

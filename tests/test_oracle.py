@@ -62,7 +62,7 @@ def test_project_measurement_rejects_non_unitary():
         project_measurement(rho, np.ones((3, 3)))
     with pytest.raises(ValueError):
         project_measurement(rho, np.eye(3), side="C")
-    with pytest.raises(ValueError, match=r"basis must be 3x3, got shape \(2, 2\)"):
+    with pytest.raises(ValueError, match=r"^basis must be a 3x3 matrix, got shape \(2, 2\)$"):
         project_measurement(rho, np.eye(2))
     # a NaN basis is refused before its NaN unitarity deviation can slip past
     with pytest.raises(ValueError, match="^basis must hold finite numbers$"):

@@ -3,6 +3,7 @@ given a hostile value, either raises a ValueError (or a subclass) or returns a
 certified result, and never any other exception or a warning."""
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -97,8 +98,6 @@ EXCLUDED = {
     "CheckResult": "a plain record of run_validation's result",
 }
 SLOT_EXCLUDED = {
-    ("random_density_matrix", "d1"): "a dimension",
-    ("random_density_matrix", "d2"): "a dimension",
     ("random_density_matrix", "rng"): "an rng or seed, read by numpy",
     ("bloch_synthesis", "dims"): "a dimension pair",
     ("run_validation", "unnormalized_trit_flip"): "a flag read by truth value; each call runs the "
@@ -156,11 +155,11 @@ def test_every_public_callable_is_in_the_table_or_excluded_with_a_reason():
     assert all({**EXCLUDED, **SLOT_EXCLUDED, **VALUE_EXCLUDED}.values())
 
 
-SQUARE_READERS = {
-    "DensityMatrix": lambda m: qc.DensityMatrix(m, (3, 3)),
+SQUARE_READERS = {  # each reads a 3x3 matrix: a qutrit state, channel input or basis
+    "DensityMatrix": lambda m: qc.DensityMatrix(m, (3, 1)),
     "hermitian_eigenvalues": qc.hermitian_eigenvalues, "trace_norm": qc.trace_norm,
-    "apply_channel": lambda m: qc.apply_channel(qc.dephasing_kraus(0.5), m[:3, :3]),
-    "project_measurement": lambda m: qc.project_measurement(BELL, m[:3, :3]),
+    "apply_channel": lambda m: qc.apply_channel(qc.dephasing_kraus(0.5), m),
+    "project_measurement": lambda m: qc.project_measurement(BELL, m),
 }
 # the entry, the prefix of its test id, and what it is refused for
 SQUARE_ENTRIES = [(object(), "", "real numbers or be complex, got object"),
@@ -172,9 +171,22 @@ SQUARE_ENTRIES = [(object(), "", "real numbers or be complex, got object"),
     pytest.param(call, entry, refusal, id=prefix + name)
     for entry, prefix, refusal in SQUARE_ENTRIES for name, call in SQUARE_READERS.items()])
 def test_square_arrays_of_objects_are_refused_by_name(call, entry, refusal):
-    # the contract's object array is one-dimensional and so refused by shape
-    # where one is checked first; these have the shape the reader wants. None
+    # the contract's object array is one-dimensional and so refused by shape,
+    # which is checked first; these have the shape the reader wants. None
     # objects cast to NaN; NaN and inf are refused before arithmetic can warn
-    matrix = np.full((9, 9), entry, dtype=float if isinstance(entry, float) else object)
+    matrix = np.full((3, 3), entry, dtype=float if isinstance(entry, float) else object)
     with pytest.raises(ValueError, match=rf"^(matrix|basis) must hold {refusal}$"):
         call(matrix)
+
+
+MATRIX_READERS = {**SQUARE_READERS, "KrausChannel": lambda m: qc.KrausChannel(3, (m,))}
+
+
+@pytest.mark.parametrize("shape", [(3,), (0, 0), (0, 3, 3), (2, 3, 4), (2, 2, 3, 3)], ids=str)
+@pytest.mark.parametrize("call", MATRIX_READERS.values(), ids=list(MATRIX_READERS))
+def test_every_matrix_reader_refuses_a_bad_shape_by_name(call, shape):
+    # one 3x3 matrix or, where a stack is read, a non-empty stack with one leading axis;
+    # anything else is refused by linalg._numbers before numpy can raise its own error
+    with pytest.raises(ValueError, match=r"^(matrix|basis|operators) must be .*, "
+                                         rf"got shape {re.escape(str(shape))}$"):
+        call(np.zeros(shape))
