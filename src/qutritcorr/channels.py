@@ -7,7 +7,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import DensityMatrix, _instance, _integer, _numbers, _read_only, _shown, _unit
+from .linalg import (ConfigError, DensityMatrix, _choice, _instance, _integer, _nonnegative,
+                     _numbers, _read_only, _shown)
 
 COMPLETENESS_TOL = 1e-12
 BASIS_IMAG_TOL = 1e-15  # all four bases are exactly real; more flags a set not conjugation-closed
@@ -38,8 +39,8 @@ class KrausChannel:
     def __post_init__(self):
         d = _integer(self.dim, 1, "dim")
         if not (isinstance(self.operators, (tuple, list)) and self.operators):
-            raise ValueError("operators must be a tuple or list of at least one Kraus operator, "
-                             f"got {_shown(self.operators)}")
+            raise ConfigError("operators", "operators must be a tuple or list of at least one Kraus "
+                                           f"operator, got {_shown(self.operators)}")
         frozen = tuple(_read_only(_numbers(op, "operators", d, stack=False).astype(complex, copy=False))
                        for op in self.operators)
         object.__setattr__(self, "operators", frozen)
@@ -58,16 +59,19 @@ def validate_kraus(channel: KrausChannel) -> KrausDiagnostics:
     return KrausDiagnostics(ok=dev <= COMPLETENESS_TOL, max_deviation=dev)
 
 
-def _gammas(t, *rates) -> np.ndarray:
-    """1 - exp(-q t) per rate q, on a new first axis; all broadcast, finite and >= 0."""
-    tq = np.broadcast_arrays(t, *rates)
+def _gammas(t, **rates) -> np.ndarray:
+    """1 - exp(-q t) per rate q, on a new first axis; all broadcast, finite and >= 0. A refusal
+    names the first refused of the rates, then t."""
+    tq = np.broadcast_arrays(t, *rates.values())
     real = all(a.dtype.kind in "iuf" for a in tq)  # strings, bools and objects are refused
     if real:
         tq = np.array(tq, dtype=float)
     if not (real and ((tq >= 0.0) & (tq < np.inf)).all()):  # NaN fails both
-        t_shown, *q_shown = map(str, tq) if real else map(_shown, (t, *rates))
-        raise ValueError(f"decay rate and time must be finite and non-negative, got "
-                         f"q={', '.join(q_shown)}, t={t_shown}")
+        t_shown, *q_shown = map(str, tq) if real else map(_shown, (t, *rates.values()))
+        field = next(name for name, a in zip((*rates, "t"), (*tq[1:], tq[0]))
+                     if not (a.dtype.kind in "iuf" and ((a >= 0.0) & (a < np.inf)).all()))
+        raise ConfigError(field, f"decay rate and time must be finite and non-negative, got "
+                                 f"q={', '.join(q_shown)}, t={t_shown}")
     # 1 - exp(-q t) lies in [0, 1] unclamped; -q t overflowing to -inf gives exactly 1
     with np.errstate(over="ignore"):
         return 1.0 - np.exp(-tq[1:] * tq[0])
@@ -76,12 +80,13 @@ def _gammas(t, *rates) -> np.ndarray:
 def gamma_of(q, t):
     """Decay parameter 1 - exp(-q t), in [0, 1]: a float for scalars, an array for
     arrays, which broadcast. Negative, NaN and infinite inputs are refused."""
-    (gamma,) = _gammas(t, q)
+    (gamma,) = _gammas(t, q=q)
     return float(gamma) if gamma.ndim == 0 else gamma
 
 
 def shift_matrix(d: int = 3) -> np.ndarray:
     """Cyclic shift |j> -> |j+1 mod d>."""
+    d = _integer(d, 1, "d")
     s = np.zeros((d, d), dtype=complex)
     s[(np.arange(d) + 1) % d, np.arange(d)] = 1.0
     return s
@@ -89,13 +94,13 @@ def shift_matrix(d: int = 3) -> np.ndarray:
 
 def clock_matrix(d: int = 3) -> np.ndarray:
     """Diagonal phase clock diag(1, w, w^2, ...) with w = exp(2 pi i / d)."""
-    return np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    return np.diag(np.exp(2j * np.pi * np.arange(_integer(d, 1, "d")) / d))
 
 
 def dephasing_kraus(gamma: float) -> KrausChannel:
     """Pure dephasing: populations untouched, coherences to level 0 damped by
     sqrt(1 - gamma), the coherence between levels 1 and 2 by (1 - gamma)."""
-    _unit(gamma, "gamma")
+    _nonnegative(gamma, "gamma", 1.0)
     keep = np.eye(3, dtype=complex)
     keep[1:, 1:] *= np.sqrt(1.0 - gamma)
     ops = [keep] + [np.sqrt(gamma) * np.diag(np.eye(3, dtype=complex)[k]) for k in (1, 2)]
@@ -114,7 +119,7 @@ def _weyl_kraus(keep: float, amp: float, shifts) -> KrausChannel:
 def trit_flip_kraus(gamma: float) -> KrausChannel:
     """Cyclic level flips: identity with weight 1 - 2 gamma / 3, each
     nontrivial shift X, X^2 with weight gamma / 3."""
-    _unit(gamma, "gamma")
+    _nonnegative(gamma, "gamma", 1.0)
     return _weyl_kraus(np.sqrt(1.0 - 2.0 * gamma / 3.0), np.sqrt(gamma / 3.0), ((1, 0), (2, 0)))
 
 
@@ -125,14 +130,14 @@ def trit_flip_kraus_unnormalized(gamma: float) -> KrausChannel:
     preserving for gamma > 0. Kept only as a regression target for
     validate_kraus; nothing else may consume it.
     """
-    _unit(gamma, "gamma")
+    _nonnegative(gamma, "gamma", 1.0)
     return _weyl_kraus(np.sqrt(1.0 - 2.0 * gamma / 3.0), np.sqrt(gamma), ((1, 0), (2, 0)))
 
 
 def trit_phase_flip_kraus(gamma: float) -> KrausChannel:
     """Cyclic flips dressed with third-root-of-unity phases: identity with
     weight 1 - 2 gamma / 3 plus X Z^2, X Z, X^2 Z^2 and X^2 Z with weight gamma / 6."""
-    _unit(gamma, "gamma")
+    _nonnegative(gamma, "gamma", 1.0)
     return _weyl_kraus(np.sqrt(1.0 - 2.0 * gamma / 3.0), np.sqrt(gamma / 6.0),
                        ((1, 2), (1, 1), (2, 2), (2, 1)))
 
@@ -141,13 +146,13 @@ def depolarizing_kraus(gamma: float) -> KrausChannel:
     """Uniform contraction rho -> (1 - gamma) rho + gamma I/3, realized by the
     shift/clock unitary basis with weight sqrt(gamma)/3 on each nontrivial
     X^-a Z^b and sqrt(1 - 8 gamma / 9) on the identity."""
-    _unit(gamma, "gamma")
+    _nonnegative(gamma, "gamma", 1.0)
     return _weyl_kraus(np.sqrt(1.0 - 8.0 * gamma / 9.0), np.sqrt(gamma) / 3.0,
                        [(-a % 3, b) for a in range(3) for b in range(3) if (a, b) != (0, 0)])
 
 
 def identity_kraus(d: int = 3) -> KrausChannel:
-    return KrausChannel(d, (np.eye(d, dtype=complex),))
+    return KrausChannel(d, (np.eye(_integer(d, 1, "d"), dtype=complex),))
 
 
 _FAMILY_BUILDERS = {
@@ -160,15 +165,8 @@ _FAMILY_BUILDERS = {
 CHANNEL_FAMILIES = tuple(_FAMILY_BUILDERS)
 
 
-def _family(family) -> str:
-    if not (isinstance(family, str) and family in _FAMILY_BUILDERS):  # before any cache hashes it
-        known = ", ".join(CHANNEL_FAMILIES)
-        raise ValueError(f"unknown channel family {family!r}; known families: {known}")
-    return family
-
-
 def kraus_for_family(family: str, gamma: float) -> KrausChannel:
-    return _FAMILY_BUILDERS[_family(family)](gamma)
+    return _FAMILY_BUILDERS[_choice(family, CHANNEL_FAMILIES, "family")](gamma)
 
 
 def apply_channel(channel: KrausChannel, matrix: np.ndarray) -> np.ndarray:
@@ -201,8 +199,9 @@ def apply_local_channels(rho: DensityMatrix, channel_a: KrausChannel,
     """Apply channel_a to subsystem A and channel_b to subsystem B."""
     out = _instance(rho, DensityMatrix, "rho").matrix
     for side, channel, d in zip("AB", (channel_a, channel_b), rho.dims):
-        if _checked_complete(channel, f"{side}-side Kraus set").dim != d:
-            raise ValueError(f"{side}-side channel does not act on a {d}-level subsystem")
+        name = f"channel_{side.lower()}"
+        if _checked_complete(channel, name).dim != d:
+            raise ConfigError(name, f"{name} must act on {d} levels, got {channel.dim}")
         out = _kraus_sum(out, rho.dims, channel.operators, side)
     return DensityMatrix(out, rho.dims)
 
@@ -235,12 +234,13 @@ def evolve(rho0: DensityMatrix, family_a: str, family_b: str, q_a, q_b, t) -> De
     an (N, 9, 9) stack when they or rho0 are stacks (all broadcast). Realigned, the state is
     sum_jk a_j b_k C_j R C_k^T, a = (1, sqrt(1 - gamma_a), gamma_a), b alike, in rho0's dtype."""
     if _instance(rho0, DensityMatrix, "rho0").dims != (3, 3):
-        raise ValueError(f"evolve acts on two qutrits, got dims {rho0.dims}")
+        raise ConfigError("rho0", f"rho0 must be a state of two qutrits, got dims {rho0.dims}")
     lead = rho0.matrix.shape[:-2]
     r = rho0.matrix.reshape(lead + (3, 3, 3, 3)).swapaxes(-3, -2).reshape(lead + (9, 9))
-    c_a, c_b = (_family_superoperator_basis(_family(f), r.dtype) for f in (family_a, family_b))
+    c_a, c_b = (_family_superoperator_basis(_choice(f, CHANNEL_FAMILIES, name), r.dtype)
+                for f, name in ((family_a, "family_a"), (family_b, "family_b")))
     m = (c_a.reshape(27, 9) @ r @ c_b.reshape(27, 9).T).reshape(lead + (729,))[..., _UNREALIGN]
-    g = _gammas(t, q_a, q_b)  # (gamma_a, gamma_b)
+    g = _gammas(t, q_a=q_a, q_b=q_b)  # (gamma_a, gamma_b)
     w = np.empty(g.shape + (3,))
     w[..., 0], w[..., 1], w[..., 2] = 1.0, np.sqrt(1.0 - g), g
     out = (w[0, ..., :, None] * w[1, ..., None, :]).reshape(g.shape[1:] + (1, 9)) @ m

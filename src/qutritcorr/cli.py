@@ -14,7 +14,7 @@ import numpy as np
 
 from ._version import __version__
 from .channels import CHANNEL_FAMILIES, evolve
-from .linalg import _finite_nonnegative, make_bell_state
+from .linalg import _nonnegative, make_bell_state
 from .measures import GdConvention, RAW_CONVENTION, gd_lower_bound, negativity
 from .oracle import gd_exact
 from .sweeps import (ConfigError, ExperimentConfig, PRESET_NAMES, SweepDataset,
@@ -35,23 +35,16 @@ class OutputError(Exception):
 
 def parse_axis(text: str, range_ok: bool = True):
     """Finite, non-negative scalar or, when range_ok, a min:max:steps range."""
-    if range_ok and ":" in text:
-        try:
-            start, stop, steps = text.split(":")  # a count other than 3 fails too
-            start, stop, steps = float(start), float(stop), int(steps)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"range must be min:max:steps, got {text!r}") from None
-        try:
-            return SweepRange(start, stop, steps)
-        except ConfigError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
     try:
-        value = float(text)
+        if range_ok and ":" in text:
+            start, stop, steps = text.split(":")  # a count other than 3 fails too
+            return SweepRange(float(start), float(stop), int(steps))
+        return _nonnegative(float(text), "value")
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not _finite_nonnegative(value):
-        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text}")
-    return value
+        expected = "a number or min:max:steps" if range_ok else "a number"
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
 
 
 def _shared(*flags: str, **kwargs) -> argparse.ArgumentParser:

@@ -32,14 +32,12 @@ class ValidationError(ValueError):
         self.violations = dict(violations or {})
 
 
-def _integer_at_least(value, least: int) -> bool:
-    """Whether value is an integer (not a bool) of at least least."""
-    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= least
+class ConfigError(ValueError):
+    """A refused argument or configuration field: field names it, and the message is as given."""
 
-
-def _finite_nonnegative(value) -> bool:
-    """Whether value is a real number (not a bool), finite and non-negative."""
-    return not isinstance(value, bool) and isinstance(value, numbers.Real) and 0 <= value < math.inf
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
 
 
 def _shown(value) -> str:
@@ -47,31 +45,41 @@ def _shown(value) -> str:
     return str(value) if isinstance(value, numbers.Number) else repr(value)
 
 
-def _instance(value, kind: type, name: str):
-    """value, if it is a kind; anything else is refused by its argument's name."""
+def _instance(value, kind: type | tuple[type, ...], name: str):
+    """value, if it is a kind (or of the kinds, named by the first); else refused by name."""
     if not isinstance(value, kind):
-        raise ValueError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+        expected = (kind if isinstance(kind, type) else kind[0]).__name__
+        raise ConfigError(name, f"{name} must be a {expected}, got {type(value).__name__}")
     return value
 
 
 def _integer(value, least: int, name: str) -> int:
     """value as an int, if it is an integer (not a bool) of at least least; else refused by name."""
-    if not _integer_at_least(value, least):
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= least):
+        raise ConfigError(name, f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 
 
-def _unit(value, name: str) -> None:
-    """Refuse value by name unless it is a real number (not a bool) in [0, 1]."""
-    if not (_finite_nonnegative(value) and value <= 1.0):
-        raise ValueError(f"{name} must lie in [0, 1], got {_shown(value)}")
+def _nonnegative(value, name: str, most: float = math.inf):
+    """value, if it is a real number (not a bool), finite and in [0, most]; else refused by name."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                       and 0 <= value <= most and value < math.inf):
+        bounds = "be finite and non-negative" if most == math.inf else f"lie in [0, {most:g}]"
+        raise ConfigError(name, f"{name} must {bounds}, got {_shown(value)}")
+    return value
+
+
+def _choice(value, choices, name: str) -> str:
+    """value, if it is a string among choices, tested before a lookup can hash it; else refused."""
+    if not (isinstance(value, str) and value in choices):
+        known = ", ".join(map(repr, choices))
+        raise ConfigError(name, f"{name} must be one of {known}, got {value!r}")
+    return value
 
 
 def _side(value, name: str) -> bool:
     """Whether value, which must be the string 'A' or 'B', is 'A'."""
-    if not (isinstance(value, str) and value in ("A", "B")):
-        raise ValueError(f"{name} must be 'A' or 'B', got {value!r}")
-    return value == "A"
+    return _choice(value, ("A", "B"), name) == "A"
 
 
 def _numbers(value, name: str, dim: int | None = None, stack: bool = True) -> np.ndarray:
@@ -82,14 +90,15 @@ def _numbers(value, name: str, dim: int | None = None, stack: bool = True) -> np
     if not (mat.ndim in ((2, 3) if stack else (2,)) and mat.size
             and mat.shape[-1] == mat.shape[-2] and dim in (None, mat.shape[-1])):
         kind = "square" if dim is None else f"{dim}x{dim}"
-        raise ValueError(f"{name} must be a {kind} matrix{' or a stack of them' if stack else ''}, "
-                         f"got shape {mat.shape}")
+        stacked = " or a stack of them" if stack else ""
+        raise ConfigError(name, f"{name} must be a {kind} matrix{stacked}, got shape {mat.shape}")
     try:
         mat = mat.astype(complex if mat.dtype.kind == "c" else float)
     except TypeError:  # objects, complex numbers among them, that do not cast to float
-        raise ValueError(f"{name} must hold real numbers or be complex, got {mat.dtype}") from None
+        raise ConfigError(name, f"{name} must hold real numbers or be complex, "
+                                f"got {mat.dtype}") from None
     if not np.isfinite(mat).all():  # NaN, inf or None: refused before arithmetic can warn
-        raise ValueError(f"{name} must hold finite numbers")
+        raise ConfigError(name, f"{name} must hold finite numbers")
     return mat
 
 
@@ -174,16 +183,17 @@ class DensityMatrix:
     dims: tuple[int, int]
 
     def __post_init__(self):
-        d1, d2 = self.dims if np.iterable(self.dims) and len(self.dims) == 2 else (None, None)
-        if not (_integer_at_least(d1, 1) and _integer_at_least(d2, 1)):
-            raise ValueError(f"subsystem dimensions must be positive integers (d1, d2), got {self.dims}")
+        if not (np.iterable(self.dims) and len(self.dims) == 2):
+            raise ConfigError("dims", f"dims must be a pair (d1, d2), got {self.dims!r}")
+        d1, d2 = self.dims
+        d1, d2 = _integer(d1, 1, "dims"), _integer(d2, 1, "dims")
         mat = _numbers(self.matrix, "matrix", d1 * d2)
         violations = _density_violations(mat)
         if violations:
             detail = ", ".join(f"{k} off by {v:.3e}" for k, v in violations.items())
             raise ValidationError(f"not a density matrix: {detail}", violations)
         object.__setattr__(self, "matrix", _read_only(mat))
-        object.__setattr__(self, "dims", (int(d1), int(d2)))
+        object.__setattr__(self, "dims", (d1, d2))
 
 
 def validate_density_matrix(matrix: np.ndarray, dims: tuple[int, int]) -> DensityMatrix:
@@ -263,9 +273,9 @@ def random_density_matrix(d1: int, d2: int = 1, rank: int | None = None,
     """Ginibre-sampled random state on a d1 x d2 system (full rank by default)."""
     rng = np.random.default_rng(rng)
     dim = _integer(d1, 1, "d1") * _integer(d2, 1, "d2")
-    rank = dim if rank is None else rank
-    if not (_integer_at_least(rank, 1) and rank <= dim):
-        raise ValueError(f"rank must be in 1..{dim}, got {rank}")
+    rank = dim if rank is None else _integer(rank, 1, "rank")
+    if rank > dim:
+        raise ConfigError("rank", f"rank must be in 1..{dim}, got {rank}")
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     mat = g @ g.conj().T
     return DensityMatrix(mat / mat.trace().real, (d1, d2))
@@ -273,7 +283,7 @@ def random_density_matrix(d1: int, d2: int = 1, rank: int | None = None,
 
 def random_unitary(d: int, rng: np.random.Generator | int | None = None) -> np.ndarray:
     """Haar-distributed d x d unitary (QR of a Ginibre matrix, phases fixed)."""
-    rng = np.random.default_rng(rng)
+    d, rng = _integer(d, 1, "d"), np.random.default_rng(rng)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(g)
     diag = np.diagonal(r)

@@ -8,8 +8,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import (DensityMatrix, _eigvalsh, _eigvalsh_below, _instance, _read_only, _unit,
-                     make_bell_state, su_generators)
+from .linalg import (DensityMatrix, _choice, _eigvalsh, _eigvalsh_below, _instance, _nonnegative,
+                     _read_only, make_bell_state, su_generators)
 
 NEGATIVITY_EIG_TOL = 1e-12
 IMAG_TOL = 1e-10
@@ -27,8 +27,7 @@ class GdConvention:
     prefactor_mode: str = "paper"
 
     def __post_init__(self):
-        if not (isinstance(self.prefactor_mode, str) and self.prefactor_mode in ("paper", "raw")):
-            raise ValueError(f"prefactor_mode must be 'paper' or 'raw', got {self.prefactor_mode!r}")
+        _choice(self.prefactor_mode, ("paper", "raw"), "prefactor_mode")
 
     def prefactor(self, d1: int, d2: int) -> float:
         num = 4.0 if self.prefactor_mode == "paper" else 2.0
@@ -161,5 +160,5 @@ def gd_lower_bound(rho: DensityMatrix,
 def isotropic_family(p: float) -> DensityMatrix:
     """Mixture p |Phi><Phi| + (1 - p) I/9 of the qutrit Bell state with
     white noise."""
-    _unit(p, "mixing parameter")
+    _nonnegative(p, "p", 1.0)
     return DensityMatrix(p * make_bell_state(3).matrix + (1.0 - p) * np.eye(9) / 9.0, (3, 3))

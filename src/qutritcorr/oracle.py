@@ -10,8 +10,8 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import _kraus_sum
-from .linalg import (DensityMatrix, _eigh, _finite_nonnegative, _instance, _integer, _numbers,
-                     _positive_definite, _read_only, _shown, _side, _solve, _unit, su_generators)
+from .linalg import (ConfigError, DensityMatrix, _eigh, _instance, _integer, _nonnegative,
+                     _numbers, _positive_definite, _read_only, _side, _solve, su_generators)
 from .measures import GdConvention, PAPER_CONVENTION
 
 UNITARITY_TOL = 1e-10
@@ -235,6 +235,8 @@ def gd_exact(rho: DensityMatrix, restarts: int = 32, seed: int = 0,
     (1e-6), the smallest step it tries."""
     restarts, seed = _integer(restarts, 1, "restarts"), _integer(seed, 0, "seed")
     d = _instance(rho, DensityMatrix, "rho").dims[0 if _side(side, "side") else 1]
+    if rho.matrix.ndim == 3:
+        raise ConfigError("rho", f"rho must be one state, got a stack of {len(rho.matrix)}")
     rho4 = rho.matrix.reshape(rho.dims * 2)
     ops = _operator_rows(rho4 if side == "A" else rho4.transpose(1, 0, 3, 2))  # measured side first
     norm_sq = float(np.vdot(rho.matrix, rho.matrix).real)
@@ -253,19 +255,13 @@ def gd_exact(rho: DensityMatrix, restarts: int = 32, seed: int = 0,
                         restarts_used=restarts, seed=seed, residual=float(norms[best]))
 
 
-def _check_nonnegative(**kwargs: float) -> None:
-    for name, value in kwargs.items():
-        if not _finite_nonnegative(value):
-            raise ValueError(f"{name} must be finite and non-negative, got {_shown(value)}")
-
-
 def analytic_negativity_dephasing(q_a: float, q_b: float, t: float) -> float:
     """Negativity of the qutrit Bell state after two-sided dephasing.
 
     The three coherence pairs decay as s, s, s^2 with
     s = exp(-(q_a + q_b) t / 2) and each contributes |c|/3.
     """
-    _check_nonnegative(q_a=q_a, q_b=q_b, t=t)
+    _nonnegative(q_a, "q_a"), _nonnegative(q_b, "q_b"), _nonnegative(t, "t")
     s = float(np.exp(-(q_a + q_b) * t / 2.0))
     return (2.0 * s + s * s) / 3.0
 
@@ -274,7 +270,7 @@ def analytic_negativity_depolarizing(q_a: float, q_b: float, t: float) -> float:
     """Negativity of the qutrit Bell state after two-sided depolarizing
     noise: max(0, (4p - 1)/3) with p = exp(-(q_a + q_b) t), vanishing at
     t = ln(4)/(q_a + q_b)."""
-    _check_nonnegative(q_a=q_a, q_b=q_b, t=t)
+    _nonnegative(q_a, "q_a"), _nonnegative(q_b, "q_b"), _nonnegative(t, "t")
     p = float(np.exp(-(q_a + q_b) * t))
     return max(0.0, (4.0 * p - 1.0) / 3.0)
 
@@ -282,6 +278,6 @@ def analytic_negativity_depolarizing(q_a: float, q_b: float, t: float) -> float:
 def analytic_gd_isotropic(p: float, convention: GdConvention = PAPER_CONVENTION) -> float:
     """Discord of the isotropic family p Bell + (1-p) I/9; the closed-form
     lower bound is tight here, (2/3) p^2 in the raw convention."""
-    _unit(p, "mixing parameter")
+    _nonnegative(p, "p", 1.0)
     base = 2.0 * p * p / 3.0
     return 2.0 * base if _instance(convention, GdConvention, "convention") == PAPER_CONVENTION else base

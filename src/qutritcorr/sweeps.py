@@ -9,17 +9,10 @@ import numpy as np
 
 from ._version import __version__
 from .channels import CHANNEL_FAMILIES, evolve
-from .linalg import DensityMatrix, _finite_nonnegative, _instance, _integer_at_least, make_bell_state
+from .linalg import (ConfigError, DensityMatrix, _choice, _instance, _integer, _nonnegative,
+                     make_bell_state)
 from .measures import GdConvention, PAPER_CONVENTION, RAW_CONVENTION, gd_lower_bound, negativity
 from .oracle import gd_exact
-
-
-class ConfigError(ValueError):
-    """Invalid experiment configuration; names the offending field."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(f"{field}: {message}")
-        self.field = field
 
 
 @dataclass(frozen=True)
@@ -31,12 +24,8 @@ class SweepRange:
     steps: int
 
     def __post_init__(self):
-        if not _integer_at_least(self.steps, 2):
-            raise ConfigError("steps", f"must be an integer >= 2, got {self.steps!r}")
-        if not (_finite_nonnegative(self.start) and _finite_nonnegative(self.stop)
-                and self.start <= self.stop):
-            raise ConfigError("range", f"range needs real, finite 0 <= start <= stop, "
-                                       f"got {self.start!r}:{self.stop!r}")
+        _integer(self.steps, 2, "steps")
+        _nonnegative(self.start, "range", _nonnegative(self.stop, "range"))
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.steps)
@@ -59,23 +48,17 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, fam in (("family_a", self.family_a), ("family_b", self.family_b)):
-            if not (isinstance(fam, str) and fam in CHANNEL_FAMILIES):
-                raise ConfigError(name, f"unknown channel family {fam!r}")
+        _choice(self.family_a, CHANNEL_FAMILIES, "family_a")
+        _choice(self.family_b, CHANNEL_FAMILIES, "family_b")
         object.__setattr__(self, "sweep_mode", infer_sweep_mode(self.q_a, self.q_b, self.t))
-        if not isinstance(self.gd_convention, GdConvention):
-            raise ConfigError("gd_convention", f"not a GdConvention: {self.gd_convention!r}")
-        if not isinstance(self.oracle_enabled, (bool, np.bool_)):
-            raise ConfigError("oracle_enabled", f"not a bool: {self.oracle_enabled!r}")
-        for name, value, least in (("oracle_restarts", self.oracle_restarts, 1),
-                                   ("seed", self.seed, 0)):
-            if not _integer_at_least(value, least):
-                raise ConfigError(name, f"must be an integer >= {least}, got {value!r}")
-        for name, kind in (("oracle_enabled", bool), ("oracle_restarts", int), ("seed", int)):
-            object.__setattr__(self, name, kind(getattr(self, name)))  # numpy scalars -> JSON
-        for name, value in (("q_a", self.q_a), ("q_b", self.q_b), ("t", self.t)):
-            if not isinstance(value, SweepRange) and not _finite_nonnegative(value):
-                raise ConfigError(name, f"must be a finite, non-negative number, got {value!r}")
+        _instance(self.gd_convention, GdConvention, "gd_convention")
+        _instance(self.oracle_enabled, (bool, np.bool_), "oracle_enabled")
+        object.__setattr__(self, "oracle_enabled", bool(self.oracle_enabled))  # numpy bool -> JSON
+        for name, least in (("oracle_restarts", 1), ("seed", 0)):
+            object.__setattr__(self, name, _integer(getattr(self, name), least, name))
+        for name in ("q_a", "q_b", "t"):
+            if not isinstance(getattr(self, name), SweepRange):
+                _nonnegative(getattr(self, name), name)
 
 
 def infer_sweep_mode(q_a: float | SweepRange, q_b: float | SweepRange,
@@ -217,9 +200,7 @@ PRESET_FIXED_TIME = 1.0
 
 def preset_configs(name: str, gd_convention: GdConvention = PAPER_CONVENTION,
                    seed: int = 0) -> dict[str, ExperimentConfig]:
-    if not (isinstance(name, str) and name in PRESET_CHANNELS):  # before a lookup, which hashes it
-        raise ConfigError("preset", f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
-    family_a, family_b = PRESET_CHANNELS[name]
+    family_a, family_b = PRESET_CHANNELS[_choice(name, PRESET_NAMES, "name")]
     common = dict(family_a=family_a, family_b=family_b,
                   gd_convention=gd_convention, seed=seed)
     return {

@@ -11,7 +11,8 @@ from qutritcorr import (DensityMatrix, ExperimentConfig, SweepRange, ValidationE
                         partial_trace, partial_transpose, random_density_matrix,
                         random_unitary, run_sweep, su_generators, tensor, trace_norm,
                         validate_density_matrix)
-from qutritcorr import linalg, oracle
+import qutritcorr
+from qutritcorr import linalg, oracle, sweeps
 from qutritcorr.linalg import PSD_TOL
 
 RNG = np.random.default_rng(2024)
@@ -236,7 +237,7 @@ def test_validate_density_matrix_accepts_and_rejects():
         DensityMatrix(np.eye(3) / 3.0, (3, 3))
     for make in (DensityMatrix, validate_density_matrix):  # dims is passed on as given
         for dims in ((0, 3), (2.9, 2.1), (True, 4), (3, 3, 1), (9,), 9):
-            with pytest.raises(ValueError, match="must be positive"):
+            with pytest.raises(ValueError, match="^dims must be "):
                 make(np.eye(4) / 4.0, dims)
     assert DensityMatrix(np.eye(9) / 9.0, (np.int64(3), 3)).dims == (3, 3)
 
@@ -288,7 +289,7 @@ def test_random_density_matrix_is_valid_and_seeded():
 
 @pytest.mark.parametrize("rank", [0, 10])
 def test_random_density_matrix_rejects_rank_out_of_range(rank):
-    with pytest.raises(ValueError, match=r"rank must be in 1\.\.9"):
+    with pytest.raises(ValueError, match=r"^rank must be (an integer >= 1|in 1\.\.9), got "):
         random_density_matrix(3, 3, rank=rank, rng=RNG)
 
 
@@ -456,6 +457,22 @@ def test_src_crosses_each_numpy_boundary_in_one_place():
             for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert "np.isfinite(" in body["_numbers"] and "LinAlgError(" in body["_converged"]
     assert "got shape" in body["_numbers"]
+
+
+def test_src_refuses_arguments_only_through_linalg():
+    # every refused argument is a linalg.ConfigError naming it, raised by _instance, _integer,
+    # _nonnegative, _choice or _numbers; the predicates and per-module copies they replace are gone
+    src = {path.name: path.read_text() for path in Path(linalg.__file__).parent.glob("*.py")}
+    assert len(src) >= 8
+
+    def count(pattern):
+        return {name: n for name, text in src.items() if (n := len(re.findall(pattern, text)))}
+
+    assert count(r"class ConfigError\b") == {"linalg.py": 1}
+    assert count("must be an integer") == {"linalg.py": 1}
+    for gone in ("_integer_at_least", "_finite_nonnegative", "_unit", "_family", "_check_nonnegative"):
+        assert not count(rf"\b{gone}\b"), gone
+    assert qutritcorr.ConfigError is linalg.ConfigError is sweeps.ConfigError
 
 
 def test_src_never_calls_np_linalg_eigvalsh(monkeypatch):

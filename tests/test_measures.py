@@ -214,7 +214,7 @@ def test_gd_convention_validation_and_prefactors():
     with pytest.raises(ValueError):
         GdConvention("other")
     # an array is refused by the argument's name, not by numpy's ambiguous truth value
-    with pytest.raises(ValueError, match=r"^prefactor_mode must be 'paper' or 'raw', got array"):
+    with pytest.raises(ValueError, match=r"^prefactor_mode must be one of 'paper', 'raw', got array"):
         GdConvention(np.array(["paper", "raw"]))
     assert PAPER_CONVENTION.prefactor(3, 3) == pytest.approx(4.0 / 27.0)
     assert RAW_CONVENTION.prefactor(3, 3) == pytest.approx(2.0 / 27.0)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qutritcorr import oracle
-from qutritcorr import (DensityMatrix, RAW_CONVENTION, analytic_gd_isotropic,
+from qutritcorr import (ConfigError, DensityMatrix, RAW_CONVENTION, analytic_gd_isotropic,
                         analytic_negativity_dephasing,
                         analytic_negativity_depolarizing, evolve, gd_exact,
                         gd_lower_bound, isotropic_family, make_bell_state,
@@ -147,6 +147,15 @@ def test_gd_exact_rejects_bad_arguments():
     assert oracle._starts.cache_info().misses == misses
     result = gd_exact(rho, restarts=np.int64(2), seed=np.uint8(3))
     assert result.restarts_used == 2 and result.seed == 3
+
+
+def test_gd_exact_refuses_a_stack_of_states_by_name():
+    # the other state functions take a stack; the oracle searches one state's bases
+    stack = DensityMatrix(np.stack([np.eye(9) / 9.0, make_bell_state(3).matrix]), (3, 3))
+    for side in ("A", "B"):
+        with pytest.raises(ConfigError, match=r"^rho must be one state, got a stack of 2$") as exc:
+            gd_exact(stack, restarts=1, side=side)
+        assert exc.value.field == "rho"
 
 
 def _landscape(rho):

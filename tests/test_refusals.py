@@ -1,6 +1,6 @@
 """The refusal contract in one table: every argument of every public callable,
-given a hostile value, either raises a ValueError (or a subclass) or returns a
-certified result, and never any other exception or a warning."""
+given a hostile value, either raises a ConfigError that names the argument or
+returns a certified result, and never any other exception or a warning."""
 
 import dataclasses
 import re
@@ -40,12 +40,16 @@ TABLE = {
     "partial_trace": dict(rho=BELL, keep="A"),
     "partial_transpose": dict(rho=BELL, subsystem="A"),
     "random_density_matrix": dict(d1=3, d2=3, rank=2, rng=0),
+    "random_unitary": dict(d=3, rng=0),
     "su_generators": dict(d=3),
     "trace_norm": dict(matrix=BELL.matrix),
     "apply_channel": dict(channel=qc.dephasing_kraus(0.5), matrix=np.eye(3) / 3.0),
     "apply_local_channels": dict(rho=BELL, channel_a=qc.dephasing_kraus(0.5),
                                  channel_b=qc.trit_flip_kraus(0.5)),
     "KrausChannel": dict(dim=3, operators=(np.eye(3),)),
+    "shift_matrix": dict(d=3),
+    "clock_matrix": dict(d=3),
+    "identity_kraus": dict(d=3),
     "dephasing_kraus": dict(gamma=0.5),
     "trit_flip_kraus": dict(gamma=0.5),
     "trit_flip_kraus_unnormalized": dict(gamma=0.5),
@@ -82,10 +86,6 @@ TABLE = {
 }
 
 EXCLUDED = {
-    "random_unitary": "takes only a dimension and an rng, which are not covered",
-    "shift_matrix": "takes only a dimension, which is not covered",
-    "clock_matrix": "takes only a dimension, which is not covered",
-    "identity_kraus": "takes only a dimension, which is not covered",
     "tensor": "an alias of np.kron, which takes any array",
     "ValidationError": "an exception type",
     "IncompleteKrausError": "an exception type",
@@ -99,12 +99,21 @@ EXCLUDED = {
 }
 SLOT_EXCLUDED = {
     ("random_density_matrix", "rng"): "an rng or seed, read by numpy",
+    ("random_unitary", "rng"): "an rng or seed, read by numpy",
     ("bloch_synthesis", "dims"): "a dimension pair",
     ("run_validation", "unnormalized_trit_flip"): "a flag read by truth value; each call runs the "
                                                   "whole suite",
 }
 VALUE_EXCLUDED = {("su_generators", label): "its lru_cache hashes the argument first"
                   for label in UNHASHABLE}
+# Cases refused under another field than their argument: that field and the reason.
+FIELD_EXCLUDED = {
+    **{("SweepRange", slot, label): ("range", "start and stop are refused together")
+       for slot in ("start", "stop") for label in HOSTILE},
+    **{("evolve", slot, label): ("matrix", "the rates and time broadcast to a batch shape that "
+                                           "the state reader refuses")
+       for slot in ("q_a", "q_b", "t") for label in ("raw array", "empty array")},
+}
 
 
 def certified(value) -> bool:
@@ -133,7 +142,10 @@ def test_every_hostile_argument_is_refused_or_gives_a_certified_result(name, slo
         warnings.simplefilter("error")
         try:
             result = getattr(qc, name)(**kwargs)
-        except ValueError:
+        except ValueError as exc:
+            field = FIELD_EXCLUDED.get((name, slot, label), (slot,))[0]
+            assert isinstance(exc, qc.ConfigError) and exc.field == field, (
+                f"{name}({slot}={label}) refused as {exc!r}")
             return
     assert certified(result), f"{name}({slot}={label}) returned {result!r}"
 
@@ -152,7 +164,9 @@ def test_every_public_callable_is_in_the_table_or_excluded_with_a_reason():
     assert public == set(TABLE) | set(EXCLUDED)
     for name, slot in SLOT_EXCLUDED:
         assert slot in TABLE[name]
+    assert set(FIELD_EXCLUDED) <= {case.values for case in CASES}
     assert all({**EXCLUDED, **SLOT_EXCLUDED, **VALUE_EXCLUDED}.values())
+    assert all(reason for _, reason in FIELD_EXCLUDED.values())
 
 
 SQUARE_READERS = {  # each reads a 3x3 matrix: a qutrit state, channel input or basis
