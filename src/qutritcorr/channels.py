@@ -60,18 +60,24 @@ def validate_kraus(channel: KrausChannel) -> KrausDiagnostics:
 
 
 def _gammas(t, **rates) -> np.ndarray:
-    """1 - exp(-q t) per rate q, on a new first axis; all broadcast, finite and >= 0. A refusal
-    names the first refused of the rates, then t."""
-    tq = np.broadcast_arrays(t, *rates.values())
-    real = all(a.dtype.kind in "iuf" for a in tq)  # strings, bools and objects are refused
-    if real:
-        tq = np.array(tq, dtype=float)
+    """1 - exp(-q t) per rate q, on a new first axis; a refusal names the first bad rate, then t."""
+    try:
+        tq = np.broadcast_arrays(t, *rates.values())
+        real = all(a.dtype.kind in "iuf" for a in tq)  # strings, bools and objects are refused
+        tq = np.array(tq, dtype=float) if real else tq
+    except ValueError:  # ragged, or shapes that do not broadcast
+        real = False
     if not (real and ((tq >= 0.0) & (tq < np.inf)).all()):  # NaN fails both
-        t_shown, *q_shown = map(str, tq) if real else map(_shown, (t, *rates.values()))
-        field = next(name for name, a in zip((*rates, "t"), (*tq[1:], tq[0]))
-                     if not (a.dtype.kind in "iuf" and ((a >= 0.0) & (a < np.inf)).all()))
-        raise ConfigError(field, f"decay rate and time must be finite and non-negative, got "
-                                 f"q={', '.join(q_shown)}, t={t_shown}")
+        shape = ()
+        for name, value in (*rates.items(), ("t", t)):
+            try:  # a ragged sequence has no shape
+                a = np.asarray(value)
+                shape = np.broadcast_shapes(shape, a.shape)
+            except ValueError:
+                raise ConfigError(name, f"{name} must have a shape that broadcasts with {shape}, "
+                                        f"got {_shown(value)}") from None
+            if not (a.dtype.kind in "iuf" and ((a >= 0.0) & (a < np.inf)).all()):
+                raise ConfigError(name, f"{name} must be finite and non-negative, got {_shown(value)}")
     # 1 - exp(-q t) lies in [0, 1] unclamped; -q t overflowing to -inf gives exactly 1
     with np.errstate(over="ignore"):
         return 1.0 - np.exp(-tq[1:] * tq[0])

@@ -234,7 +234,7 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     mat = _numbers(matrix, "matrix")
     dev = float(np.abs(mat - mat.conj().swapaxes(-1, -2)).max())
     if not dev <= EIGENVALUE_HERMITICITY_TOL:
-        raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
+        raise ConfigError("matrix", f"matrix is not Hermitian (max deviation {dev:.3e})")
     return _eigvalsh(mat)[..., ::-1]
 
 

@@ -8,8 +8,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import (DensityMatrix, _choice, _eigvalsh, _eigvalsh_below, _instance, _nonnegative,
-                     _read_only, make_bell_state, su_generators)
+from .linalg import (ConfigError, DensityMatrix, _choice, _eigvalsh, _eigvalsh_below, _instance,
+                     _nonnegative, _read_only, make_bell_state, su_generators)
 
 NEGATIVITY_EIG_TOL = 1e-12
 IMAG_TOL = 1e-10
@@ -73,7 +73,7 @@ def bloch_decomposition(rho: DensityMatrix) -> BlochDecomposition:
     coeffs = (rho.matrix.reshape(-1, table.shape[1]) @ table.T) * scale
     resid = float(np.abs(coeffs.imag).max())
     if resid > IMAG_TOL:
-        raise ValueError(f"Bloch coefficients carry residual imaginary part {resid:.3e}")
+        raise ConfigError("rho", f"Bloch coefficients carry residual imaginary part {resid:.3e}")
     return BlochDecomposition(coeffs.real[:, :n1].reshape(lead + (n1,)),  # views, no copies
                               coeffs.real[:, n1:n1 + n2].reshape(lead + (n2,)),
                               coeffs.real[:, n1 + n2:].reshape(lead + (n1, n2)))

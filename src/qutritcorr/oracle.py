@@ -54,7 +54,7 @@ def project_measurement(rho: DensityMatrix, basis: np.ndarray, side: str = "A") 
     basis = _numbers(basis, "basis", d, stack=False).astype(complex)
     dev = float(np.abs(basis.conj().T @ basis - np.eye(d)).max())
     if not dev <= UNITARITY_TOL:
-        raise ValueError(f"basis matrix is not unitary (deviation {dev:.3e})")
+        raise ConfigError("basis", f"basis matrix is not unitary (deviation {dev:.3e})")
     projectors = np.einsum("ik,jk->kij", basis, basis.conj())
     return DensityMatrix(_kraus_sum(rho.matrix, rho.dims, projectors, side), rho.dims)
 

@@ -25,7 +25,7 @@ class SweepRange:
 
     def __post_init__(self):
         _integer(self.steps, 2, "steps")
-        _nonnegative(self.start, "range", _nonnegative(self.stop, "range"))
+        _nonnegative(self.start, "start", _nonnegative(self.stop, "stop"))
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.steps)

@@ -39,67 +39,56 @@ def run_validation(seed: int = 0, restarts: int = 32, oracle_states: int = 12,
     seed, oracle_states = _integer(seed, 0, "seed"), _integer(oracle_states, 1, "oracle_states")
     checks: list[CheckResult] = []
 
+    def check(name: str, tolerance: float, deviation: float, passed: bool | None = None):
+        """Record a check; it passes at deviation <= tolerance (NaN fails), shown clamped at 0."""
+        checks.append(CheckResult(name, tolerance, float(np.maximum(deviation, 0.0)),
+                                  bool(deviation <= tolerance) if passed is None else passed))
+
     for family, builder in _FAMILY_BUILDERS.items():
         if family == "trit-flip" and unnormalized_trit_flip:
             family, builder = "trit-flip (unnormalized weights)", trit_flip_kraus_unnormalized
-        dev = max(validate_kraus(builder(g)).max_deviation for g in GAMMA_GRID)
-        checks.append(CheckResult(f"kraus completeness: {family}", COMPLETENESS_TOL,
-                                  dev, dev <= COMPLETENESS_TOL))
+        check(f"kraus completeness: {family}", COMPLETENESS_TOL,
+              np.max([validate_kraus(builder(g)).max_deviation for g in GAMMA_GRID]))
 
     rng = np.random.default_rng(seed)
-    families = list(CHANNEL_FAMILIES)
-    mats, pairs, params = [], [], []
-    for _ in range(200):
-        mats.append(random_density_matrix(3, 3, rng=rng).matrix)
-        pairs.append(tuple(str(f) for f in rng.choice(families, size=2)))
-        params.append((*rng.uniform(0.0, 2.0, size=2), rng.uniform(0.0, 5.0)))
-    mats, params = np.array(mats), np.array(params)
-    worst = 0.0
-    ok = True
-    for pair in dict.fromkeys(pairs):  # one stacked evolve per family pair
-        group = [n for n, p in enumerate(pairs) if p == pair]
+    draws = [(random_density_matrix(3, 3, rng=rng).matrix,
+              tuple(str(f) for f in rng.choice(CHANNEL_FAMILIES, size=2)),
+              (*rng.uniform(0.0, 2.0, size=2), rng.uniform(0.0, 5.0))) for _ in range(200)]
+    worst, ok = 0.0, True
+    for pair in dict.fromkeys(drawn for _, drawn, _ in draws):  # one stacked evolve per family pair
+        mats, params = zip(*((m, p) for m, drawn, p in draws if drawn == pair))
         try:
-            evolve(DensityMatrix(mats[group], (3, 3)), *pair, *params[group].T)
+            evolve(DensityMatrix(np.array(mats), (3, 3)), *pair, *np.array(params).T)
         except ValidationError as exc:
-            ok = False
-            worst = max(worst, max(exc.violations.values(), default=np.inf))
-    checks.append(CheckResult("evolved states valid", PSD_TOL, worst, ok))
+            ok, worst = False, max(worst, max(exc.violations.values(), default=np.inf))
+    check("evolved states valid", PSD_TOL, worst, ok)
 
     bell = make_bell_state(3)
     grid = [(qa, qb, t) for qa, qb in RATE_PAIRS for t in TIME_POINTS]
     for family, closed_form in (("dephasing", analytic_negativity_dephasing),
                                 ("depolarizing", analytic_negativity_depolarizing)):
         evolved = negativity(evolve(bell, family, family, *np.array(grid).T))
-        dev = float(np.max(np.abs(evolved - [closed_form(*point) for point in grid])))
-        checks.append(CheckResult(f"negativity closed form: {family}", CLOSED_FORM_TOL,
-                                  dev, dev <= CLOSED_FORM_TOL))
+        check(f"negativity closed form: {family}", CLOSED_FORM_TOL,
+              np.max(np.abs(evolved - [closed_form(*point) for point in grid])))
 
     state_rng = np.random.default_rng([seed, 1])
     states = [random_density_matrix(3, 3, rng=state_rng) for _ in range(oracle_states)]
     isotropic = [isotropic_family(p) for p in ISOTROPIC_PS]
     exact = [gd_exact(rho, restarts=restarts, seed=seed).value for rho in states + isotropic]
+    bounds = [gd_lower_bound(rho, RAW_CONVENTION) for rho in states + isotropic]
     # np.max, unlike max, lets a NaN through to fail the check
-    gap = float(np.max([gd_lower_bound(rho, RAW_CONVENTION) - value
-                        for rho, value in zip(states, exact)]))
-    checks.append(CheckResult("gd bound below oracle", BOUND_TOL, max(0.0, gap),
-                              gap <= BOUND_TOL))
-
-    tight = 0.0  # against the oracle and, as a sanity check, the closed form
-    for p, rho, value in zip(ISOTROPIC_PS, isotropic, exact[len(states):]):
-        bound = gd_lower_bound(rho, RAW_CONVENTION)
-        analytic = analytic_gd_isotropic(p, RAW_CONVENTION)
-        tight = float(np.max([tight, abs(bound - value), abs(bound - analytic)]))
-    checks.append(CheckResult("gd bound tight on isotropic states", TIGHTNESS_TOL,
-                              tight, tight <= TIGHTNESS_TOL))
+    check("gd bound below oracle", BOUND_TOL, np.max(np.subtract(bounds, exact)[:len(states)]))
+    # against the oracle and, as a sanity check, the closed form
+    check("gd bound tight on isotropic states", TIGHTNESS_TOL, np.max(np.abs(
+        [(b - value, b - analytic_gd_isotropic(p, RAW_CONVENTION))
+         for p, b, value in zip(ISOTROPIC_PS, bounds[len(states):], exact[len(states):])])))
 
     # any fixed basis bounds the discord from above; these are the four qutrit
     # mutually unbiased bases, the eigenbases of Z, X, XZ and XZ^2
     x, z = shift_matrix(3), clock_matrix(3)
     mubs = [np.linalg.eig(u)[1] for u in (z, x, x @ z, x @ z @ z)]
-    excess = float(np.max([
+    check("gd oracle below MUB distances", MUB_TOL, np.max([
         value - np.min([np.vdot(diff, diff).real for diff in
                         (rho.matrix - project_measurement(rho, u).matrix for u in mubs)])
         for rho, value in zip(states + isotropic, exact)]))
-    checks.append(CheckResult("gd oracle below MUB distances", MUB_TOL, max(0.0, excess),
-                              excess <= MUB_TOL))
     return checks

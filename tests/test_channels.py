@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qutritcorr import channels
-from qutritcorr import (CHANNEL_FAMILIES, PAPER_CONVENTION, RAW_CONVENTION, DensityMatrix,
-                        IncompleteKrausError, KrausChannel, analytic_gd_isotropic, apply_channel,
-                        apply_local_channels, bloch_decomposition, clock_matrix,
+from qutritcorr import (CHANNEL_FAMILIES, PAPER_CONVENTION, RAW_CONVENTION, ConfigError,
+                        DensityMatrix, IncompleteKrausError, KrausChannel, analytic_gd_isotropic,
+                        apply_channel, apply_local_channels, bloch_decomposition, clock_matrix,
                         dephasing_kraus, depolarizing_kraus, evolve,
                         gamma_of, gd_lower_bound, identity_kraus, isotropic_family,
                         kraus_for_family, make_bell_state, negativity,
@@ -47,22 +47,27 @@ def test_gamma_of_stays_in_the_unit_interval_unclamped():
     assert gammas[-1, -1] == 1.0 and (gammas[:, 0] == 0.0).all()
 
 
-@pytest.mark.parametrize("q,t", [(-0.1, 1.0), (1.0, -0.5), (float("nan"), 1.0),
-                                 (1.0, float("inf")), ("1", 1.0), (1.0, "1"), (True, 1.0),
-                                 (1.0, np.array([True, False])), (None, 1.0), (1.0, [0.5, "2"])])
-def test_gamma_of_rejects_negative(q, t):
-    # strings and bools are refused, not parsed, also on evolve's path
-    with pytest.raises(ValueError, match="finite and non-negative") as exc:
+@pytest.mark.parametrize("q,t,field", [
+    (-0.1, 1.0, "q"), (1.0, -0.5, "t"), (float("nan"), 1.0, "q"), (1.0, float("inf"), "t"),
+    ("1", 1.0, "q"), (1.0, "1", "t"), (True, 1.0, "q"), (1.0, np.array([True, False]), "t"),
+    (None, 1.0, "q"), (1.0, [0.5, "2"], "t"), ([0.5, [1, 2]], 1.0, "q"),
+    (np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]), "t")])
+def test_gamma_of_rejects_negative(q, t, field):
+    # strings and bools are refused, not parsed, also on evolve's path; so are ragged sequences
+    # and shapes that do not broadcast, under the first refused name of the rates, then t
+    refusal = rf"^{field} must (be finite and non-negative|have a shape that broadcasts with)"
+    with pytest.raises(ConfigError, match=refusal) as exc:
         gamma_of(q, t)
-    for name, value in (("q", q), ("t", t)):  # a refused string is quoted, not shown as a number
-        if isinstance(value, str):
-            assert f"{name}={value!r}" in str(exc.value)
-    if q == -0.1:  # a refused number is printed as it always was
-        assert str(exc.value).endswith("got q=-0.1, t=1.0")
-    with pytest.raises(ValueError, match="finite and non-negative"):
-        evolve(make_bell_state(3), "dephasing", "trit-flip", q, 0.5, t)
-    with pytest.raises(ValueError, match="finite and non-negative"):
-        evolve(make_bell_state(3), "dephasing", "trit-flip", 0.5, q, t)
+    assert exc.value.field == field
+    value = q if field == "q" else t
+    if isinstance(value, str):  # a refused string is quoted, not shown as a number
+        assert str(exc.value).endswith(f"got {value!r}")
+    if isinstance(q, float) and q == -0.1:  # a refused number is printed as it is
+        assert str(exc.value) == "q must be finite and non-negative, got -0.1"
+    for side, args in (("q_a", (q, 0.5, t)), ("q_b", (0.5, q, t))):
+        with pytest.raises(ConfigError, match=refusal.replace("^q", f"^{side}")) as exc:
+            evolve(make_bell_state(3), "dephasing", "trit-flip", *args)
+        assert exc.value.field == (side if field == "q" else "t")
 
 
 @pytest.mark.parametrize("check", [dephasing_kraus, trit_flip_kraus, trit_phase_flip_kraus,

@@ -359,6 +359,22 @@ def test_validate_fails_when_the_oracle_exceeds_a_mub_distance(monkeypatch, caps
     assert "failed: gd oracle below MUB distances" in capsys.readouterr().err
 
 
+def test_validate_fails_when_the_bound_reads_nan(monkeypatch, capsys):
+    # a NaN deviation fails its check and is shown as NaN, neither a pass nor clamped to 0
+    monkeypatch.setattr(validation, "gd_lower_bound", lambda rho, convention: float("nan"))
+    checks = {c.name: c for c in validation.run_validation(restarts=2, oracle_states=1)}
+    failing = ("gd bound below oracle", "gd bound tight on isotropic states")
+    for name in failing:
+        check = checks.pop(name)
+        assert not check.passed and np.isnan(check.max_deviation), name
+    assert all(c.passed for c in checks.values())
+    assert run_cli(["validate", "--oracle-states", "1", "--restarts", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert f"failed: {', '.join(failing)}" in err
+    assert all("max dev nan" in line and line.endswith("FAIL")
+               for line in out.splitlines() if line.startswith(failing))
+
+
 def test_library_value_errors_exit_2(capsys):
     # zero oracle restarts and zero oracle states are usage errors, not a
     # validation failure (exit 1) and not a vacuous pass

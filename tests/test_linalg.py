@@ -473,6 +473,12 @@ def test_src_refuses_arguments_only_through_linalg():
     for gone in ("_integer_at_least", "_finite_nonnegative", "_unit", "_family", "_check_nonnegative"):
         assert not count(rf"\b{gone}\b"), gone
     assert qutritcorr.ConfigError is linalg.ConfigError is sweeps.ConfigError
+    # the one plain ValueError left screens the library's own tables, not an argument
+    assert count(r"raise ValueError\(") == {"channels.py": 1}
+    screen = next(ast.get_source_segment(src["channels.py"], node)
+                  for node in ast.parse(src["channels.py"]).body
+                  if getattr(node, "name", None) == "_family_superoperator_basis")
+    assert "raise ValueError(" in screen
 
 
 def test_src_never_calls_np_linalg_eigvalsh(monkeypatch):

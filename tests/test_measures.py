@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qutritcorr import (CHANNEL_FAMILIES, DensityMatrix, GdConvention, PAPER_CONVENTION,
-                        RAW_CONVENTION, bloch_decomposition, bloch_synthesis, evolve, gd_exact,
-                        gd_lower_bound, hermitian_eigenvalues, isotropic_family,
+from qutritcorr import (CHANNEL_FAMILIES, ConfigError, DensityMatrix, GdConvention,
+                        PAPER_CONVENTION, RAW_CONVENTION, bloch_decomposition, bloch_synthesis,
+                        evolve, gd_exact, gd_lower_bound, hermitian_eigenvalues, isotropic_family,
                         make_bell_state, negativity, partial_trace, partial_transpose,
                         project_measurement, random_density_matrix, random_unitary, tensor,
                         trace_norm)
@@ -195,9 +195,10 @@ def test_bloch_decomposition_refuses_an_imaginary_residual():
     mat = np.eye(9, dtype=complex) / 9.0
     mat[0, 1] = 1e-6
     for raw in (mat, np.stack([np.eye(9) / 9.0, mat])):
-        with pytest.raises(ValueError, match=r"^Bloch coefficients carry residual "
-                                             r"imaginary part 2\.250e-06$"):
+        with pytest.raises(ConfigError, match=r"^Bloch coefficients carry residual "
+                                              r"imaginary part 2\.250e-06$") as exc:
             bloch_decomposition(swapped_in(raw))
+        assert exc.value.field == "rho"
     mat[0, 1] = 1e-11  # 2.25e-11, below the 1e-10 tolerance
     bloch_decomposition(swapped_in(mat))
 

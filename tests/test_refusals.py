@@ -24,8 +24,9 @@ HOSTILE = {
     "complex": 0.5 + 0.5j,
     "object array": np.array([object(), object()], dtype=object),
     "empty array": np.array([]),
+    "3x3 matrix": np.triu(np.ones((3, 3))),  # finite, neither Hermitian nor unitary
 }
-UNHASHABLE = ("raw array", "object array", "empty array")
+UNHASHABLE = ("raw array", "object array", "empty array", "3x3 matrix")
 
 TIMES = qc.SweepRange(0.0, 1.0, 2)
 CFG = qc.ExperimentConfig("dephasing", "dephasing", 0.5, 0.5, TIMES, oracle_restarts=1)
@@ -107,13 +108,10 @@ SLOT_EXCLUDED = {
 VALUE_EXCLUDED = {("su_generators", label): "its lru_cache hashes the argument first"
                   for label in UNHASHABLE}
 # Cases refused under another field than their argument: that field and the reason.
-FIELD_EXCLUDED = {
-    **{("SweepRange", slot, label): ("range", "start and stop are refused together")
-       for slot in ("start", "stop") for label in HOSTILE},
-    **{("evolve", slot, label): ("matrix", "the rates and time broadcast to a batch shape that "
-                                           "the state reader refuses")
-       for slot in ("q_a", "q_b", "t") for label in ("raw array", "empty array")},
-}
+FIELD_EXCLUDED = {("evolve", slot, label): ("matrix", "the rates and time broadcast to a batch "
+                                                      "shape that the state reader refuses")
+                  for slot in ("q_a", "q_b", "t")
+                  for label in ("raw array", "empty array", "3x3 matrix")}
 
 
 def certified(value) -> bool:

@@ -89,7 +89,9 @@ def test_config_refuses_rates_and_times_that_are_not_real_numbers(field, value):
 def test_sweep_range_refuses_bounds_that_are_not_real_numbers(start, stop):
     with pytest.raises(ConfigError) as exc:
         SweepRange(start, stop, 3)
-    assert exc.value.field == "range"
+    assert exc.value.field == ("stop" if start == 0 else "start")
+    with pytest.raises(ConfigError, match=r"^start must lie in \[0, 1\], got 2\.0$"):
+        SweepRange(2.0, 1.0, 3)  # the stop, read first, bounds the start
     assert len(SweepRange(np.float64(0), np.int64(1), 3).grid()) == 3
 
 
