@@ -59,16 +59,17 @@ def validate_kraus(channel: KrausChannel) -> KrausDiagnostics:
     return KrausDiagnostics(ok=dev <= COMPLETENESS_TOL, max_deviation=dev)
 
 
-def _gammas(t, **rates) -> np.ndarray:
-    """1 - exp(-q t) per rate q, on a new first axis; a refusal names the first bad rate, then t."""
+def _gammas(t, lead=None, **rates) -> np.ndarray:
+    """1 - exp(-q t) per rate q, on a new first axis; a refusal names the first bad rate, then t,
+    and with lead, a state stack's leading shape, the first that makes its batch not one axis."""
     try:
         tq = np.broadcast_arrays(t, *rates.values())
         real = all(a.dtype.kind in "iuf" for a in tq)  # strings, bools and objects are refused
         tq = np.array(tq, dtype=float) if real else tq
     except ValueError:  # ragged, or shapes that do not broadcast
         real = False
-    if not (real and ((tq >= 0.0) & (tq < np.inf)).all()):  # NaN fails both
-        shape = ()
+    if lead is not None or not (real and ((tq >= 0.0) & (tq < np.inf)).all()):  # NaN fails both
+        shape = lead or ()
         for name, value in (*rates.items(), ("t", t)):
             try:  # a ragged sequence has no shape
                 a = np.asarray(value)
@@ -78,6 +79,9 @@ def _gammas(t, **rates) -> np.ndarray:
                                         f"got {_shown(value)}") from None
             if not (a.dtype.kind in "iuf" and ((a >= 0.0) & (a < np.inf)).all()):
                 raise ConfigError(name, f"{name} must be finite and non-negative, got {_shown(value)}")
+            if lead is not None and (len(shape) > 1 or 0 in shape):
+                raise ConfigError(name, f"{name} must give rho0's stack {lead} one non-empty batch "
+                                        f"axis at most, got {_shown(value)}")
     # 1 - exp(-q t) lies in [0, 1] unclamped; -q t overflowing to -inf gives exactly 1
     with np.errstate(over="ignore"):
         return 1.0 - np.exp(-tq[1:] * tq[0])
@@ -213,7 +217,7 @@ def apply_local_channels(rho: DensityMatrix, channel_a: KrausChannel,
 
 
 @lru_cache(maxsize=None)
-def _family_superoperator_basis(family: str, dtype=np.dtype(complex)) -> np.ndarray:
+def _family_superoperator_basis(family: str) -> np.ndarray:
     """The stack (C0, C1, C2) with S(gamma) = C0 + sqrt(1 - gamma) C1 + gamma C2,
     solved from the Kraus sets at gamma = 0, 3/4, 1 (sqrt(1 - gamma) = 1, 1/2, 0).
 
@@ -221,7 +225,7 @@ def _family_superoperator_basis(family: str, dtype=np.dtype(complex)) -> np.ndar
     sqrt(1 - gamma) or roots of linear functions of gamma. Completeness is
     linear in S, so checking the three sets proves it for every gamma. Each Kraus
     set is closed under conjugation, so the stack is real: an imaginary part above
-    BASIS_IMAG_TOL is refused, not dropped, and dtype float64 gives the real part.
+    BASIS_IMAG_TOL is refused, not dropped, and the real part is returned.
     """
     units = np.eye(9).reshape(9, 3, 3)  # |b><d| at 3b + d, so S[:, 3b + d] = vec(Phi(|b><d|))
     kraus = (_checked_complete(kraus_for_family(family, g), f"{family} Kraus set at gamma={g}")
@@ -232,7 +236,7 @@ def _family_superoperator_basis(family: str, dtype=np.dtype(complex)) -> np.ndar
     imag = float(np.abs(basis.imag).max())
     if imag > BASIS_IMAG_TOL:
         raise ValueError(f"{family} superoperator basis has imaginary part {imag:.3e}")
-    return _read_only(np.ascontiguousarray(basis.real) if dtype == np.float64 else basis)
+    return _read_only(np.ascontiguousarray(basis.real))
 
 
 def evolve(rho0: DensityMatrix, family_a: str, family_b: str, q_a, q_b, t) -> DensityMatrix:
@@ -243,11 +247,15 @@ def evolve(rho0: DensityMatrix, family_a: str, family_b: str, q_a, q_b, t) -> De
         raise ConfigError("rho0", f"rho0 must be a state of two qutrits, got dims {rho0.dims}")
     lead = rho0.matrix.shape[:-2]
     r = rho0.matrix.reshape(lead + (3, 3, 3, 3)).swapaxes(-3, -2).reshape(lead + (9, 9))
-    c_a, c_b = (_family_superoperator_basis(_choice(f, CHANNEL_FAMILIES, name), r.dtype)
+    c_a, c_b = (_family_superoperator_basis(_choice(f, CHANNEL_FAMILIES, name))
                 for f, name in ((family_a, "family_a"), (family_b, "family_b")))
     m = (c_a.reshape(27, 9) @ r @ c_b.reshape(27, 9).T).reshape(lead + (729,))[..., _UNREALIGN]
     g = _gammas(t, q_a=q_a, q_b=q_b)  # (gamma_a, gamma_b)
     w = np.empty(g.shape + (3,))
     w[..., 0], w[..., 1], w[..., 2] = 1.0, np.sqrt(1.0 - g), g
-    out = (w[0, ..., :, None] * w[1, ..., None, :]).reshape(g.shape[1:] + (1, 9)) @ m
-    return DensityMatrix(out.reshape(out.shape[:-2] + (9, 9)), rho0.dims)
+    try:
+        out = (w[0, ..., :, None] * w[1, ..., None, :]).reshape(g.shape[1:] + (1, 9)) @ m
+        return DensityMatrix._derived(out.reshape(out.shape[:-2] + (9, 9)), rho0.dims)
+    except ValueError:  # a batch that does not fit rho0's stack is refused by name
+        _gammas(t, lead, q_a=q_a, q_b=q_b)
+        raise

@@ -152,19 +152,23 @@ def _eigvalsh_below(mats: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarra
     return maybe, _eigvalsh(mats[maybe]) if maybe.any() else np.zeros((0, mats.shape[-1]))
 
 
-def _density_violations(mat: np.ndarray) -> dict[str, float]:
+def _certified(mat: np.ndarray, full: bool = True) -> np.ndarray:
+    """mat, read-only, if each matrix passes every check (only the trace unless full); else refused."""
     out: dict[str, float] = {}
-    herm = float(np.abs(mat - mat.conj().swapaxes(-1, -2)).max())
+    herm = float(np.abs(mat - mat.conj().swapaxes(-1, -2)).max()) if full else 0.0
     if herm > HERMITICITY_TOL:
         out["hermiticity"] = herm
     trace = float(np.abs(mat.trace(axis1=-2, axis2=-1) - 1.0).max())
     if trace > TRACE_TOL:
         out["trace"] = trace
-    if "hermiticity" not in out:  # eigvalsh is only meaningful once Hermiticity holds
+    if full and "hermiticity" not in out:  # eigvalsh is only meaningful once Hermiticity holds
         eigs = _eigvalsh(mat) if out else _eigvalsh_below(mat, PSD_TOL)[1]
         if eigs.size and eigs[..., 0].min() < -PSD_TOL:
             out["psd"] = -float(eigs[..., 0].min())
-    return out
+    if out:
+        detail = ", ".join(f"{k} off by {v:.3e}" for k, v in out.items())
+        raise ValidationError(f"not a density matrix: {detail}", out)
+    return _read_only(mat)
 
 
 @dataclass(frozen=True)
@@ -177,6 +181,10 @@ class DensityMatrix:
     array, so any DensityMatrix in circulation holds only valid states. The
     dtype follows the data: float64 for real, integer or bool input,
     complex128 for complex input.
+
+    `channels.evolve`'s states are certified by construction (`_derived`): unital positive maps
+    give Phi(rho) >= lambda_min(rho) I, as `test_evolve_keeps_every_state_valid` checks; a
+    non-unital family must prove its own eigenvalue bound there before evolve may take it.
     """
 
     matrix: np.ndarray
@@ -187,13 +195,15 @@ class DensityMatrix:
             raise ConfigError("dims", f"dims must be a pair (d1, d2), got {self.dims!r}")
         d1, d2 = self.dims
         d1, d2 = _integer(d1, 1, "dims"), _integer(d2, 1, "dims")
-        mat = _numbers(self.matrix, "matrix", d1 * d2)
-        violations = _density_violations(mat)
-        if violations:
-            detail = ", ".join(f"{k} off by {v:.3e}" for k, v in violations.items())
-            raise ValidationError(f"not a density matrix: {detail}", violations)
-        object.__setattr__(self, "matrix", _read_only(mat))
-        object.__setattr__(self, "dims", (d1, d2))
+        vars(self).update(matrix=_certified(_numbers(self.matrix, "matrix", d1 * d2)), dims=(d1, d2))
+
+    @classmethod
+    def _derived(cls, matrix: np.ndarray, dims: tuple[int, int]) -> DensityMatrix:
+        """A state of evolve's (see above): only its shape, entries and trace are checked."""
+        state = object.__new__(cls)
+        vars(state).update(matrix=_certified(_numbers(matrix, "matrix", math.prod(dims)), False),
+                           dims=dims)
+        return state
 
 
 def validate_density_matrix(matrix: np.ndarray, dims: tuple[int, int]) -> DensityMatrix:

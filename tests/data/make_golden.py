@@ -1,0 +1,68 @@
+"""Write tests/data/golden.json, the outputs that tests/test_golden.py pins.
+
+    PYTHONPATH=src python tests/data/make_golden.py
+
+It records, for all 20 preset datasets (ten presets, each a time surface and a
+rate grid), the metadata of both gd conventions exactly and every STRIDE-th row
+of the float columns, with gd_lower in both conventions; and the exact stdout of
+`validate --seed 0`, of one `oracle` report and of one small `run --oracle` grid.
+A change that means to move any of these regenerates the file with this script
+and says so in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+from qutritcorr import PAPER_CONVENTION, PRESET_NAMES, RAW_CONVENTION, cli, run_preset
+
+GOLDEN = Path(__file__).with_name("golden.json")
+STRIDE = 23  # coprime with both preset axes (200 times, 50 rates), so rows walk every column
+COLUMNS = ("t", "q1", "q2", "negativity")
+CLI_RUNS = {  # name: argv, each printing to stdout
+    "validate --seed 0": ["validate", "--seed", "0"],
+    "oracle": ["oracle", "--channel-a", "dephasing", "--channel-b", "trit-flip",
+               "--qa", "0.5", "--qb", "0.3", "--t", "1", "--restarts", "8"],
+    "run --oracle": ["run", "--channel-a", "trit-phase-flip", "--channel-b", "depolarizing",
+                     "--qa", "0.4", "--qb", "0:1:2", "--t", "0:2:3", "--oracle",
+                     "--restarts", "4"],
+}
+
+
+def preset_rows(paper: dict, raw: dict) -> dict:
+    """Each dataset of one preset: both conventions' metadata and its strided rows."""
+    out = {}
+    for key, ds in paper.items():
+        cols = [ds.columns[name] for name in COLUMNS]
+        cols += [ds.columns["gd_lower"], raw[key].columns["gd_lower"]]
+        out[key] = {"meta": {"paper": ds.meta, "raw": raw[key].meta},
+                    "columns": list(ds.columns), "rows": len(ds),
+                    "values": [[float(col[i]) for col in cols]
+                               for i in range(0, len(ds), STRIDE)]}
+    return out
+
+
+def cli_stdout(argv: list[str]) -> str:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(argv) == 0
+    return out.getvalue()
+
+
+def main() -> None:
+    golden = {
+        "stride": STRIDE,
+        "value_columns": [*COLUMNS, "gd_lower paper", "gd_lower raw"],
+        "presets": {name: preset_rows(run_preset(name, PAPER_CONVENTION),
+                                      run_preset(name, RAW_CONVENTION))
+                    for name in PRESET_NAMES},
+        "cli": {name: {"argv": argv, "stdout": cli_stdout(argv)}
+                for name, argv in CLI_RUNS.items()},
+    }
+    GOLDEN.write_text(json.dumps(golden, separators=(",", ":")) + "\n")
+
+
+if __name__ == "__main__":
+    main()

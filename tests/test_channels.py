@@ -14,6 +14,8 @@ from qutritcorr import (CHANNEL_FAMILIES, PAPER_CONVENTION, RAW_CONVENTION, Conf
                         partial_transpose, random_density_matrix, shift_matrix, tensor,
                         trit_flip_kraus, trit_flip_kraus_unnormalized,
                         trit_phase_flip_kraus, validate_kraus)
+from qutritcorr.linalg import PSD_TOL
+from test_linalg import state_with_spectrum  # the certification boundary's test states
 
 RNG = np.random.default_rng(99)
 GAMMAS = np.linspace(0.0, 1.0, 11)
@@ -101,17 +103,38 @@ def test_three_term_superoperator_matches_kraus(family):
 
 
 @pytest.mark.parametrize("family", CHANNEL_FAMILIES)
-@pytest.mark.parametrize("dtype", [np.complex128, np.float64])
-def test_superoperator_basis_bits_follow_the_liouville_formula(family, dtype):
-    # evolve reads only this basis: equal bits here keep every dataset byte-identical
+def test_superoperator_basis_bits_follow_the_liouville_formula(family):
+    # evolve reads only this basis: equal bits here keep every dataset byte-identical. Each
+    # Kraus set is closed under conjugation and reads its phases from one table (1, w, w*),
+    # so the imaginary parts cancel exactly and the real stack loses nothing
     s0, s34, s1 = (np.einsum("kab,kcd->acbd", ops, ops.conj()).reshape(9, 9)
                    for ops in (np.stack(kraus_for_family(family, g).operators)
                                for g in (0.0, 0.75, 1.0)))
     c0 = 2.0 * s0 + 3.0 * s1 - 4.0 * s34
     want = np.stack((c0, s0 - c0, s1 - c0))
-    got = channels._family_superoperator_basis(family, np.dtype(dtype))
-    assert got.dtype == dtype
-    assert (got == (want.real if dtype == np.float64 else want)).all()
+    assert (want.imag == 0.0).all()
+    got = channels._family_superoperator_basis(family)
+    assert got.dtype == np.float64 and got.flags.c_contiguous and not got.flags.writeable
+    assert (got == want.real).all()
+
+
+@pytest.mark.parametrize("family_a", CHANNEL_FAMILIES)
+@pytest.mark.parametrize("family_b", CHANNEL_FAMILIES)
+def test_complex_states_evolve_through_the_real_basis_bit_for_bit(family_a, family_b):
+    # the real basis, cast by the product, gives the bits of the complex basis it came from
+    rng = np.random.default_rng([19, CHANNEL_FAMILIES.index(family_a),
+                                 CHANNEL_FAMILIES.index(family_b)])
+    rho = DensityMatrix(np.stack([random_density_matrix(3, 3, rng=rng).matrix
+                                  for _ in range(64)]), (3, 3))
+    qa, qb, t = rng.uniform(0.0, 2.0, size=64), rng.uniform(0.0, 2.0, size=64), 1.3
+    r = rho.matrix.reshape(64, 3, 3, 3, 3).swapaxes(-3, -2).reshape(64, 9, 9)
+    c_a, c_b = (channels._family_superoperator_basis(f).astype(complex).reshape(27, 9)
+                for f in (family_a, family_b))
+    m = (c_a @ r @ c_b.T).reshape(64, 729)[:, channels._UNREALIGN]
+    g = np.array([gamma_of(qa, t), gamma_of(qb, t)])
+    w = np.stack([np.ones_like(g), np.sqrt(1.0 - g), g], axis=-1)
+    want = ((w[0, :, :, None] * w[1, :, None, :]).reshape(64, 1, 9) @ m).reshape(64, 9, 9)
+    assert (evolve(rho, family_a, family_b, qa, qb, t).matrix == want).all()
 
 
 def _amplitude_damping(p):
@@ -230,14 +253,6 @@ def test_weyl_families_act_as_the_papers_operators(builder, gamma):
     for _ in range(3):
         rho = random_density_matrix(3, rng=RNG).matrix
         assert np.abs(apply_channel(builder(gamma), rho) - _kraus_reference(ops, rho)).max() <= 1e-14
-
-
-@pytest.mark.parametrize("family", CHANNEL_FAMILIES)
-@pytest.mark.parametrize("dtype", [np.complex128, np.float64])
-def test_every_superoperator_basis_is_exactly_real(family, dtype):
-    # each Kraus set is closed under conjugation and reads its phases from one table (1, w, w*),
-    # so the imaginary parts cancel exactly
-    assert np.abs(np.imag(channels._family_superoperator_basis(family, np.dtype(dtype)))).max() == 0.0
 
 
 @pytest.mark.parametrize("family", ["trit-flip", "trit-phase-flip", "depolarizing"])
@@ -463,6 +478,39 @@ def test_stacked_initial_states_evolve_row_by_row(family_a, family_b):
         rates = [np.where(others, x[::-1] + 0.5, x) for x in (qa, qb, t)]
         again = evolve(DensityMatrix(swapped, (3, 3)), family_a, family_b, *rates)
         assert (again.matrix[i] == out.matrix[i]).all(), i
+
+
+def _proof_states():
+    """Initial states for the certification proof, each with its smallest eigenvalue: random
+    complex and real ones, pure ones (the Bell state among them) and ones whose smallest
+    eigenvalue sits 1e-14 inside the certification's -1e-10."""
+    rng = np.random.default_rng(23)
+    real = rng.standard_normal((2, 9, 9))
+    states = [random_density_matrix(3, 3, rng=rng).matrix for _ in range(2)]
+    states += [g @ g.T / np.trace(g @ g.T) for g in real]
+    states += [make_bell_state(3).matrix, random_density_matrix(3, 3, rank=1, rng=rng).matrix]
+    states += [state_with_spectrum(-PSD_TOL + 1e-14, rng) for _ in range(2)]
+    return [(DensityMatrix(m, (3, 3)), float(np.linalg.eigvalsh(m)[0])) for m in states]
+
+
+PROOF_STATES = _proof_states()
+# 11 gammas per side from 0 to exactly 1: at t = 1e3, q = 1 gives exp(-1000) = 0
+PROOF_GAMMAS = np.r_[np.linspace(0.0, 0.95, 10), 1.0]
+PROOF_RATES = np.r_[-np.log1p(-PROOF_GAMMAS[:-1]) / 1e3, 1.0]
+
+
+@pytest.mark.parametrize("family_a", CHANNEL_FAMILIES)
+@pytest.mark.parametrize("family_b", CHANNEL_FAMILIES)
+def test_evolve_keeps_every_state_valid(family_a, family_b):
+    # evolve's states skip the Hermiticity and positivity checks (DensityMatrix._derived), so
+    # this is their proof: every family is unital and CPTP, so Phi(rho) >= lambda_min(rho) I,
+    # and every output passes the full certification with its smallest eigenvalue no lower
+    qa, qb = (grid.ravel() for grid in np.meshgrid(PROOF_RATES, PROOF_RATES, indexing="ij"))
+    assert gamma_of(PROOF_RATES[-1], 1e3) == 1.0 and gamma_of(0.0, 1e3) == 0.0
+    for rho0, low in PROOF_STATES:
+        out = evolve(rho0, family_a, family_b, qa, qb, 1e3)
+        DensityMatrix(out.matrix, out.dims)  # raises ValidationError on any violation
+        assert np.linalg.eigvalsh(out.matrix)[:, 0].min() >= low - 1e-13
 
 
 def test_array_evolve_matches_scalar_calls():

@@ -9,7 +9,7 @@ import pytest
 
 import qutritcorr.cli as cli
 import qutritcorr.validation as validation
-from qutritcorr import (DensityMatrix, SweepDataset, SweepRange, ValidationError, __version__,
+from qutritcorr import (DensityMatrix, SweepDataset, SweepRange, __version__,
                         evolve, gd_exact, make_bell_state)
 
 
@@ -326,14 +326,18 @@ def test_validate_flags_unnormalized_weights(capsys):
 
 
 def test_validate_fails_when_an_evolved_state_is_refused(monkeypatch, capsys):
-    # every random start's evolution is refused; the Bell closed-form checks
-    # still see the real evolve
+    # evolve certifies its states by construction (DensityMatrix._derived), so validate runs
+    # the full certification itself: an evolve that returns a unit-trace state with eigenvalue
+    # -3e-9 for every random start fails the check with that deviation. The Bell closed-form
+    # checks still see the real evolve
     real_evolve, bell = validation.evolve, make_bell_state(3).matrix
+    bad = np.diag(np.r_[-3e-9, np.full(8, (1.0 + 3e-9) / 8)])
 
     def evolve(rho, *args):
-        if not np.array_equal(rho.matrix, bell):
-            raise ValidationError("not a density matrix: psd off by 3.000e-09", {"psd": 3e-9})
-        return real_evolve(rho, *args)
+        out = real_evolve(rho, *args)
+        if np.array_equal(rho.matrix, bell):
+            return out
+        return DensityMatrix._derived(np.broadcast_to(bad, out.matrix.shape), out.dims)
 
     monkeypatch.setattr(validation, "evolve", evolve)
     checks = {c.name: c for c in validation.run_validation(restarts=2, oracle_states=1)}
