@@ -60,15 +60,17 @@ def validate_kraus(channel: KrausChannel) -> KrausDiagnostics:
 
 
 def _gammas(t, lead=None, **rates) -> np.ndarray:
-    """1 - exp(-q t) per rate q, on a new first axis; a refusal names the first bad rate, then t,
-    and with lead, a state stack's leading shape, the first that makes its batch not one axis."""
+    """1 - exp(-q t) per rate q, on a new first axis; with lead, a state stack's leading shape,
+    they must give it one non-empty batch axis at most. A refusal names the first bad rate, then t."""
     try:
         tq = np.broadcast_arrays(t, *rates.values())
+        batch = np.broadcast_shapes(lead, tq[0].shape) if lead else tq[0].shape
         real = all(a.dtype.kind in "iuf" for a in tq)  # strings, bools and objects are refused
         tq = np.array(tq, dtype=float) if real else tq
     except ValueError:  # ragged, or shapes that do not broadcast
         real = False
-    if lead is not None or not (real and ((tq >= 0.0) & (tq < np.inf)).all()):  # NaN fails both
+    if not (real and ((tq >= 0.0) & (tq < np.inf)).all()  # NaN fails both
+            and (lead is None or len(batch) <= 1 and 0 not in batch)):
         shape = lead or ()
         for name, value in (*rates.items(), ("t", t)):
             try:  # a ragged sequence has no shape
@@ -246,16 +248,12 @@ def evolve(rho0: DensityMatrix, family_a: str, family_b: str, q_a, q_b, t) -> De
     if _instance(rho0, DensityMatrix, "rho0").dims != (3, 3):
         raise ConfigError("rho0", f"rho0 must be a state of two qutrits, got dims {rho0.dims}")
     lead = rho0.matrix.shape[:-2]
-    r = rho0.matrix.reshape(lead + (3, 3, 3, 3)).swapaxes(-3, -2).reshape(lead + (9, 9))
     c_a, c_b = (_family_superoperator_basis(_choice(f, CHANNEL_FAMILIES, name))
                 for f, name in ((family_a, "family_a"), (family_b, "family_b")))
+    g = _gammas(t, lead, q_a=q_a, q_b=q_b)  # (gamma_a, gamma_b), whose batch fits rho0's stack
+    r = rho0.matrix.reshape(lead + (3, 3, 3, 3)).swapaxes(-3, -2).reshape(lead + (9, 9))
     m = (c_a.reshape(27, 9) @ r @ c_b.reshape(27, 9).T).reshape(lead + (729,))[..., _UNREALIGN]
-    g = _gammas(t, q_a=q_a, q_b=q_b)  # (gamma_a, gamma_b)
     w = np.empty(g.shape + (3,))
     w[..., 0], w[..., 1], w[..., 2] = 1.0, np.sqrt(1.0 - g), g
-    try:
-        out = (w[0, ..., :, None] * w[1, ..., None, :]).reshape(g.shape[1:] + (1, 9)) @ m
-        return DensityMatrix._derived(out.reshape(out.shape[:-2] + (9, 9)), rho0.dims)
-    except ValueError:  # a batch that does not fit rho0's stack is refused by name
-        _gammas(t, lead, q_a=q_a, q_b=q_b)
-        raise
+    out = (w[0, ..., :, None] * w[1, ..., None, :]).reshape(g.shape[1:] + (1, 9)) @ m
+    return DensityMatrix._derived(out.reshape(out.shape[:-2] + (9, 9)), rho0.dims)

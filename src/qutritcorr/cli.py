@@ -249,6 +249,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "output", "-") != "-":  # preset checks its own targets before computing
+            _check_target(args.output, args.force)
         return _COMMANDS[args.command](args)
     except (ValueError, OutputError) as exc:  # ValueError includes ConfigError
         print(f"error: {exc}", file=sys.stderr)

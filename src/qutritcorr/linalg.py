@@ -152,23 +152,11 @@ def _eigvalsh_below(mats: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarra
     return maybe, _eigvalsh(mats[maybe]) if maybe.any() else np.zeros((0, mats.shape[-1]))
 
 
-def _certified(mat: np.ndarray, full: bool = True) -> np.ndarray:
-    """mat, read-only, if each matrix passes every check (only the trace unless full); else refused."""
-    out: dict[str, float] = {}
-    herm = float(np.abs(mat - mat.conj().swapaxes(-1, -2)).max()) if full else 0.0
-    if herm > HERMITICITY_TOL:
-        out["hermiticity"] = herm
-    trace = float(np.abs(mat.trace(axis1=-2, axis2=-1) - 1.0).max())
-    if trace > TRACE_TOL:
-        out["trace"] = trace
-    if full and "hermiticity" not in out:  # eigvalsh is only meaningful once Hermiticity holds
-        eigs = _eigvalsh(mat) if out else _eigvalsh_below(mat, PSD_TOL)[1]
-        if eigs.size and eigs[..., 0].min() < -PSD_TOL:
-            out["psd"] = -float(eigs[..., 0].min())
-    if out:
-        detail = ", ".join(f"{k} off by {v:.3e}" for k, v in out.items())
-        raise ValidationError(f"not a density matrix: {detail}", out)
-    return _read_only(mat)
+def _dims(value) -> tuple[int, int]:
+    """value as a pair (d1, d2) of integers >= 1; else refused as dims."""
+    if not (np.iterable(value) and len(value) == 2):
+        raise ConfigError("dims", f"dims must be a pair (d1, d2), got {value!r}")
+    return tuple(_integer(d, 1, "dims") for d in value)
 
 
 @dataclass(frozen=True)
@@ -191,18 +179,29 @@ class DensityMatrix:
     dims: tuple[int, int]
 
     def __post_init__(self):
-        if not (np.iterable(self.dims) and len(self.dims) == 2):
-            raise ConfigError("dims", f"dims must be a pair (d1, d2), got {self.dims!r}")
-        d1, d2 = self.dims
-        d1, d2 = _integer(d1, 1, "dims"), _integer(d2, 1, "dims")
-        vars(self).update(matrix=_certified(_numbers(self.matrix, "matrix", d1 * d2)), dims=(d1, d2))
+        d1, d2 = _dims(self.dims)
+        mat = _numbers(self.matrix, "matrix", d1 * d2)
+        out: dict[str, float] = {}
+        herm = float(np.abs(mat - mat.conj().swapaxes(-1, -2)).max())
+        if herm > HERMITICITY_TOL:
+            out["hermiticity"] = herm
+        trace = float(np.abs(mat.trace(axis1=-2, axis2=-1) - 1.0).max())
+        if trace > TRACE_TOL:
+            out["trace"] = trace
+        if "hermiticity" not in out:  # eigvalsh is only meaningful once Hermiticity holds
+            eigs = _eigvalsh(mat) if out else _eigvalsh_below(mat, PSD_TOL)[1]
+            if eigs.size and eigs[..., 0].min() < -PSD_TOL:
+                out["psd"] = -float(eigs[..., 0].min())
+        if out:
+            detail = ", ".join(f"{k} off by {v:.3e}" for k, v in out.items())
+            raise ValidationError(f"not a density matrix: {detail}", out)
+        vars(self).update(matrix=_read_only(mat), dims=(d1, d2))
 
     @classmethod
     def _derived(cls, matrix: np.ndarray, dims: tuple[int, int]) -> DensityMatrix:
-        """A state of evolve's (see above): only its shape, entries and trace are checked."""
+        """A state of evolve's (see above), certified by construction: only wrapped and frozen."""
         state = object.__new__(cls)
-        vars(state).update(matrix=_certified(_numbers(matrix, "matrix", math.prod(dims)), False),
-                           dims=dims)
+        vars(state).update(matrix=_read_only(matrix), dims=dims)
         return state
 
 

@@ -4,8 +4,10 @@
 
 It records, for all 20 preset datasets (ten presets, each a time surface and a
 rate grid), the metadata of both gd conventions exactly and every STRIDE-th row
-of the float columns, with gd_lower in both conventions; and the exact stdout of
-`validate --seed 0`, of one `oracle` report and of one small `run --oracle` grid.
+of the float columns, with gd_lower in both conventions; the exact CSV and JSON
+text of one of those datasets cut to its strided rows; and the exact stdout of
+`validate` at seeds 0 and 1, of one `oracle` report and of one small
+`run --oracle` grid.
 A change that means to move any of these regenerates the file with this script
 and says so in CHANGES.md.
 """
@@ -17,13 +19,16 @@ import io
 import json
 from pathlib import Path
 
-from qutritcorr import PAPER_CONVENTION, PRESET_NAMES, RAW_CONVENTION, cli, run_preset
+from qutritcorr import (PAPER_CONVENTION, PRESET_NAMES, RAW_CONVENTION, SweepDataset, cli,
+                        run_preset)
 
 GOLDEN = Path(__file__).with_name("golden.json")
 STRIDE = 23  # coprime with both preset axes (200 times, 50 rates), so rows walk every column
 COLUMNS = ("t", "q1", "q2", "negativity")
+FORMATTED = ("fig1", "grid")  # the preset dataset whose strided rows are formatted
 CLI_RUNS = {  # name: argv, each printing to stdout
     "validate --seed 0": ["validate", "--seed", "0"],
+    "validate --seed 1": ["validate", "--seed", "1"],
     "oracle": ["oracle", "--channel-a", "dephasing", "--channel-b", "trit-flip",
                "--qa", "0.5", "--qb", "0.3", "--t", "1", "--restarts", "8"],
     "run --oracle": ["run", "--channel-a", "trit-phase-flip", "--channel-b", "depolarizing",
@@ -51,13 +56,22 @@ def cli_stdout(argv: list[str]) -> str:
     return out.getvalue()
 
 
+def formatted(ds) -> dict:
+    """The CSV and JSON text of ds cut to every STRIDE-th row: the rows the golden keeps."""
+    cut = SweepDataset({name: col[::STRIDE] for name, col in ds.columns.items()}, ds.meta)
+    return {"csv": cli.format_dataset_csv(cut), "json": cli.format_dataset_json(cut)}
+
+
 def main() -> None:
+    preset, dataset = FORMATTED
     golden = {
         "stride": STRIDE,
         "value_columns": [*COLUMNS, "gd_lower paper", "gd_lower raw"],
         "presets": {name: preset_rows(run_preset(name, PAPER_CONVENTION),
                                       run_preset(name, RAW_CONVENTION))
                     for name in PRESET_NAMES},
+        "formatted": {"preset": preset, "dataset": dataset,
+                      **formatted(run_preset(preset, PAPER_CONVENTION)[dataset])},
         "cli": {name: {"argv": argv, "stdout": cli_stdout(argv)}
                 for name, argv in CLI_RUNS.items()},
     }

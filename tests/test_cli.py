@@ -123,6 +123,17 @@ def test_python_dash_m_runs_the_cli_from_a_checkout():
     assert proc.stdout.strip() == __version__
 
 
+def test_the_package_version_has_one_source():
+    # pyproject.toml reads the version from the module every dataset's metadata prints
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        pyproject = tomllib.load(fh)
+    assert "version" not in pyproject["project"] and pyproject["project"]["dynamic"] == ["version"]
+    assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "qutritcorr._version.__version__"}
+
+
 def test_cached_parser_keeps_no_options_between_calls(tmp_path):
     assert cli.build_parser() is cli.build_parser()
     base = ["run", "--channel-a", "depolarizing", "--channel-b", "depolarizing",
@@ -135,13 +146,37 @@ def test_cached_parser_keeps_no_options_between_calls(tmp_path):
     assert "# oracle_enabled: false" in plain.read_text()
 
 
-def test_run_refuses_overwrite_then_force(tmp_path):
+def refuse_to_compute(*args, **kwargs):
+    raise AssertionError("computed before the output target was checked")
+
+
+def test_run_refuses_overwrite_then_force(tmp_path, monkeypatch, capsys):
     out = tmp_path / "sweep.csv"
     argv = ["run", "--channel-a", "dephasing", "--channel-b", "dephasing",
             "--qa", "0.5", "--qb", "0.5", "--t", "0:1:3", "--output", str(out)]
     assert run_cli(argv) == 0
-    assert run_cli(argv) == 3
+    written = out.read_bytes()
+    with monkeypatch.context() as patch:  # the existing target is refused before any sweep
+        patch.setattr(cli, "run_sweep", refuse_to_compute)
+        assert run_cli(argv) == 3
+        assert run_cli(argv + ["--oracle"]) == 3
+    assert capsys.readouterr().err.count("refusing to overwrite") == 2
+    assert out.read_bytes() == written
     assert run_cli(argv + ["--force"]) == 0
+
+
+def test_oracle_refuses_overwrite_before_computing_then_force(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "point.json"
+    out.write_text("old\n")
+    argv = ["oracle", "--channel-a", "dephasing", "--channel-b", "trit-flip",
+            "--qa", "0.5", "--qb", "0.3", "--t", "1", "--restarts", "2", "--output", str(out)]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "gd_exact", refuse_to_compute)
+        assert run_cli(argv) == 3
+    assert "refusing to overwrite" in capsys.readouterr().err
+    assert out.read_text() == "old\n"
+    assert run_cli(argv + ["--force"]) == 0
+    assert json.loads(out.read_text())["restarts"] == 2
 
 
 def test_run_unwritable_path(tmp_path):

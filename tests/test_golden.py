@@ -1,6 +1,7 @@
-"""Committed golden outputs: every preset dataset, `validate --seed 0` and two oracle
-outputs, as tests/data/make_golden.py wrote them. A change that keeps the numbers
-passes unchanged; one that means to move them regenerates the file with that script."""
+"""Committed golden outputs: every preset dataset, the CSV and JSON text of one, `validate`
+at seeds 0 and 1 and two oracle outputs, as tests/data/make_golden.py wrote them. A change
+that keeps the numbers passes unchanged; one that means to move them regenerates the file
+with that script."""
 
 import contextlib
 import io
@@ -10,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qutritcorr import PAPER_CONVENTION, PRESET_NAMES, RAW_CONVENTION, cli, run_preset
+from qutritcorr import (PAPER_CONVENTION, PRESET_NAMES, RAW_CONVENTION, SweepDataset, cli,
+                        run_preset)
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden.json").read_text())
 VALUE_TOL = 1e-12  # absolute, on every float column
@@ -39,6 +41,17 @@ def test_preset_datasets_match_the_golden_outputs(presets, name):
         rows = slice(None, None, GOLDEN["stride"])
         got = np.column_stack([col[rows] for col in columns] + [raw[key].columns["gd_lower"][rows]])
         np.testing.assert_allclose(got, golden["values"], rtol=0, atol=VALUE_TOL, err_msg=key)
+
+
+def test_formatters_write_the_golden_bytes():
+    # the dataset is rebuilt from the golden's own metadata and strided rows, so only the
+    # CSV and JSON formatters are under test here, byte for byte
+    golden = GOLDEN["formatted"]
+    entry = GOLDEN["presets"][golden["preset"]][golden["dataset"]]
+    values = np.array(entry["values"]).T  # gd_lower paper is the fifth value column
+    ds = SweepDataset(dict(zip(entry["columns"], values)), entry["meta"]["paper"])
+    assert cli.format_dataset_csv(ds) == golden["csv"]
+    assert cli.format_dataset_json(ds) == golden["json"]
 
 
 @pytest.mark.parametrize("name", GOLDEN["cli"])

@@ -546,25 +546,15 @@ def test_empty_stack_is_refused_by_shape():
     refusal = r"^matrix must be a 9x9 matrix or a stack of them, got shape \(0, 9, 9\)$"
     with pytest.raises(ValueError, match=refusal):
         DensityMatrix(np.zeros((0, 9, 9), dtype=complex), (3, 3))
-    with pytest.raises(ValueError, match=refusal):
-        DensityMatrix._derived(np.zeros((0, 9, 9), dtype=complex), (3, 3))
     # evolve names the rate that would give the empty stack
     with pytest.raises(linalg.ConfigError, match=r"^q_a must give rho0's stack \(\) one non-empty ") as exc:
         evolve(make_bell_state(3), "dephasing", "dephasing", np.array([]), 0.5, 1.0)
     assert exc.value.field == "q_a"
 
 
-def test_derived_states_keep_the_shape_entry_and_trace_checks():
-    # evolve's constructor skips only Hermiticity and positivity; a derived state is frozen
+def test_derived_states_are_only_wrapped_and_frozen():
+    # evolve's constructor checks nothing: its states are certified by construction
     bell = make_bell_state(3).matrix
-    with pytest.raises(linalg.ConfigError, match=r"^matrix must hold finite numbers$"):
-        DensityMatrix._derived(np.where(np.eye(9, dtype=bool), np.nan, bell), (3, 3))
-    with pytest.raises(ValidationError, match=r"^not a density matrix: trace off by 1\.000e-01$") as exc:
-        DensityMatrix._derived(1.1 * bell, (3, 3))
-    assert exc.value.violations == pytest.approx({"trace": 0.1}, abs=1e-15)
-    for shape in [(3, 3), (9,), (2, 2, 9, 9)]:
-        with pytest.raises(linalg.ConfigError, match=r"^matrix must be a 9x9 matrix or a stack "):
-            DensityMatrix._derived(np.zeros(shape), (3, 3))
     state = DensityMatrix._derived(bell.astype(complex), (3, 3))
     assert state.dims == (3, 3) and state.matrix.dtype == complex
     assert not state.matrix.flags.writeable and (state.matrix == bell).all()

@@ -180,27 +180,24 @@ def test_bloch_decomposition_of_product_state_factorizes():
     np.testing.assert_allclose(dec.corr, np.outer(dec.y_a, dec.z_b), atol=1e-12)
 
 
-def swapped_in(raw):
-    """A certified state of raw's shape whose frozen matrix is then replaced by raw."""
-    rho = DensityMatrix(np.broadcast_to(np.eye(9) / 9.0, raw.shape), (3, 3))
-    object.__setattr__(rho, "matrix", raw)
-    return rho
-
-
-def test_bloch_decomposition_refuses_an_imaginary_residual():
-    # DensityMatrix refuses non-Hermitian input first and bloch_decomposition
-    # anything but a DensityMatrix, so a certified state with its matrix
-    # swapped is the way to reach this refusal; the largest scaled imaginary
-    # part here sits in the correlation block
-    mat = np.eye(9, dtype=complex) / 9.0
-    mat[0, 1] = 1e-6
-    for raw in (mat, np.stack([np.eye(9) / 9.0, mat])):
-        with pytest.raises(ConfigError, match=r"^Bloch coefficients carry residual "
-                                              r"imaginary part 2\.250e-06$") as exc:
-            bloch_decomposition(swapped_in(raw))
-        assert exc.value.field == "rho"
-    mat[0, 1] = 1e-11  # 2.25e-11, below the 1e-10 tolerance
-    bloch_decomposition(swapped_in(mat))
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)], ids=str)
+def test_certified_states_have_bloch_coefficients_within_the_imaginary_bound(dims):
+    # bloch_decomposition keeps only the real part of each coefficient. A certified state's
+    # anti-Hermitian part is at most HERMITICITY_TOL / 2 an entry; here it is i c op / max|op|
+    # for each operator op of the table, at the tolerance, which drives op's own coefficient
+    # furthest from real. For two qutrits the bound is (9 / 4) (16 / 3) 5e-13 = 6e-12
+    d1, d2 = dims
+    table, scale = measures._generator_table(d1, d2)
+    ops = table.reshape(-1, d1 * d2, d1 * d2).swapaxes(-1, -2)  # rows are vec(op^T)
+    c = 0.49 * linalg.HERMITICITY_TOL
+    mats = random_density_matrix(d1, d2, rng=RNG).matrix + 1j * c * ops / np.abs(
+        ops).max(axis=(-2, -1), keepdims=True)
+    rho = DensityMatrix(mats, dims)  # certified
+    assert np.abs(mats - mats.conj().swapaxes(-1, -2)).max() > 0.9 * linalg.HERMITICITY_TOL
+    imag = ((rho.matrix.reshape(len(ops), -1) @ table.T) * scale).imag
+    assert np.abs(imag).max() <= 1e-11
+    dec = bloch_decomposition(rho)
+    np.testing.assert_allclose(bloch_synthesis(dec, dims), rho.matrix, atol=1e-12)
 
 
 def test_bloch_roundtrip():
@@ -209,6 +206,18 @@ def test_bloch_roundtrip():
         rho = DensityMatrix(mat, (3, 3))
         rebuilt = bloch_synthesis(bloch_decomposition(rho), (3, 3))
         np.testing.assert_allclose(rebuilt, rho.matrix, atol=1e-13)
+
+
+def test_bloch_synthesis_refuses_dims_by_name():
+    dec = bloch_decomposition(make_bell_state(3))
+    for dims, refusal in [((2, 2), r"give dec's Bloch vector sizes \(8, 8\), got \(2, 2\)$"),
+                          ((3, 2), r"give dec's Bloch vector sizes \(8, 8\), got \(3, 2\)$"),
+                          (9, r"be a pair \(d1, d2\), got 9"),
+                          ((3, 3, 1), r"be a pair \(d1, d2\), got \(3, 3, 1\)"),
+                          ((3, 0), r"be an integer >= 1, got 0")]:
+        with pytest.raises(ConfigError, match=rf"^dims must {refusal}") as exc:
+            bloch_synthesis(dec, dims)
+        assert exc.value.field == "dims"
 
 
 def test_gd_convention_validation_and_prefactors():

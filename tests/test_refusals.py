@@ -101,7 +101,6 @@ EXCLUDED = {
 SLOT_EXCLUDED = {
     ("random_density_matrix", "rng"): "an rng or seed, read by numpy",
     ("random_unitary", "rng"): "an rng or seed, read by numpy",
-    ("bloch_synthesis", "dims"): "a dimension pair",
     ("run_validation", "unnormalized_trit_flip"): "a flag read by truth value; each call runs the "
                                                   "whole suite",
 }
