@@ -9,7 +9,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import (ConfigError, DensityMatrix, _choice, _dims, _eigvalsh, _eigvalsh_below,
-                     _instance, _nonnegative, _read_only, make_bell_state, su_generators)
+                     _instance, _nonnegative, _numbers, _read_only, make_bell_state, su_generators)
 
 NEGATIVITY_EIG_TOL = 1e-12
 
@@ -83,9 +83,14 @@ def bloch_synthesis(dec: BlochDecomposition, dims: tuple[int, int]) -> np.ndarra
     (d1, d2), sizes = _dims(dims), (dec.y_a.shape[-1], dec.z_b.shape[-1])
     if sizes != (d1 * d1 - 1, d2 * d2 - 1):
         raise ConfigError("dims", f"dims must give dec's Bloch vector sizes {sizes}, got {dims!r}")
+    if (dec.z_b.shape, dec.corr.shape) != (lead + sizes[1:], lead + sizes):
+        raise ConfigError("dec", f"dec.z_b and dec.corr must have shapes {lead + sizes[1:]} and "
+                                 f"{lead + sizes}, got {dec.z_b.shape} and {dec.corr.shape}")
     d = d1 * d2
     coeffs = np.concatenate([dec.y_a, dec.z_b, dec.corr.reshape(lead + (-1,))], axis=-1)
-    return (np.eye(d) + (coeffs @ _generator_table(d1, d2)[0].conj()).reshape(lead + (d, d))) / d
+    with np.errstate(invalid="ignore", over="ignore"):  # _numbers refuses a non-finite dec
+        mats = (np.eye(d) + (coeffs @ _generator_table(d1, d2)[0].conj()).reshape(-1, d, d)) / d
+    return _numbers(mats, "dec").reshape(lead + (d, d))
 
 
 @lru_cache(maxsize=None)

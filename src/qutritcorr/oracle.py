@@ -42,7 +42,7 @@ class OracleResult:
 
 
 def _expi(h: np.ndarray) -> np.ndarray:
-    """exp(i h) for a Hermitian h, or for each matrix of a stack."""
+    """exp(i h) for a Hermitian h, or for each matrix of a stack: only the starts use it."""
     w, v = _eigh(h)
     return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
@@ -189,15 +189,17 @@ def _newton_steps(hess: np.ndarray, grads: np.ndarray) -> np.ndarray:
 
 
 def _newton(ops, norm_sq, bases):
-    """Damped Newton steps U -> U exp(i sum_j h_j g_j) for every restart of the
-    stack in lockstep, in place; returns the values and gradient norms. Steps
-    use only the d(d-1) off-diagonal generators: the diagonal ones are the gauge
-    U -> U diag(phases), which leaves f unchanged, so the reduced Hessian is
-    solved directly wherever Cholesky shows it positive definite
+    """Damped Newton steps for every restart of the stack in lockstep, in place; returns
+    the values and gradient norms. A step h = sum_j h_j g_j moves U by the Cayley
+    retraction U (I - ih/2)^-1 (I + ih/2) = 2 U (I - ih/2)^-1 - U, one solve (Wen & Yin,
+    Math. Program. 142 (2013) 397); it matches U exp(ih) through second order, so
+    `_readout`'s Hessian is the model's. Only the d(d-1) off-diagonal generators step:
+    the diagonal ones are the gauge U -> U diag(phases), which leaves f unchanged, so the
+    reduced Hessian is solved directly where Cholesky shows it positive definite
     (`_newton_steps`). The gradient norm still reads all d^2 - 1 coordinates."""
     d = bases.shape[-1]
     k = d * (d - 1)  # su_generators lists the off-diagonal generators first
-    gens = np.array(su_generators(d)[:k])
+    table = np.array(su_generators(d)[:k]).swapaxes(-1, -2).reshape(k, -1) * -0.5j
     vals, grads, norms, hess = _readout(ops, norm_sq, _krons(bases))
     live = np.flatnonzero(norms > NEWTON_TOL)
     for _ in range(NEWTON_ITERATIONS):
@@ -207,8 +209,9 @@ def _newton(ops, norm_sq, bases):
         step *= MAX_STEP / np.maximum(np.linalg.norm(step, axis=-1, keepdims=True), MAX_STEP)
         stepped, pending, scale = np.zeros(len(live), dtype=bool), np.arange(len(live)), 1.0
         while pending.size and scale >= MIN_STEP:  # halve the step until it passes
-            idx = live[pending]
-            cand = bases[idx] @ _expi(np.einsum("nj,jab->nab", scale * step[pending], gens))
+            idx = live[pending]  # flat holds A^T, A = I - ih/2: X = U A^-1 solves A^T X^T = U^T
+            u, flat = bases[idx], (scale * step[pending]) @ table + np.eye(d).ravel()
+            cand = 2.0 * _solve(flat.reshape(-1, d, d), u.swapaxes(-1, -2)).swapaxes(-1, -2) - u
             c_vals, c_grads, c_norms, c_hess = _readout(ops, norm_sq, _krons(cand))
             ok = (c_vals <= vals[idx] + ROUNDING_SLACK * norm_sq) & (
                 (c_vals < vals[idx]) | (c_norms < norms[idx]))

@@ -1,6 +1,6 @@
 """Write tests/data/golden.json, the outputs that tests/test_golden.py pins.
 
-    PYTHONPATH=src python tests/data/make_golden.py
+    PYTHONPATH=src python tests/data/make_golden.py [--check]
 
 It records, for all 20 preset datasets (ten presets, each a time surface and a
 rate grid), the metadata of both gd conventions exactly and every STRIDE-th row
@@ -9,11 +9,14 @@ text of one of those datasets cut to its strided rows; and the exact stdout of
 `validate` at seeds 0 and 1, of one `oracle` report and of one small
 `run --oracle` grid.
 A change that means to move any of these regenerates the file with this script
-and says so in CHANGES.md.
+and says so in CHANGES.md. With --check it writes nothing and prints the entries a
+fresh run would change, one per line, as presets/<name>, formatted, cli/<name>
+or a top-level key.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -62,9 +65,10 @@ def formatted(ds) -> dict:
     return {"csv": cli.format_dataset_csv(cut), "json": cli.format_dataset_json(cut)}
 
 
-def main() -> None:
+def build() -> dict:
+    """The golden entries, as the current tree computes them."""
     preset, dataset = FORMATTED
-    golden = {
+    return {
         "stride": STRIDE,
         "value_columns": [*COLUMNS, "gd_lower paper", "gd_lower raw"],
         "presets": {name: preset_rows(run_preset(name, PAPER_CONVENTION),
@@ -75,7 +79,30 @@ def main() -> None:
         "cli": {name: {"argv": argv, "stdout": cli_stdout(argv)}
                 for name, argv in CLI_RUNS.items()},
     }
-    GOLDEN.write_text(json.dumps(golden, separators=(",", ":")) + "\n")
+
+
+def entries(golden: dict) -> dict:
+    """golden split into the entries --check reports, one per preset and per CLI run, each
+    as its JSON text, so -0.0 against 0.0 counts as a change."""
+    out = {}
+    for key, value in golden.items():
+        parts = value.items() if key in ("presets", "cli") else [(None, value)]
+        out.update({key if name is None else f"{key}/{name}": json.dumps(v) for name, v in parts})
+    return out
+
+
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description="Write, or with --check compare, golden.json.")
+    parser.add_argument("--check", action="store_true",
+                        help="print the entries a fresh run would change; write nothing")
+    check, golden = parser.parse_args(argv).check, build()
+    if not check:
+        GOLDEN.write_text(json.dumps(golden, separators=(",", ":")) + "\n")
+        return
+    old, new = entries(json.loads(GOLDEN.read_text())), entries(golden)
+    for key in sorted(old.keys() | new.keys()):
+        if old.get(key) != new.get(key):
+            print(key)
 
 
 if __name__ == "__main__":

@@ -220,6 +220,23 @@ def test_bloch_synthesis_refuses_dims_by_name():
         assert exc.value.field == "dims"
 
 
+def test_bloch_synthesis_refuses_a_malformed_decomposition_as_dec():
+    dec = bloch_decomposition(make_bell_state(3))
+    shapes = r"must have shapes \(8,\) and \(8, 8\), got "
+    for bad, refusal in [
+            (measures.BlochDecomposition(dec.y_a, dec.z_b, dec.corr[:, :7]),
+             shapes + r"\(8,\) and \(8, 7\)$"),
+            (measures.BlochDecomposition(dec.y_a, np.stack([dec.z_b] * 2), dec.corr),
+             shapes + r"\(2, 8\) and \(8, 8\)$"),
+            (measures.BlochDecomposition(dec.y_a, dec.z_b, np.full((8, 8), np.nan)),
+             r"must hold finite numbers$"),
+            (measures.BlochDecomposition(np.full(8, np.inf), dec.z_b, dec.corr),
+             r"must hold finite numbers$")]:
+        with pytest.raises(ConfigError, match=r"^dec(\.z_b and dec\.corr)? " + refusal) as exc:
+            bloch_synthesis(bad, (3, 3))
+        assert exc.value.field == "dec"
+
+
 def test_gd_convention_validation_and_prefactors():
     with pytest.raises(ValueError):
         GdConvention("other")

@@ -326,6 +326,39 @@ def test_newton_restarts_do_not_depend_on_the_rest_of_the_stack():
     assert norms.max() <= oracle.NEWTON_TOL
 
 
+class _FirstCandidate(Exception):
+    """Stops `_newton` once its first candidate stack has been read."""
+
+
+def test_newton_moves_by_a_unitary_cayley_step_that_matches_the_exponential(monkeypatch):
+    # Newton's first candidates for chosen steps h in the span of the six off-diagonal
+    # generators, one restart per norm |h|_F: each is unitary and within 0.1 |h|^3 of
+    # U exp(ih), as Cayley and exp(ih) agree through second order (they differ by ~ h^3 / 12)
+    rng = np.random.default_rng(33)
+    norms = np.array([1e-1, 1e-2, 1e-3, 1e-4])
+    coords = rng.standard_normal((len(norms), 6))
+    coords *= (norms / np.sqrt(2.0) / np.linalg.norm(coords, axis=-1))[:, None]  # |g_j|_F^2 = 2
+    h = np.einsum("nj,jab->nab", coords, GENERATORS[:6])
+    np.testing.assert_allclose(np.linalg.norm(h, axis=(1, 2)), norms, rtol=1e-12)
+    bases = np.array([random_unitary(3, rng=rng) for _ in norms])
+    krons, seen = oracle._krons, []
+
+    def first_candidates(stack):
+        seen.append(stack.copy())
+        if len(seen) == 2:  # the stack's own readout, then the candidates
+            raise _FirstCandidate
+        return krons(stack)
+
+    monkeypatch.setattr(oracle, "_newton_steps", lambda hess, grads: coords.copy())
+    monkeypatch.setattr(oracle, "_krons", first_candidates)
+    with pytest.raises(_FirstCandidate):
+        oracle._newton(*_landscape(random_density_matrix(3, 3, rng=14)), bases.copy())
+    cand = seen[1]
+    assert np.abs(cand.conj().swapaxes(-1, -2) @ cand - np.eye(3)).max() <= 1e-14
+    gap = np.linalg.norm(cand - bases @ oracle._expi(h), axis=(1, 2))
+    assert (gap <= 0.1 * norms ** 3).all(), gap / norms ** 3
+
+
 def test_gauge_coordinates_of_gradient_and_hessian_vanish():
     # the diagonal generators g_6, g_7 turn U -> U diag(phases), which leaves f
     # unchanged: their gradient coordinates and their 2x2 Hessian block vanish at
@@ -407,6 +440,20 @@ def test_eigen_fallback_alone_reaches_the_pinned_values(monkeypatch):
         result = gd_exact(make_state(), restarts=32, seed=0)
         assert abs(result.value - expected) <= 1e-12
         assert result.residual <= 1e-10
+
+
+def test_newton_calls_no_matrix_exponential_once_the_starts_are_cached(monkeypatch):
+    # `_expi` builds only the seeded starts; Newton retracts by a linear solve
+    oracle._starts(3, 0, 32)
+
+    def refuse(h):
+        raise AssertionError("_expi called after the starts were cached")
+
+    monkeypatch.setattr(oracle, "_expi", refuse)
+    make_state, expected = PINNED_VALUES[0]
+    result = gd_exact(make_state(), restarts=32, seed=0)
+    assert abs(result.value - expected) <= 1e-12
+    assert result.residual <= 1e-10
 
 
 def test_flat_results_share_one_read_only_basis_per_start():
