@@ -79,15 +79,16 @@ def bloch_decomposition(rho: DensityMatrix) -> BlochDecomposition:
 def bloch_synthesis(dec: BlochDecomposition, dims: tuple[int, int]) -> np.ndarray:
     """Inverse of bloch_decomposition: rebuild the density matrix (or stack)."""
     # The operators are Hermitian, so a conjugated table row is vec(op).
-    lead = _instance(dec, BlochDecomposition, "dec").y_a.shape[:-1]
-    (d1, d2), sizes = _dims(dims), (dec.y_a.shape[-1], dec.z_b.shape[-1])
+    dec = _instance(dec, BlochDecomposition, "dec")
+    y_a, z_b, corr = np.atleast_1d(dec.y_a, dec.z_b, dec.corr)  # lists too, and a scalar has size 1
+    lead, (d1, d2), sizes = y_a.shape[:-1], _dims(dims), (y_a.shape[-1], z_b.shape[-1])
     if sizes != (d1 * d1 - 1, d2 * d2 - 1):
         raise ConfigError("dims", f"dims must give dec's Bloch vector sizes {sizes}, got {dims!r}")
-    if (dec.z_b.shape, dec.corr.shape) != (lead + sizes[1:], lead + sizes):
+    if (z_b.shape, corr.shape) != (lead + sizes[1:], lead + sizes):
         raise ConfigError("dec", f"dec.z_b and dec.corr must have shapes {lead + sizes[1:]} and "
-                                 f"{lead + sizes}, got {dec.z_b.shape} and {dec.corr.shape}")
+                                 f"{lead + sizes}, got {z_b.shape} and {corr.shape}")
     d = d1 * d2
-    coeffs = np.concatenate([dec.y_a, dec.z_b, dec.corr.reshape(lead + (-1,))], axis=-1)
+    coeffs = np.concatenate([y_a, z_b, corr.reshape(lead + (-1,))], axis=-1)
     with np.errstate(invalid="ignore", over="ignore"):  # _numbers refuses a non-finite dec
         mats = (np.eye(d) + (coeffs @ _generator_table(d1, d2)[0].conj()).reshape(-1, d, d)) / d
     return _numbers(mats, "dec").reshape(lead + (d, d))

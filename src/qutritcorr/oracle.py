@@ -152,7 +152,7 @@ def _plane_matrix(ops: np.ndarray, bases: np.ndarray, p: int, q: int) -> np.ndar
     """G = sum_mu g_mu g_mu^T of each basis in the plane (p, q), read from the real
     coordinates of M_mu = U^H A_mu U as g_mu = [M_pp - M_qq, 2 Re M_pq, 2 Im M_pq]."""
     d, m = bases.shape[-1], _sandwiches(ops, _krons(bases))
-    pq = d + [(k, l) for k in range(d) for l in range(k + 1, d)].index((p, q))
+    pq = d + p * (2 * d - p - 1) // 2 + q - p - 1  # (p, q)'s place among the pairs k < l
     g = np.stack([m[..., p] - m[..., q], 2.0 * m[..., pq], 2.0 * m[..., pq + d * (d - 1) // 2]], -1)
     return g.swapaxes(-1, -2) @ g
 
@@ -163,12 +163,20 @@ def _jacobi_turn(ops: np.ndarray, bases: np.ndarray, p: int, q: int) -> None:
     the turn sum_mu (M_pp - M_qq)^2 = v^T G v with v = [cos 2theta, ...], so
     the top eigenvector of G is the best turn (Cardoso & Souloumiac, SIAM J.
     Matrix Anal. Appl. 17 (1996) 161)."""
-    x, y, z = _eigh(_plane_matrix(ops, bases, p, q))[1][..., -1].T
-    x, y, z = np.copysign(1.0, x) * np.array([x, y, z])
+    top = _eigh(_plane_matrix(ops, bases, p, q))[1][..., -1]
+    x, y, z = (np.copysign(1.0, top[:, :1]) * top).T
     c = np.sqrt((1.0 + x) / 2.0)[:, None]
     s = (y - 1j * z)[:, None] / (2.0 * c)
     up, uq = bases[..., p], bases[..., q]
     bases[..., p], bases[..., q] = c * up + s * uq, c * uq - s.conj() * up
+
+
+@lru_cache(maxsize=4)
+def _cayley_table(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only: rows vec(g_j^T) * -i/2 of the d(d-1) off-diagonal generators, which
+    su_generators lists first, and vec(I), so h @ table + vec(I) = vec((I - ih/2)^T)."""
+    gens = np.array(su_generators(d)[:d * (d - 1)]).swapaxes(-1, -2)
+    return _read_only(gens.reshape(len(gens), -1) * -0.5j), _read_only(np.eye(d).ravel())
 
 
 def _newton_steps(hess: np.ndarray, grads: np.ndarray) -> np.ndarray:
@@ -176,15 +184,15 @@ def _newton_steps(hess: np.ndarray, grads: np.ndarray) -> np.ndarray:
     H's eigenvalues enter by modulus, so saddles are left downhill, and those at
     most 1e-4 of the largest are dropped."""
     pd = _positive_definite(hess)
+    if pd.all():  # the common case: one solve for the whole stack
+        return -_solve(hess, grads[..., None])[..., 0]
     step = np.empty_like(grads)
     if pd.any():
         step[pd] = -_solve(hess[pd], grads[pd][..., None])[..., 0]
-    if not pd.all():
-        w, v = _eigh(hess[~pd])
-        w = np.abs(w)
-        inv_w = np.divide(1.0, w, out=np.zeros_like(w),
-                          where=w > 1e-4 * w.max(axis=-1, keepdims=True))
-        step[~pd] = -np.einsum("nji,ni,nki,nk->nj", v, inv_w, v, grads[~pd])
+    w, v = _eigh(hess[~pd])
+    w = np.abs(w)
+    inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=w > 1e-4 * w.max(axis=-1, keepdims=True))
+    step[~pd] = -np.einsum("nji,ni,nki,nk->nj", v, inv_w, v, grads[~pd])
     return step
 
 
@@ -198,28 +206,29 @@ def _newton(ops, norm_sq, bases):
     reduced Hessian is solved directly where Cholesky shows it positive definite
     (`_newton_steps`). The gradient norm still reads all d^2 - 1 coordinates."""
     d = bases.shape[-1]
-    k = d * (d - 1)  # su_generators lists the off-diagonal generators first
-    table = np.array(su_generators(d)[:k]).swapaxes(-1, -2).reshape(k, -1) * -0.5j
+    k, (table, eye) = d * (d - 1), _cayley_table(d)
     vals, grads, norms, hess = _readout(ops, norm_sq, _krons(bases))
     live = np.flatnonzero(norms > NEWTON_TOL)
     for _ in range(NEWTON_ITERATIONS):
         if not live.size:
             break
         step = _newton_steps(hess[live, :k, :k], grads[live, :k])
-        step *= MAX_STEP / np.maximum(np.linalg.norm(step, axis=-1, keepdims=True), MAX_STEP)
+        step *= MAX_STEP / np.maximum(np.sqrt((step * step).sum(axis=-1, keepdims=True)), MAX_STEP)
         stepped, pending, scale = np.zeros(len(live), dtype=bool), np.arange(len(live)), 1.0
         while pending.size and scale >= MIN_STEP:  # halve the step until it passes
             idx = live[pending]  # flat holds A^T, A = I - ih/2: X = U A^-1 solves A^T X^T = U^T
-            u, flat = bases[idx], (scale * step[pending]) @ table + np.eye(d).ravel()
+            u, flat = bases[idx], (scale * step[pending]) @ table + eye
             cand = 2.0 * _solve(flat.reshape(-1, d, d), u.swapaxes(-1, -2)).swapaxes(-1, -2) - u
             c_vals, c_grads, c_norms, c_hess = _readout(ops, norm_sq, _krons(cand))
-            ok = (c_vals <= vals[idx] + ROUNDING_SLACK * norm_sq) & (
-                (c_vals < vals[idx]) | (c_norms < norms[idx]))
-            took = idx[ok]
-            bases[took], vals[took], grads[took] = cand[ok], c_vals[ok], c_grads[ok]
-            hess[took], norms[took] = c_hess[ok], c_norms[ok]
+            old = vals[idx]
+            ok = (c_vals <= old + ROUNDING_SLACK * norm_sq) & ((c_vals < old) | (c_norms < norms[idx]))
             stepped[pending[ok]] = True
             pending = pending[~ok]
+            if pending.size:  # some candidates failed: only the others move; else store as is
+                idx, cand, c_vals, c_grads, c_hess, c_norms = (
+                    a[ok] for a in (idx, cand, c_vals, c_grads, c_hess, c_norms))
+            bases[idx], vals[idx], grads[idx], hess[idx], norms[idx] = (
+                cand, c_vals, c_grads, c_hess, c_norms)
             scale *= 0.5
         live = live[stepped & (norms[live] > NEWTON_TOL)]
     return vals, norms

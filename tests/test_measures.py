@@ -231,10 +231,15 @@ def test_bloch_synthesis_refuses_a_malformed_decomposition_as_dec():
             (measures.BlochDecomposition(dec.y_a, dec.z_b, np.full((8, 8), np.nan)),
              r"must hold finite numbers$"),
             (measures.BlochDecomposition(np.full(8, np.inf), dec.z_b, dec.corr),
-             r"must hold finite numbers$")]:
+             r"must hold finite numbers$"),
+            (measures.BlochDecomposition([0.0] * 8, np.zeros(8), np.zeros((8, 7)).tolist()),
+             shapes + r"\(8,\) and \(8, 7\)$")]:
         with pytest.raises(ConfigError, match=r"^dec(\.z_b and dec\.corr)? " + refusal) as exc:
             bloch_synthesis(bad, (3, 3))
         assert exc.value.field == "dec"
+    # fields given as lists are read as arrays, so a well-formed one synthesises
+    as_lists = measures.BlochDecomposition(*(np.asarray(f).tolist() for f in vars(dec).values()))
+    np.testing.assert_array_equal(bloch_synthesis(as_lists, (3, 3)), bloch_synthesis(dec, (3, 3)))
 
 
 def test_gd_convention_validation_and_prefactors():

@@ -326,6 +326,69 @@ def test_newton_restarts_do_not_depend_on_the_rest_of_the_stack():
     assert norms.max() <= oracle.NEWTON_TOL
 
 
+def test_newton_restarts_that_fail_an_attempt_do_not_move_the_others(monkeypatch):
+    # restart 4's first step is made uphill and over-long, so every attempt of the
+    # first iteration rejects it while the others are taken: the split path must give
+    # each restart the bits it gets alone, as the all-taken path does
+    ops, norm_sq = _landscape(random_density_matrix(3, 3, rng=12))
+    full = oracle._starts(3, 0, 16)[0].copy()
+    target = oracle._readout(ops, norm_sq, oracle._krons(full[4:5]))[1][0, :6]
+    newton_steps, krons, sizes = oracle._newton_steps, oracle._krons, []
+
+    def uphill_for_restart_4(hess, grads):
+        step, hit = newton_steps(hess, grads), (grads == target).all(axis=-1)
+        step[hit] = 1e3 * grads[hit]  # capped to MAX_STEP, and f rises along it
+        return step
+
+    monkeypatch.setattr(oracle, "_newton_steps", uphill_for_restart_4)
+    monkeypatch.setattr(oracle, "_krons", lambda bases: sizes.append(len(bases)) or krons(bases))
+    vals, norms = oracle._newton(ops, norm_sq, full)
+    assert sizes[1:3] == [16, 1]  # the first attempt takes every restart but 4
+    for r in range(16):
+        alone = oracle._starts(3, 0, 16)[0][r:r + 1].copy()
+        alone_vals, alone_norms = oracle._newton(ops, norm_sq, alone)
+        assert (alone_vals[0], alone_norms[0]) == (vals[r], norms[r])
+        assert alone.tobytes() == full[r:r + 1].tobytes()
+    start = oracle._starts(3, 0, 16)[0][4]
+    assert full[4].tobytes() == start.tobytes()  # its only step was refused
+    assert np.delete(norms, 4).max() <= oracle.NEWTON_TOL
+
+
+def test_newton_steps_of_a_mixed_stack_match_each_kind_solved_alone():
+    # reduced Hessians at converged bases are positive definite, at random bases
+    # mostly not: the stack mixing them must give every row the bits it gets in a
+    # stack of its own kind, and the all-definite stack the bits of one row at a time
+    rng = np.random.default_rng(71)
+    rho = random_density_matrix(3, 3, rng=rng)
+    ops, norm_sq = _landscape(rho)
+    minima = [np.asarray(gd_exact(rho, restarts=4, seed=s).basis) for s in range(4)]
+    bases = np.array(minima + [random_unitary(3, rng=rng) for _ in range(8)])[rng.permutation(12)]
+    _, grads, _, hess = oracle._readout(ops, norm_sq, oracle._krons(bases))
+    hess, grads = hess[:, :6, :6].copy(), grads[:, :6].copy()
+    pd = oracle._positive_definite(hess)
+    assert 4 <= pd.sum() < len(pd)
+    mixed = oracle._newton_steps(hess, grads)
+    definite = oracle._newton_steps(hess[pd], grads[pd])
+    assert mixed[pd].tobytes() == definite.tobytes()
+    assert mixed[~pd].tobytes() == oracle._newton_steps(hess[~pd], grads[~pd]).tobytes()
+    one_at_a_time = [oracle._newton_steps(h[None], g[None]) for h, g in zip(hess[pd], grads[pd])]
+    assert np.concatenate(one_at_a_time).tobytes() == definite.tobytes()
+
+
+def test_cayley_table_is_read_only_and_the_per_call_build():
+    table, eye = oracle._cayley_table(3)
+    assert oracle._cayley_table(3)[0] is table
+    assert not table.flags.writeable and not eye.flags.writeable
+    built = np.array(su_generators(3)[:6]).swapaxes(-1, -2).reshape(6, -1) * -0.5j
+    assert table.tobytes() == built.tobytes()
+    assert eye.tobytes() == np.eye(3).ravel().tobytes()
+    # so h @ table + vec(I) is vec((I - ih/2)^T) for h = sum_j h_j g_j
+    coords = np.random.default_rng(5).standard_normal(6)
+    h = np.einsum("j,jab->ab", coords, GENERATORS[:6])
+    np.testing.assert_allclose((coords @ table + eye).reshape(3, 3), (np.eye(3) - 0.5j * h).T,
+                               rtol=0.0, atol=1e-15)
+
+
 class _FirstCandidate(Exception):
     """Stops `_newton` once its first candidate stack has been read."""
 
