@@ -12,8 +12,8 @@ from .linalg import (ConfigError, DensityMatrix, _choice, _instance, _integer, _
 
 COMPLETENESS_TOL = 1e-12
 BASIS_IMAG_TOL = 1e-15  # all four bases are exactly real; more flags a set not conjugation-closed
-# evolve's gather: block jk of the 27x27 (C_j R C_k^T) to row jk, un-realigned to rho's layout
-_UNREALIGN = _read_only(np.arange(729).reshape((3,) * 6).transpose(0, 3, 1, 4, 2, 5).reshape(9, 81))
+# evolve's gather: block kj of the 27x27 (C_k R^T C_j^T) to row jk, un-realigned to rho's layout
+_UNREALIGN = _read_only(np.arange(729).reshape((3,) * 6).transpose(3, 0, 4, 1, 5, 2).reshape(9, 81))
 
 
 class IncompleteKrausError(ValueError):
@@ -62,14 +62,16 @@ def validate_kraus(channel: KrausChannel) -> KrausDiagnostics:
 def _gammas(t, lead=None, **rates) -> np.ndarray:
     """1 - exp(-q t) per rate q, on a new first axis; with lead, a state stack's leading shape,
     they must give it one non-empty batch axis at most. A refusal names the first bad rate, then t."""
-    try:
-        tq = np.broadcast_arrays(t, *rates.values())
+    try:  # each argument read once; only unequal shapes are broadcast
+        tq = [np.asarray(v) for v in (t, *rates.values())]
+        tq = np.broadcast_arrays(*tq) if any(a.shape != tq[0].shape for a in tq) else tq
         batch = np.broadcast_shapes(lead, tq[0].shape) if lead else tq[0].shape
         real = all(a.dtype.kind in "iuf" for a in tq)  # strings, bools and objects are refused
         tq = np.array(tq, dtype=float) if real else tq
     except ValueError:  # ragged, or shapes that do not broadcast
         real = False
-    if not (real and ((tq >= 0.0) & (tq < np.inf)).all()  # NaN fails both
+    if not (real and 0.0 <= np.minimum.reduce(tq, None, initial=0.0)  # NaN fails both tests;
+            and np.maximum.reduce(tq, None, initial=0.0) < np.inf  # initial: an empty batch passes
             and (lead is None or len(batch) <= 1 and 0 not in batch)):
         shape = lead or ()
         for name, value in (*rates.items(), ("t", t)):
@@ -252,7 +254,10 @@ def evolve(rho0: DensityMatrix, family_a: str, family_b: str, q_a, q_b, t) -> De
                 for f, name in ((family_a, "family_a"), (family_b, "family_b")))
     g = _gammas(t, lead, q_a=q_a, q_b=q_b)  # (gamma_a, gamma_b), whose batch fits rho0's stack
     r = rho0.matrix.reshape(lead + (3, 3, 3, 3)).swapaxes(-3, -2).reshape(lead + (9, 9))
-    m = (c_a.reshape(27, 9) @ r @ c_b.reshape(27, 9).T).reshape(lead + (729,))[..., _UNREALIGN]
+    # the transpose of C_a R C_b^T from two real products on float views, each as one GEMM
+    x = (c_a.reshape(27, 9) @ r.view(float)).view(r.dtype).swapaxes(-1, -2)
+    m = (c_b.reshape(27, 9) @ np.ascontiguousarray(x).view(float)).view(r.dtype)
+    m = m.reshape(lead + (729,))[..., _UNREALIGN]
     w = np.empty(g.shape + (3,))
     w[..., 0], w[..., 1], w[..., 2] = 1.0, np.sqrt(1.0 - g), g
     out = (w[0, ..., :, None] * w[1, ..., None, :]).reshape(g.shape[1:] + (1, 9)) @ m

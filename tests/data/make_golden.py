@@ -9,9 +9,9 @@ text of one of those datasets cut to its strided rows; and the exact stdout of
 `validate` at seeds 0 and 1, of one `oracle` report and of one small
 `run --oracle` grid.
 A change that means to move any of these regenerates the file with this script
-and says so in CHANGES.md. With --check it writes nothing and prints the entries a
+and says so in CHANGES.md. With --check it writes nothing, prints the entries a
 fresh run would change, one per line, as presets/<name>, formatted, cli/<name>
-or a top-level key.
+or a top-level key, and exits 1 if there are any (0 if none).
 """
 
 from __future__ import annotations
@@ -91,19 +91,20 @@ def entries(golden: dict) -> dict:
     return out
 
 
-def main(argv: list[str] | None = None) -> None:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="Write, or with --check compare, golden.json.")
     parser.add_argument("--check", action="store_true",
                         help="print the entries a fresh run would change; write nothing")
     check, golden = parser.parse_args(argv).check, build()
     if not check:
         GOLDEN.write_text(json.dumps(golden, separators=(",", ":")) + "\n")
-        return
+        return 0
     old, new = entries(json.loads(GOLDEN.read_text())), entries(golden)
-    for key in sorted(old.keys() | new.keys()):
-        if old.get(key) != new.get(key):
-            print(key)
+    changed = [key for key in sorted(old.keys() | new.keys()) if old.get(key) != new.get(key)]
+    for key in changed:
+        print(key)
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -121,7 +121,7 @@ def test_superoperator_basis_bits_follow_the_liouville_formula(family):
 @pytest.mark.parametrize("family_a", CHANNEL_FAMILIES)
 @pytest.mark.parametrize("family_b", CHANNEL_FAMILIES)
 def test_complex_states_evolve_through_the_real_basis_bit_for_bit(family_a, family_b):
-    # the real basis, cast by the product, gives the bits of the complex basis it came from
+    # the real basis, multiplied on float views, gives the bits of the complex basis it came from
     rng = np.random.default_rng([19, CHANNEL_FAMILIES.index(family_a),
                                  CHANNEL_FAMILIES.index(family_b)])
     rho = DensityMatrix(np.stack([random_density_matrix(3, 3, rng=rng).matrix
@@ -130,11 +130,19 @@ def test_complex_states_evolve_through_the_real_basis_bit_for_bit(family_a, fami
     r = rho.matrix.reshape(64, 3, 3, 3, 3).swapaxes(-3, -2).reshape(64, 9, 9)
     c_a, c_b = (channels._family_superoperator_basis(f).astype(complex).reshape(27, 9)
                 for f in (family_a, family_b))
-    m = (c_a @ r @ c_b.T).reshape(64, 729)[:, channels._UNREALIGN]
+    m = (c_a @ r @ c_b.T).swapaxes(-1, -2).reshape(64, 729)[:, channels._UNREALIGN]
     g = np.array([gamma_of(qa, t), gamma_of(qb, t)])
     w = np.stack([np.ones_like(g), np.sqrt(1.0 - g), g], axis=-1)
     want = ((w[0, :, :, None] * w[1, :, None, :]).reshape(64, 1, 9) @ m).reshape(64, 9, 9)
     assert (evolve(rho, family_a, family_b, qa, qb, t).matrix == want).all()
+    # and one state with scalar rates (no stack axis): the same products on its own arrays
+    for i in range(4):
+        m = (c_a @ r[i] @ c_b.T).T.reshape(729)[channels._UNREALIGN]
+        a, b = (np.array([1.0, np.sqrt(1.0 - gamma), gamma]) for gamma in g[:, i])
+        want = ((a[:, None] * b[None, :]).reshape(1, 9) @ m).reshape(9, 9)
+        one = DensityMatrix(rho.matrix[i], (3, 3))
+        got = evolve(one, family_a, family_b, float(qa[i]), float(qb[i]), t)
+        assert got.matrix.shape == (9, 9) and (got.matrix == want).all()
 
 
 def _amplitude_damping(p):
@@ -532,15 +540,22 @@ def test_array_evolve_matches_scalar_calls():
             assert abs(gd[i] - gd_lower_bound(one, RAW_CONVENTION)) <= 1e-14
 
 
+@pytest.mark.parametrize("kind", [float, np.float64, np.array, "int time"])
 @pytest.mark.parametrize("family_a", CHANNEL_FAMILIES)
 @pytest.mark.parametrize("family_b", CHANNEL_FAMILIES)
-def test_scalar_query_is_row_zero_of_the_one_state_stack(family_a, family_b):
-    # one code path: scalar arguments give exactly the bits of length-1 arrays
+def test_scalar_query_is_row_zero_of_the_one_state_stack(family_a, family_b, kind):
+    # one code path: scalar arguments, given as Python floats (as a query passes them), numpy
+    # floats, 0-d arrays or with an int time, give exactly the bits of length-1 arrays
     rng = np.random.default_rng([7, CHANNEL_FAMILIES.index(family_a),
                                  CHANNEL_FAMILIES.index(family_b)])
     rho0 = random_density_matrix(3, 3, rank=1, rng=rng)
     qa, qb, t = rng.uniform(0.0, 1.0, size=3)
+    if kind == "int time":
+        t = 2
+    else:
+        qa, qb, t = kind(qa), kind(qb), kind(t)
     one = evolve(rho0, family_a, family_b, qa, qb, t)
+    assert one.matrix.shape == (9, 9)
     stack = evolve(rho0, family_a, family_b, np.array([qa]), np.array([qb]), np.array([t]))
     assert stack.matrix.shape == (1, 9, 9)
     assert (one.matrix == stack.matrix[0]).all()

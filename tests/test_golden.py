@@ -4,6 +4,7 @@ that keeps the numbers passes unchanged; one that means to move them regenerates
 with that script."""
 
 import contextlib
+import importlib.util
 import io
 import json
 from pathlib import Path
@@ -60,3 +61,19 @@ def test_cli_stdout_matches_the_golden_output(name):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert cli.main(golden["argv"]) == 0
     assert out.getvalue() == golden["stdout"]
+
+
+def test_make_golden_check_exits_1_exactly_when_an_entry_would_change(monkeypatch, capsys):
+    # build is stubbed with the committed entries, so no preset runs; --check never writes
+    spec = importlib.util.spec_from_file_location(
+        "make_golden", Path(__file__).parent / "data" / "make_golden.py")
+    make_golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_golden)
+    monkeypatch.setattr(make_golden, "build", lambda: json.loads(json.dumps(GOLDEN)))
+    assert make_golden.main(["--check"]) == 0 and capsys.readouterr().out == ""
+    moved = json.loads(json.dumps(GOLDEN))
+    moved["cli"]["oracle"]["stdout"] += " "
+    moved["stride"] += 1
+    monkeypatch.setattr(make_golden, "build", lambda: moved)
+    assert make_golden.main(["--check"]) == 1
+    assert capsys.readouterr().out == "cli/oracle\nstride\n"

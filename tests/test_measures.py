@@ -223,6 +223,7 @@ def test_bloch_synthesis_refuses_dims_by_name():
 def test_bloch_synthesis_refuses_a_malformed_decomposition_as_dec():
     dec = bloch_decomposition(make_bell_state(3))
     shapes = r"must have shapes \(8,\) and \(8, 8\), got "
+    vectors = r"must be Bloch vectors, of size d\^2 - 1 for some d >= 2, got "
     for bad, refusal in [
             (measures.BlochDecomposition(dec.y_a, dec.z_b, dec.corr[:, :7]),
              shapes + r"\(8,\) and \(8, 7\)$"),
@@ -233,8 +234,14 @@ def test_bloch_synthesis_refuses_a_malformed_decomposition_as_dec():
             (measures.BlochDecomposition(np.full(8, np.inf), dec.z_b, dec.corr),
              r"must hold finite numbers$"),
             (measures.BlochDecomposition([0.0] * 8, np.zeros(8), np.zeros((8, 7)).tolist()),
-             shapes + r"\(8,\) and \(8, 7\)$")]:
-        with pytest.raises(ConfigError, match=r"^dec(\.z_b and dec\.corr)? " + refusal) as exc:
+             shapes + r"\(8,\) and \(8, 7\)$"),
+            # no Bloch axis, or a size that is d^2 - 1 for no d >= 2: dec is at fault, not dims
+            (measures.BlochDecomposition(0.0, dec.z_b, dec.corr), vectors + r"\(\) and \(8,\)$"),
+            (measures.BlochDecomposition(dec.y_a, 0.0, dec.corr), vectors + r"\(8,\) and \(\)$"),
+            (measures.BlochDecomposition(dec.y_a, np.zeros(5), dec.corr),
+             vectors + r"\(8,\) and \(5,\)$")]:
+        with pytest.raises(ConfigError, match=r"^dec(\.z_b and dec\.corr|\.y_a and dec\.z_b)? "
+                                              + refusal) as exc:
             bloch_synthesis(bad, (3, 3))
         assert exc.value.field == "dec"
     # fields given as lists are read as arrays, so a well-formed one synthesises
