@@ -8,7 +8,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import (ConfigError, DensityMatrix, _choice, _instance, _integer, _nonnegative,
-                     _numbers, _read_only, _shown)
+                     _numbers, _read_only, _refused, _shown)
 
 COMPLETENESS_TOL = 1e-12
 BASIS_IMAG_TOL = 1e-15  # all four bases are exactly real; more flags a set not conjugation-closed
@@ -82,7 +82,7 @@ def _gammas(t, lead=None, **rates) -> np.ndarray:
                 raise ConfigError(name, f"{name} must have a shape that broadcasts with {shape}, "
                                         f"got {_shown(value)}") from None
             if not (a.dtype.kind in "iuf" and ((a >= 0.0) & (a < np.inf)).all()):
-                raise ConfigError(name, f"{name} must be finite and non-negative, got {_shown(value)}")
+                raise _refused(value, name, "be finite and non-negative")
             if lead is not None and (len(shape) > 1 or 0 in shape):
                 raise ConfigError(name, f"{name} must give rho0's stack {lead} one non-empty batch "
                                         f"axis at most, got {_shown(value)}")

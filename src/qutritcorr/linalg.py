@@ -60,12 +60,19 @@ def _integer(value, least: int, name: str) -> int:
     return int(value)
 
 
+def _refused(value, name: str, bounds: str) -> ConfigError:
+    """A refusal by bounds, or by type for a number numpy holds only as an object (Fraction)."""
+    if isinstance(value, numbers.Number) and np.asarray(value).dtype.kind == "O":
+        return ConfigError(name, f"{name} must be an int or a float, got {type(value).__name__} {value}")
+    return ConfigError(name, f"{name} must {bounds}, got {_shown(value)}")
+
+
 def _nonnegative(value, name: str, most: float = math.inf):
-    """value, if it is a real number (not a bool), finite and in [0, most]; else refused by name."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+    """value, if it is an int or a float (not a bool), finite and in [0, most]; else refused."""
+    if isinstance(value, bool) or not (isinstance(value, (int, float, np.integer, np.floating))
                                        and 0 <= value <= most and value < math.inf):
-        bounds = "be finite and non-negative" if most == math.inf else f"lie in [0, {most:g}]"
-        raise ConfigError(name, f"{name} must {bounds}, got {_shown(value)}")
+        raise _refused(value, name, "be finite and non-negative" if most == math.inf
+                       else f"lie in [0, {most:g}]")
     return value
 
 

@@ -81,11 +81,10 @@ def bloch_synthesis(dec: BlochDecomposition, dims: tuple[int, int]) -> np.ndarra
     # The operators are Hermitian, so a conjugated table row is vec(op).
     dec = _instance(dec, BlochDecomposition, "dec")
     y_a, z_b, corr = (np.asarray(field) for field in (dec.y_a, dec.z_b, dec.corr))  # lists too
-    sizes = tuple(v.shape[-1] if v.ndim else 0 for v in (y_a, z_b))  # d^2 - 1 for some d >= 2
-    if not all(n >= 3 and ((n + 1) ** 0.5).is_integer() for n in sizes):
+    if not all(v.ndim and v.shape[-1] >= 3 and (v.shape[-1] + 1) ** 0.5 % 1 == 0 for v in (y_a, z_b)):
         raise ConfigError("dec", f"dec.y_a and dec.z_b must be Bloch vectors, of size d^2 - 1 for "
                                  f"some d >= 2, got {y_a.shape} and {z_b.shape}")
-    lead, (d1, d2) = y_a.shape[:-1], _dims(dims)
+    lead, (d1, d2), sizes = y_a.shape[:-1], _dims(dims), (y_a.shape[-1], z_b.shape[-1])
     if sizes != (d1 * d1 - 1, d2 * d2 - 1):
         raise ConfigError("dims", f"dims must give dec's Bloch vector sizes {sizes}, got {dims!r}")
     if (z_b.shape, corr.shape) != (lead + sizes[1:], lead + sizes):

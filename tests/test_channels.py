@@ -1,4 +1,6 @@
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from qutritcorr import channels
 from qutritcorr import (CHANNEL_FAMILIES, PAPER_CONVENTION, RAW_CONVENTION, ConfigError,
                         DensityMatrix, IncompleteKrausError, KrausChannel, analytic_gd_isotropic,
+                        analytic_negativity_dephasing,
                         apply_channel, apply_local_channels, bloch_decomposition, clock_matrix,
                         dephasing_kraus, depolarizing_kraus, evolve,
                         gamma_of, gd_lower_bound, identity_kraus, isotropic_family,
@@ -70,6 +73,22 @@ def test_gamma_of_rejects_negative(q, t, field):
         with pytest.raises(ConfigError, match=refusal.replace("^q", f"^{side}")) as exc:
             evolve(make_bell_state(3), "dephasing", "trit-flip", *args)
         assert exc.value.field == (side if field == "q" else "t")
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), Decimal("0.5")])
+def test_numbers_numpy_holds_only_as_objects_are_refused_by_type(value):
+    # a Fraction or a Decimal is finite and non-negative, so its refusal names its type instead,
+    # under the same rule for evolve's rates, gamma_of and the scalar parameters
+    refusal = rf" must be an int or a float, got {type(value).__name__} {re.escape(str(value))}$"
+    for field, call in [
+            ("q", lambda: gamma_of(value, 1.0)), ("t", lambda: gamma_of(1.0, value)),
+            ("q_a", lambda: evolve(make_bell_state(3), "dephasing", "trit-flip", value, 0.5, 1.0)),
+            ("t", lambda: evolve(make_bell_state(3), "dephasing", "trit-flip", 0.5, 0.5, value)),
+            ("q_b", lambda: analytic_negativity_dephasing(0.5, value, 1.0)),
+            ("gamma", lambda: dephasing_kraus(value))]:
+        with pytest.raises(ConfigError, match=f"^{field}{refusal}") as exc:
+            call()
+        assert exc.value.field == field
 
 
 @pytest.mark.parametrize("check", [dephasing_kraus, trit_flip_kraus, trit_phase_flip_kraus,
