@@ -156,7 +156,7 @@ def _eigvalsh_below(mats: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarra
     `_eigvalsh` of those alone (not called for none): Cholesky's backward error at unit trace is
     ~ dim * eps, so a matrix that factors with a (tol / 2) I shift has every eigenvalue above -tol."""
     maybe = ~_positive_definite(mats + _psd_shift(mats.shape[-1], tol))
-    return maybe, _eigvalsh(mats[maybe]) if maybe.any() else np.zeros((0, mats.shape[-1]))
+    return maybe, _eigvalsh(mats[maybe]) if np.count_nonzero(maybe) else np.zeros((0, mats.shape[-1]))
 
 
 def _dims(value) -> tuple[int, int]:
