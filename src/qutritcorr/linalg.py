@@ -63,14 +63,15 @@ def _integer(value, least: int, name: str) -> int:
 def _refused(value, name: str, bounds: str) -> ConfigError:
     """A refusal by bounds, or by type for a number numpy holds only as an object (Fraction)."""
     if isinstance(value, numbers.Number) and np.asarray(value).dtype.kind == "O":
-        return ConfigError(name, f"{name} must be an int or a float, got {type(value).__name__} {value}")
+        return ConfigError(name, f"{name} must be an int or a float that numpy holds as one, got "
+                                 f"{type(value).__name__} {value}")
     return ConfigError(name, f"{name} must {bounds}, got {_shown(value)}")
 
 
 def _nonnegative(value, name: str, most: float = math.inf):
-    """value, if it is an int or a float (not a bool), finite and in [0, most]; else refused."""
-    if isinstance(value, bool) or not (isinstance(value, (int, float, np.integer, np.floating))
-                                       and 0 <= value <= most and value < math.inf):
+    """value, if numpy holds it as an int or a float (not a bool), finite, in [0, most]; else refused."""
+    if not (isinstance(value, numbers.Number) and np.asarray(value).dtype.kind in "iuf"
+            and 0 <= value <= most and value < math.inf):
         raise _refused(value, name, "be finite and non-negative" if most == math.inf
                        else f"lie in [0, {most:g}]")
     return value

@@ -75,11 +75,12 @@ def test_gamma_of_rejects_negative(q, t, field):
         assert exc.value.field == (side if field == "q" else "t")
 
 
-@pytest.mark.parametrize("value", [Fraction(1, 2), Decimal("0.5")])
+@pytest.mark.parametrize("value", [Fraction(1, 2), Decimal("0.5"), 10 ** 30])
 def test_numbers_numpy_holds_only_as_objects_are_refused_by_type(value):
-    # a Fraction or a Decimal is finite and non-negative, so its refusal names its type instead,
-    # under the same rule for evolve's rates, gamma_of and the scalar parameters
-    refusal = rf" must be an int or a float, got {type(value).__name__} {re.escape(str(value))}$"
+    # a Fraction, a Decimal or an int beyond 64 bits may be finite and non-negative, so its
+    # refusal names its type instead, under one rule for evolve's rates, gamma_of and parameters
+    refusal = (rf" must be an int or a float that numpy holds as one, got {type(value).__name__} "
+               rf"{re.escape(str(value))}$")
     for field, call in [
             ("q", lambda: gamma_of(value, 1.0)), ("t", lambda: gamma_of(1.0, value)),
             ("q_a", lambda: evolve(make_bell_state(3), "dephasing", "trit-flip", value, 0.5, 1.0)),
